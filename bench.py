@@ -2,7 +2,7 @@
 
 Default: runs the headline pipelines over $GRAFT_SF_DIR (default
 /root/testdata/sf0.1) under ray.init(num_cpus=$RAY_GRAFT_CPUS,
-default 32) and prints ONE JSON line:
+default: the CPUs this process may run on) and prints ONE JSON line:
 
     {"metric": ..., "value": <headline sec>, "unit": "sec",
      "queries": {...per-query sec...}, "sf": ..., "num_cpus": N,
@@ -10,10 +10,11 @@ default 32) and prints ONE JSON line:
 
 The headline metric is the BASELINE.md workload: read image table ->
 derive phash geo-keys + tile assignment -> cell-keyed PIP join against
-the polygon side table -> partitioned write + lineage manifest.  The
-synthetic image table is generated deterministically ONCE and cached as
-Parquet under /tmp, so the timed run measures the pipeline (read ->
-transform -> join -> write), not the generator.
+the polygon side table -> partitioned write + lineage manifest, timed
+as ONE call of the public ``flagship.run_flagship`` on the Parquet
+directory.  The synthetic image table is generated deterministically
+ONCE and cached as Parquet under /tmp, so the timed run measures the
+pipeline (read -> transform -> join -> write), not the generator.
 
 --scaling: runs the flagship twice in FRESH processes at num_cpus=8 and
 num_cpus=32 on the same input and reports both throughputs plus
@@ -57,7 +58,8 @@ def _wait_quiet(threshold: float | None = None, max_wait: float | None = None) -
         time.sleep(15)
         la = _loadavg()
     return la
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 FLAGSHIP_N = int(os.environ.get("GRAFT_FLAGSHIP_N", "4000000"))
 IMAGE_CACHE = f"/tmp/graft_images_n{FLAGSHIP_N}_seed42"
 # 32 MiB (round-5): with the whole flagship fused into ONE map stage
@@ -113,13 +115,14 @@ def ensure_image_cache():
 
 
 def warm_workers():
-    """Untimed: spawn the full worker pool and run a small slice of the
-    exact pipeline so python/numpy imports and code paths are warm.
+    """Untimed: spawn the full worker pool and run the exact timed call
+    (read + kernel + partitioned write + manifest) on a small Parquet
+    directory so python/numpy imports and code paths are warm.
     (Worker cold-start costs seconds per process on throttled hosts and
     would otherwise be billed to the first timed stage.)"""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    from go_osm_search_ray import synth
     from go_osm_search_ray.pipelines import flagship
 
     def heavy(b):
@@ -134,95 +137,36 @@ def warm_workers():
     rd.range(NUM_CPUS * 4, override_num_blocks=NUM_CPUS * 4).map_batches(
         heavy, batch_size=1
     ).count()
-    polygons = synth.polygons_table(64, seed=42)
-    flagship.tile_and_join(
-        rd.read_parquet(IMAGE_CACHE).limit(10000), polygons, include_ahash=True
-    ).count()
-    # warm the exact timed path too (fused ingest + partitioned write +
-    # manifest) on two row groups so the parquet writer / manifest code
-    # is imported in every worker before the timed section
-    from go_osm_search_ray.state import manifest as mstate
-
-    import ray
-
-    from go_osm_search_ray import geo
-
-    specs = flagship.ingest_specs(IMAGE_CACHE)[:2]
-    fused = flagship.FusedIngestTileJoin(
-        ray.put(polygons), geo.DEFAULT_TILE_RES, True, False, True)
-    warm = rd.from_items(specs, override_num_blocks=len(specs)).map_batches(
-        fused, batch_format="pyarrow", batch_size=1)
-    mstate.write_partitioned(warm, "/tmp/graft_warm_out", "part",
-                             collect_stats="light")
+    # 8 row groups of 1024 rows: eight kernel tasks, each importing the
+    # parquet writer / manifest code before the timed section
+    warm_src = f"{IMAGE_CACHE}_warm"
+    shutil.rmtree(warm_src, ignore_errors=True)
+    os.makedirs(warm_src)
+    first = flagship.ingest_specs(IMAGE_CACHE)[0]["path"]
+    pq.write_table(pq.ParquetFile(first).read_row_group(0).slice(0, 8192),
+                   os.path.join(warm_src, "warm.parquet"),
+                   row_group_size=1024)
+    run_flagship("/tmp/graft_warm_out", src=warm_src)
     shutil.rmtree("/tmp/graft_warm_out", ignore_errors=True)
+    shutil.rmtree(warm_src, ignore_errors=True)
 
 
-def run_flagship(out_dir: str, write: bool = True) -> tuple[float, int]:
-    import ray.data as rd
-
+def run_flagship(out_dir: str, src: str = IMAGE_CACHE) -> float:
+    """Seconds for one public ``flagship.run_flagship`` call on the
+    Parquet directory ``src`` (the fused-ingest plan: the read happens
+    inside the kernel task), including the manifest's footer stats."""
     from go_osm_search_ray import synth
     from go_osm_search_ray.pipelines import flagship
 
     polygons = synth.polygons_table(64, seed=42)
     shutil.rmtree(out_dir, ignore_errors=True)
-    # fused ingest (default): the parquet read happens inside the same
-    # task as decode+tile+PIP, so the image payload never crosses the
-    # object store — see flagship.FusedIngestTileJoin.  Set
-    # GRAFT_FUSED_INGEST=0 to measure the separate-read plan.
-    fused_ingest = os.environ.get("GRAFT_FUSED_INGEST", "1") == "1"
-    images = rd.read_parquet(IMAGE_CACHE)
     t0 = time.perf_counter()
-    if write and fused_ingest:
-        from go_osm_search_ray.state import manifest as mstate
-
-        joined = flagship.fused_ingest_tile_join(
-            IMAGE_CACHE, polygons, include_ahash=True, carry_payload=False)
-        meta_dict = ["province", "district", "sub_district", "village",
-                     "postal_code"]
-        manifest = mstate.write_partitioned(
-            joined, out_dir, "part", input_files=[IMAGE_CACHE],
-            collect_stats="light",
-            arrow_parquet_args={"use_dictionary": meta_dict})
-        assert len(manifest["partitions"]) > 0
-    elif write:
-        manifest = flagship.run_flagship(
-            images, polygons, out_dir, input_files=[IMAGE_CACHE],
-            include_ahash=True, carry_payload=False, collect_stats="light",
-        )
-        assert len(manifest["partitions"]) > 0
-    else:
-        # no-IO variant: identical compute pipeline, sink replaced by a
-        # materialize — isolates the write/manifest share of the scaling
-        # gap AND exposes per-operator remote CPU totals: the ratio of
-        # total remote CPU seconds between two parallelism levels (same
-        # work!) is the pure-compute contention ceiling, independent of
-        # task packing
-        m = flagship.tile_and_join(
-            images, polygons, include_ahash=True, carry_payload=False,
-        ).materialize()
-        dt = time.perf_counter() - t0
-        global _LAST_CPU_TOTAL
-        _LAST_CPU_TOTAL = _parse_cpu_total(m.stats())
-        assert m.count() == FLAGSHIP_N
-        return dt, FLAGSHIP_N
+    manifest = flagship.run_flagship(src, polygons, out_dir,
+                                     input_files=[src], include_ahash=True,
+                                     carry_payload=False)
     dt = time.perf_counter() - t0
-    return dt, FLAGSHIP_N
-
-
-_LAST_CPU_TOTAL = None
-
-
-def _parse_cpu_total(stats: str) -> float:
-    """Sum of 'Remote cpu time: ... total' across operators, seconds."""
-    import re
-
-    total = 0.0
-    for m in re.finditer(
-        r"Remote cpu time:.*?([\d.]+)(ms|s|m)(?:in)? total", stats
-    ):
-        v, unit = float(m.group(1)), m.group(2)
-        total += v / 1000.0 if unit == "ms" else v * 60.0 if unit == "m" else v
-    return round(total, 2)
+    assert len(manifest["partitions"]) > 0
+    return dt
 
 
 def consume(out) -> None:
@@ -279,7 +223,7 @@ def main_bench() -> dict:
     # best-of-3 on a warm cluster: the host is shared, single runs are
     # +/-40% noisy; the minimum measures pipeline capability
     flagship_runs = sorted(
-        round(run_flagship("/tmp/graft_flagship_out")[0], 3) for _ in range(3)
+        round(run_flagship("/tmp/graft_flagship_out"), 3) for _ in range(3)
     )
     flagship_sec, flagship_rows = flagship_runs[0], FLAGSHIP_N
     loadavg_after_flagship = _loadavg()
@@ -311,11 +255,10 @@ def main_bench() -> dict:
 SCALING_N = int(os.environ.get("GRAFT_FLAGSHIP_N", "16000000"))
 
 
-def run_child(ncpu: int, nowrite: bool = False) -> dict:
+def run_child(ncpu: int) -> dict:
     env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                GRAFT_BENCH_MODE="flagship_only",
-               GRAFT_FLAGSHIP_N=str(SCALING_N),
-               GRAFT_NOWRITE="1" if nowrite else "0")
+               GRAFT_FLAGSHIP_N=str(SCALING_N))
     out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -375,22 +318,6 @@ def main_scaling() -> dict:
                 eff / out["ceiling_efficiency_io"], 3)
     except Exception as e:  # ceiling is evidence, not the measurement
         out["ceiling_error"] = str(e)[:200]
-    if "--noio" in sys.argv:
-        n_lo = run_child(lo, nowrite=True)
-        n_hi = run_child(hi, nowrite=True)
-        out[f"noio_sec_{lo}"] = n_lo["value"]
-        out[f"noio_sec_{hi}"] = n_hi["value"]
-        out["scaling_efficiency_noio"] = round(
-            (n_lo["value"] / n_hi["value"]) / (hi / lo), 3
-        )
-        if "cpu_total_sec" in n_lo and "cpu_total_sec" in n_hi:
-            # same work at both levels: the CPU-second inflation IS the
-            # pure-compute contention ceiling, independent of packing
-            out[f"cpu_total_sec_{lo}"] = n_lo["cpu_total_sec"]
-            out[f"cpu_total_sec_{hi}"] = n_hi["cpu_total_sec"]
-            out["compute_ceiling_efficiency"] = round(
-                n_lo["cpu_total_sec"] / n_hi["cpu_total_sec"], 3
-            )
     return out
 
 
@@ -407,19 +334,13 @@ def main_flagship_only() -> dict:
     ctx.target_max_block_size = BLOCK_MB * 1024 * 1024
     ensure_image_cache()
     warm_workers()
-    nowrite = os.environ.get("GRAFT_NOWRITE") == "1"
     n_runs = int(os.environ.get("GRAFT_FLAGSHIP_RUNS", "3"))
-    runs, cpu_totals = [], []
-    for _ in range(n_runs):
-        sec, _rows = run_flagship(f"/tmp/graft_flagship_out_{NUM_CPUS}",
-                                  write=not nowrite)
-        runs.append(round(sec, 3))
-        if nowrite and _LAST_CPU_TOTAL is not None:
-            cpu_totals.append(_LAST_CPU_TOTAL)
-    runs = sorted(runs)
+    runs = sorted(
+        round(run_flagship(f"/tmp/graft_flagship_out_{NUM_CPUS}"), 3)
+        for _ in range(n_runs))
     sec, rows = runs[0], FLAGSHIP_N
     ray.shutdown()
-    out = {
+    return {
         "metric": "flagship sec", "value": sec, "unit": "sec",
         "queries": {}, "sf": SF_DIR, "num_cpus": NUM_CPUS,
         "runs": runs, "median_sec": runs[len(runs) // 2],
@@ -427,42 +348,32 @@ def main_flagship_only() -> dict:
         "flagship_rows_per_sec": round(rows / sec, 1),
         "loadavg_start": loadavg_start, "loadavg_end": _loadavg(),
     }
-    if cpu_totals:
-        out["cpu_total_sec"] = min(cpu_totals)
-    return out
+
+
+def _local_kernel():
+    """flagship.tile_join_kernel over a locally compiled polygon set,
+    no Ray: batch -> number of joined rows (consumed, so nothing is
+    optimized away)."""
+    from go_osm_search_ray import geo, synth
+    from go_osm_search_ray.pipelines import flagship
+    from go_osm_search_ray.stages.images import AverageHash
+    from go_osm_search_ray.stages.pip import CompiledPolygons
+
+    res = geo.DEFAULT_TILE_RES
+    compiled = CompiledPolygons(synth.polygons_table(64, seed=42),
+                                tile_res=res)
+    ah = AverageHash()
+    return lambda b: flagship.tile_join_kernel(
+        b, compiled, res, ah, carry_payload=False).num_rows
 
 
 def _ceiling_io_worker(specs, barrier, q):
     """One OS process of the read+kernel ceiling phase: reads its own
     parquet row groups (page-cache warm) and runs the fused kernel —
     the flagship's per-task work with NO Ray runtime at all."""
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from go_osm_search_ray import geo, synth
-    from go_osm_search_ray.pipelines import flagship
-    from go_osm_search_ray.stages import tiling
-    from go_osm_search_ray.stages.images import AverageHash
-    from go_osm_search_ray.stages.pip import CompiledPolygons
-
-    ah = AverageHash()
-    compiled = CompiledPolygons(synth.polygons_table(64, seed=42),
-                                tile_res=geo.DEFAULT_TILE_RES)
-    assign = tiling.assign_tiles(geo.DEFAULT_TILE_RES)
-    drop = ["bytes", "w", "h", "fmt"]
-
-    def kernel(b: pa.Table) -> int:
-        b = ah(b)
-        b = b.drop_columns([c for c in drop if c in b.column_names])
-        b = tiling.derive_phash_latlon(b)
-        b = assign(b)
-        part = geo.tile_parent(b["tile_id"].to_numpy(), geo.DEFAULT_TILE_RES,
-                               flagship.PARTITION_RES)
-        b = b.append_column("part", pa.array(part, pa.int64()))
-        pid = compiled.first_hit(b["lat"].to_numpy(), b["lon"].to_numpy(),
-                                 b["tile_id"].to_numpy())
-        return b.num_rows + int(pid[0] >= -2)
-
+    kernel = _local_kernel()
     # warm code paths on a slice, untimed
     t0 = pq.ParquetFile(specs[0]["path"]).read_row_group(specs[0]["rg"])
     kernel(t0.slice(0, 4096))
@@ -479,33 +390,8 @@ def _ceiling_io_worker(specs, barrier, q):
 def _ceiling_worker(batches, rounds, barrier, q):
     """One OS process of the no-Ray ceiling measurement: the flagship's
     exact fused per-batch kernel (batched decode -> ahash -> slim ->
-    derive -> PIP probe) looped over in-memory batches."""
-    import pyarrow as pa
-
-    from go_osm_search_ray import geo, synth
-    from go_osm_search_ray.pipelines import flagship
-    from go_osm_search_ray.stages import tiling
-    from go_osm_search_ray.stages.images import AverageHash
-    from go_osm_search_ray.stages.pip import CompiledPolygons
-
-    ah = AverageHash()
-    compiled = CompiledPolygons(synth.polygons_table(64, seed=42),
-                                tile_res=geo.DEFAULT_TILE_RES)
-    assign = tiling.assign_tiles(geo.DEFAULT_TILE_RES)
-    drop = ["bytes", "w", "h", "fmt"]
-
-    def kernel(b: pa.Table) -> int:
-        b = ah(b)
-        b = b.drop_columns([c for c in drop if c in b.column_names])
-        b = tiling.derive_phash_latlon(b)
-        b = assign(b)
-        part = geo.tile_parent(b["tile_id"].to_numpy(), geo.DEFAULT_TILE_RES,
-                               flagship.PARTITION_RES)
-        b = b.append_column("part", pa.array(part, pa.int64()))
-        pid = compiled.first_hit(b["lat"].to_numpy(), b["lon"].to_numpy(),
-                                 b["tile_id"].to_numpy())
-        return b.num_rows + int(pid[0] >= -2)  # consume, defeat DCE
-
+    derive -> PIP probe -> meta) looped over in-memory batches."""
+    kernel = _local_kernel()
     for b in batches[:2]:
         kernel(b)  # warm per-process caches, untimed
     barrier.wait()

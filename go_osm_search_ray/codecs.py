@@ -137,6 +137,8 @@ def png_decode_batch(
             | data[s + off + 3].astype(np.int64)
         )
 
+    if not (e - s >= 57).all():
+        raise ValueError("blob shorter than the fixed layout (batch)")
     sig = np.frombuffer(_PNG_SIG, np.uint8)
     tags = np.frombuffer(b"IHDRIDAT", np.uint8)
     for j in range(8):
@@ -159,10 +161,13 @@ def png_decode_batch(
     a = (s + 41).tolist()
     b = (s + 41 + ln).tolist()
     dec = zlib.decompress
-    for i in range(n):
-        # slice-assign from the returned bytes: a length mismatch (bad
-        # stream) raises ValueError -> caller falls back
-        mv_out[i * L : (i + 1) * L] = dec(mv_in[a[i] : b[i]])
+    try:
+        for i in range(n):
+            # slice-assign from the returned bytes: a length mismatch
+            # (bad stream) raises ValueError -> caller falls back
+            mv_out[i * L : (i + 1) * L] = dec(mv_in[a[i] : b[i]])
+    except zlib.error as err:
+        raise ValueError(f"corrupt DEFLATE stream (batch): {err}") from err
     raw = out[: n * L].reshape(n, h, row)
     if raw[:, :, 0].any():
         raise NotImplementedError("only filter 0 supported")

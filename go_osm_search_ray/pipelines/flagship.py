@@ -1,36 +1,104 @@
 """Flagship pipeline (the BASELINE.md bench workload):
 
-    read image table -> derive phash geo-keys -> tile assignment
-    -> cell-keyed PIP spatial join (broadcast compiled polygons)
-    -> partitioned Parquet write + per-partition lineage manifest
+    read image table -> decode + average hash -> derive phash geo-keys
+    -> tile assignment -> cell-keyed PIP spatial join (broadcast
+    compiled polygons) -> partitioned Parquet write + ``_manifest.json``
 
-Everything streams; the image payload (`bytes`) rides through untouched
-(per-row invariant).  The only wide op is the final partitioned write;
-the PIP side is broadcast, so there is NO all-to-all shuffle.
+One kernel, one plan.  ``tile_join_kernel`` is the whole per-batch
+computation; every entry point runs it:
+
+- a Ray ``Dataset`` source maps ``FusedTileJoin`` over 4096-row
+  batches (one fused ``map_batches`` stage);
+- a Parquet directory source maps ``FusedIngestTileJoin`` over its
+  (file, row group) specs, so the read happens inside the kernel task
+  and the image payload never crosses the object store;
+- resume passes the manifest's completed partitions to the same
+  kernel, which drops their rows before decode;
+- ``check_invariants=True`` runs the same kernel with the per-row
+  payload checker wrapped around the hash step and the whole kernel.
+
+The image payload (`bytes`) rides through untouched (per-row
+invariant) unless ``carry_payload=False`` slims it away after the hash.
+The only wide op is the final partitioned write; the PIP side is
+broadcast, so there is NO all-to-all shuffle.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pyarrow as pa
 
 from .. import geo, synth
-from ..stages import pip, tiling
+from ..stages import tiling
 from ..state import manifest
 
 PARTITION_RES = 2  # 4x4 = 16 output partitions (coarse parent of tile_id);
 # hive writes emit files-per-task x partitions, so keep this modest —
 # resume granularity stays per-partition either way
 
+# dictionary-encode ONLY the bounded-cardinality region-meta columns:
+# parquet's default dict-encode of the unique-per-row strings
+# (image_id, caption) builds a useless hash table per file per column —
+# measured 0.86 -> 1.47 M rows/s single-file encode
+META_DICT_COLS = ("province", "district", "sub_district", "village",
+                  "postal_code")
+
+
+def tile_join_kernel(b: pa.Table, compiled, res: int, ah=None,
+                     carry_payload: bool = True, attach_meta: bool = True,
+                     done_parts=(), check_invariants: bool = False
+                     ) -> pa.Table:
+    """One image batch -> + (ahash, lat, lon, tile_id, part, polygon_id,
+    region meta): ahash -> slim -> derive/tile/part -> PIP -> meta.
+
+    ``compiled`` is a ``pip.CompiledPolygons``; ``ah`` an
+    ``images.AverageHash`` (None skips the hash).  Rows whose output
+    partition is in ``done_parts`` are dropped first, from the phash
+    alone, so they are never decoded.  ``check_invariants`` wraps the
+    hash step and the whole kernel with
+    ``images.with_payload_invariant`` (caption equality + decoded-pixel
+    PSNR >= 40 dB per row)."""
+    if check_invariants:
+        from ..stages.images import with_payload_invariant
+
+        def checked(x: pa.Table) -> pa.Table:
+            return tile_join_kernel(
+                x, compiled, res,
+                None if ah is None else with_payload_invariant(ah),
+                carry_payload, attach_meta, done_parts)
+
+        return with_payload_invariant(checked)(b)
+    if len(done_parts):
+        lat, lon = geo.phash_to_latlon(b["phash"].to_numpy())
+        part = geo.tile_parent(geo.tile_id(lat, lon, res), res, PARTITION_RES)
+        b = b.filter(pa.array(~np.isin(part, list(done_parts))))
+    if ah is not None:
+        b = ah(b)
+    if not carry_payload:
+        b = b.drop_columns(
+            [c for c in ("bytes", "w", "h", "fmt") if c in b.column_names])
+    b = tiling.derive_phash_latlon(b)
+    b = tiling.assign_tiles(res)(b)
+    part = geo.tile_parent(b["tile_id"].to_numpy(), res, PARTITION_RES)
+    b = b.append_column("part", pa.array(part, pa.int64()))
+    pid = compiled.first_hit(b["lat"].to_numpy(), b["lon"].to_numpy(),
+                             b["tile_id"].to_numpy())
+    b = b.append_column("polygon_id", pa.array(pid, pa.int64()))
+    if attach_meta:
+        for c, col in compiled.meta_columns(pid):
+            b = b.append_column(c, col)
+    return b
+
 
 class FusedTileJoin:
-    """The flagship's four per-batch stages (ahash -> slim -> derive ->
-    PIP probe) composed into ONE map_batches callable: a single Arrow
-    batch flows through all four kernels with no inter-operator
-    re-batching, no extra block builds, and no object-store hop between
-    stages.  Measured vs the staged plan at N=16M/32 CPUs the staged
-    fused-operator chain cost 12.5 us/row against the bare kernel's
-    7.5 — the difference was exactly these seams.
+    """``tile_join_kernel`` as ONE map_batches callable: a single Arrow
+    batch flows through every step with no inter-operator re-batching,
+    no extra block builds, and no object-store hop between steps.
+    Measured vs a staged plan at N=16M/32 CPUs the staged operator
+    chain cost 12.5 us/row against the bare kernel's 7.5 — the
+    difference was exactly these seams.
 
     Stateful bits (decode buffers, compiled polygons) live per worker
     process: AverageHash's reused buffers ride the callable, and the
@@ -38,12 +106,14 @@ class FusedTileJoin:
     via the pip module's compile cache."""
 
     def __init__(self, poly_ref, res: int, include_ahash: bool,
-                 carry_payload: bool, attach_meta: bool):
+                 carry_payload: bool, attach_meta: bool, done_parts=(),
+                 check_invariants: bool = False):
         self.poly_ref = poly_ref
         self.res = res
-        self.include_ahash = include_ahash
         self.carry_payload = carry_payload
         self.attach_meta = attach_meta
+        self.done_parts = tuple(done_parts)
+        self.check_invariants = check_invariants
         if include_ahash:
             from ..stages.images import AverageHash
 
@@ -54,32 +124,16 @@ class FusedTileJoin:
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..stages.pip import _compiled_from_ref
 
-        b = batch
-        if self._ah is not None:
-            b = self._ah(b)
-        if not self.carry_payload:
-            b = b.drop_columns(
-                [c for c in ("bytes", "w", "h", "fmt")
-                 if c in b.column_names])
-        b = tiling.derive_phash_latlon(b)
-        b = tiling.assign_tiles(self.res)(b)
-        part = geo.tile_parent(b["tile_id"].to_numpy(), self.res,
-                               PARTITION_RES)
-        b = b.append_column("part", pa.array(part, pa.int64()))
-        compiled = _compiled_from_ref(self.poly_ref, self.res)
-        pid = compiled.first_hit(b["lat"].to_numpy(), b["lon"].to_numpy(),
-                                 b["tile_id"].to_numpy())
-        b = b.append_column("polygon_id", pa.array(pid, pa.int64()))
-        if self.attach_meta:
-            for c, col in compiled.meta_columns(pid):
-                b = b.append_column(c, col)
-        return b
+        return tile_join_kernel(
+            batch, _compiled_from_ref(self.poly_ref, self.res), self.res,
+            self._ah, self.carry_payload, self.attach_meta, self.done_parts,
+            self.check_invariants)
 
 
 class FusedIngestTileJoin(FusedTileJoin):
     """FusedTileJoin with the PARQUET READ pulled into the same task:
     the input dataset carries (path, row_group) specs, and each task
-    reads its row group and runs the fused kernel on 4096-row slices.
+    reads its row group and runs the kernel on 4096-row slices.
 
     Why: Ray Data 2.49 does not fuse ReadParquet with a downstream
     MapBatches, so the full image payload crosses the object store
@@ -124,129 +178,79 @@ def ingest_specs(cache_dir: str) -> list[dict]:
     return specs
 
 
-def fused_ingest_tile_join(cache_dir: str, polygons: pa.Table,
-                           res: int = geo.DEFAULT_TILE_RES,
-                           include_ahash: bool = True,
-                           carry_payload: bool = False,
-                           attach_meta: bool = True):
-    """read+kernel fused flagship over a parquet directory: a Dataset
-    of row-group specs -> one task per row group doing read + decode +
-    tile + PIP, emitting only the slim joined rows into plasma."""
-    import ray.data as rd
-
+def _plan(source, polygons: pa.Table, res: int, concurrency,
+          include_ahash: bool, carry_payload: bool, attach_meta: bool,
+          check_invariants: bool, done_parts=()):
+    """The one flagship plan, fed by what the source is: a Parquet
+    directory path is read inside the kernel task (FusedIngestTileJoin
+    over its row-group specs); a Dataset is mapped in 4096-row batches
+    (FusedTileJoin)."""
     import ray
 
-    specs = ingest_specs(cache_dir)
-    fused = FusedIngestTileJoin(ray.put(polygons), res, include_ahash,
-                                carry_payload, attach_meta)
-    return rd.from_items(specs, override_num_blocks=len(specs)).map_batches(
-        fused, batch_format="pyarrow", batch_size=1)
+    args = (ray.put(polygons), res, include_ahash, carry_payload,
+            attach_meta, done_parts, check_invariants)
+    kw = {} if concurrency is None else {"concurrency": concurrency}
+    if isinstance(source, (str, os.PathLike)):
+        import ray.data as rd
+
+        specs = ingest_specs(os.fspath(source))
+        if not specs:
+            raise FileNotFoundError(f"no parquet files in {source}")
+        return rd.from_items(specs, override_num_blocks=len(specs)) \
+            .map_batches(FusedIngestTileJoin(*args), batch_format="pyarrow",
+                         batch_size=1, **kw)
+    return source.map_batches(FusedTileJoin(*args), batch_format="pyarrow",
+                              batch_size=4096, **kw)
 
 
-def tile_and_join(images_ds, polygons: pa.Table, res: int = geo.DEFAULT_TILE_RES,
+def tile_and_join(source, polygons: pa.Table, res: int = geo.DEFAULT_TILE_RES,
                   concurrency=None, include_ahash: bool = False,
                   carry_payload: bool = True, attach_meta: bool = True,
                   check_invariants: bool = False):
-    """images Dataset -> + (lat, lon, tile_id, part, polygon_id, region
-    meta [, ahash]).  include_ahash adds the decode -> perceptual-hash
-    stage (stages/images.py) — the multimodal leg of the headline
-    pipeline; it also proves the payload decodes after every stage.
-    check_invariants wraps every payload-carrying stage with the
-    north-rule per-row checker (caption equality + decoded-pixel
-    PSNR >= 40 dB; stages/images.with_payload_invariant) — validation
-    mode, decodes each image per stage."""
-
-    def derive(batch: pa.Table) -> pa.Table:
-        batch = tiling.derive_phash_latlon(batch)
-        batch = tiling.assign_tiles(res)(batch)
-        part = geo.tile_parent(batch["tile_id"].to_numpy(), res, PARTITION_RES)
-        return batch.append_column("part", pa.array(part, pa.int64()))
-
-    def guarded(fn):
-        if not check_invariants:
-            return fn
-        from ..stages.images import with_payload_invariant
-
-        return with_payload_invariant(fn)
-
-    if not check_invariants:
-        # single fused per-batch stage (see FusedTileJoin); the staged
-        # plan below is kept for validation mode, which wraps EVERY
-        # payload-carrying stage with the per-row invariant checker
-        import ray
-
-        fused = FusedTileJoin(ray.put(polygons), res, include_ahash,
-                              carry_payload, attach_meta)
-        kw = {} if concurrency is None else {"concurrency": concurrency}
-        return images_ds.map_batches(fused, batch_format="pyarrow",
-                                     batch_size=4096, **kw)
-
-    ds = images_ds
-    if include_ahash:
-        from ..stages.images import AverageHash
-
-        ds = ds.map_batches(guarded(AverageHash()), batch_format="pyarrow",
-                            batch_size=2048)
-    if not carry_payload:
-        # slim the rows once the payload has been consumed (decoded/
-        # hashed): the tile-assignment output references image_id, the
-        # payload stays in the source table (re-join by id when needed)
-        # — wide binary columns never ride through downstream stages
-        drop = [c for c in ("bytes", "w", "h", "fmt") if c]
-
-        def slim(batch: pa.Table) -> pa.Table:
-            return batch.drop_columns([c for c in drop if c in batch.column_names])
-
-        ds = ds.map_batches(slim, batch_format="pyarrow")
-    ds = ds.map_batches(guarded(derive), batch_format="pyarrow")
-    return pip.pip_join(ds, polygons, tile_res=res, concurrency=concurrency,
-                        attach_meta=attach_meta)
+    """images (a Dataset or a Parquet directory path) -> + (lat, lon,
+    tile_id, part, polygon_id, region meta [, ahash]).  include_ahash
+    adds the decode -> perceptual-hash step (stages/images.py) — the
+    multimodal leg of the headline pipeline.  check_invariants runs
+    the same kernel in validation mode (see tile_join_kernel): same
+    rows, but every image is decoded again per check."""
+    return _plan(source, polygons, res, concurrency, include_ahash,
+                 carry_payload, attach_meta, check_invariants)
 
 
-def run_flagship(images_ds, polygons: pa.Table, out_dir: str,
+def _write(joined, out_dir: str, polygons: pa.Table,
+           input_files: list[str] | None) -> dict:
+    dict_cols = [c for c in META_DICT_COLS if c in polygons.column_names]
+    return manifest.write_partitioned(
+        joined, out_dir, "part", input_files=input_files,
+        arrow_parquet_args={"use_dictionary": dict_cols}
+        if dict_cols else None)
+
+
+def run_flagship(source, polygons: pa.Table, out_dir: str,
                  res: int = geo.DEFAULT_TILE_RES, concurrency=None,
                  input_files: list[str] | None = None,
                  include_ahash: bool = False,
-                 carry_payload: bool = True,
-                 collect_stats: str = "full") -> dict:
-    joined = tile_and_join(images_ds, polygons, res=res, concurrency=concurrency,
+                 carry_payload: bool = True) -> dict:
+    """tile_and_join + partitioned write + ``_manifest.json``; ``source``
+    is a Dataset or a Parquet directory path.  Returns the manifest."""
+    joined = tile_and_join(source, polygons, res=res, concurrency=concurrency,
                            include_ahash=include_ahash,
                            carry_payload=carry_payload)
-    # dictionary-encode ONLY the bounded-cardinality region-meta
-    # columns: parquet's default dict-encode of the unique-per-row
-    # strings (image_id, caption) builds a useless hash table per file
-    # per column — measured 0.86 -> 1.47 M rows/s single-file encode
-    meta_dict_cols = [c for c in ("province", "district", "sub_district",
-                                  "village", "postal_code")
-                      if c in (polygons.column_names or [])]
-    return manifest.write_partitioned(
-        joined, out_dir, "part", input_files=input_files,
-        collect_stats=collect_stats,
-        arrow_parquet_args={"use_dictionary": meta_dict_cols}
-        if meta_dict_cols else None)
+    return _write(joined, out_dir, polygons, input_files)
 
 
-def resume_flagship(images_ds, polygons: pa.Table, out_dir: str,
+def resume_flagship(source, polygons: pa.Table, out_dir: str,
                     res: int = geo.DEFAULT_TILE_RES,
                     include_ahash: bool = False) -> dict:
     """Resume a partially-completed run: recompute ONLY the output
-    partitions missing from the manifest (anti-join on the partition
-    key), leaving finished partition directories untouched.
-
-    The partition key is derived from each row's phash, so the filter
-    happens right after the (cheap) key derivation — unfinished rows
-    never reach the expensive stages.
-    """
+    partitions missing from the manifest, leaving finished partition
+    directories untouched.  The kernel drops rows of completed
+    partitions (derived from each row's phash) before any decode."""
     import glob
-    import json
-    import os
     import shutil
 
-    import numpy as np
-
-    from ..state import manifest as M
-
-    done = {int(k) for k in M.completed_partitions(out_dir)}
+    old = manifest.load_manifest(out_dir) or {"partitions": {}}
+    done = {int(k) for k in old["partitions"]}
     # A mid-run crash leaves partition dirs with orphaned files but no
     # manifest entry; appending into them would duplicate rows on
     # readback.  Clear every part dir NOT recorded as completed so
@@ -259,32 +263,13 @@ def resume_flagship(images_ds, polygons: pa.Table, out_dir: str,
         if pid not in done:
             shutil.rmtree(d, ignore_errors=True)
 
-    def part_of(batch: pa.Table) -> pa.Table:
-        lat, lon = geo.phash_to_latlon(batch["phash"].to_numpy())
-        part = geo.tile_parent(geo.tile_id(lat, lon, res), res, PARTITION_RES)
-        return batch.append_column("part0", pa.array(part, pa.int64()))
-
-    remaining = images_ds.map_batches(part_of, batch_format="pyarrow").map_batches(
-        lambda b: b.filter(
-            pa.array(~np.isin(b["part0"].to_numpy(), list(done) or [-1]))
-        ).drop_columns(["part0"]),
-        batch_format="pyarrow",
-    )
-    joined = tile_and_join(remaining, polygons, res=res,
-                           include_ahash=include_ahash)
-    new_m = M.write_partitioned(joined, out_dir, "part")
+    joined = _plan(source, polygons, res, None, include_ahash,
+                   carry_payload=True, attach_meta=True,
+                   check_invariants=False, done_parts=sorted(done))
+    new_m = _write(joined, out_dir, polygons, None)
     # merge with the prior manifest (prior partitions stay authoritative)
-    old = M.load_manifest(out_dir)
-    if old is not None:
-        for pid, rec in old.get("partitions", {}).items():
-            if int(pid) in done:
-                new_m["partitions"][pid] = rec
-    # atomic replace (matching manifest.write_partitioned): a crash
-    # mid-write must not corrupt the manifest and break later resumes
-    tmp = os.path.join(out_dir, "_manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(new_m, fh, indent=1)
-    os.replace(tmp, os.path.join(out_dir, "_manifest.json"))
+    new_m["partitions"].update(old["partitions"])
+    manifest.atomic_write_json(os.path.join(out_dir, "_manifest.json"), new_m)
     return new_m
 
 

@@ -31,6 +31,7 @@ import pyarrow.parquet as pq
 
 from ..stages import spell as spell_stage
 from ..stages import text as text_stage
+from ..state.manifest import atomic_write_json
 
 
 def build_index(docs_ds_factory, out_dir: str,
@@ -62,11 +63,8 @@ def build_index(docs_ds_factory, out_dir: str,
     def _flush():
         # incremental manifest: a crash between stages resumes from the
         # last COMPLETED stage, not from scratch (atomic replace)
-        tmp = os.path.join(out_dir, "_manifest.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump({"stages": stages, "completed_at": time.time()}, fh,
-                      indent=1)
-        os.replace(tmp, os.path.join(out_dir, "_manifest.json"))
+        atomic_write_json(os.path.join(out_dir, "_manifest.json"),
+                          {"stages": stages, "completed_at": time.time()})
 
     def timed(name):
         class _T:
@@ -146,10 +144,7 @@ def build_index(docs_ds_factory, out_dir: str,
                 json.dump(meta, fh)
 
     manifest = {"stages": stages, "completed_at": time.time()}
-    tmp = os.path.join(out_dir, "_manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    os.replace(tmp, os.path.join(out_dir, "_manifest.json"))
+    atomic_write_json(os.path.join(out_dir, "_manifest.json"), manifest)
     return manifest
 
 

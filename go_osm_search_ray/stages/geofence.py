@@ -285,10 +285,11 @@ class FenceIndex:
         a JSON meta (atomic replace) — the durable analogue of the
         reference's bbolt store (kvdb/kv_db.go:109-137): a restarted
         process resumes epoch evaluation exactly where this one stopped."""
-        import json
         import os
 
         import pyarrow.parquet as pq
+
+        from ..state.manifest import atomic_write_json
 
         os.makedirs(os.path.join(out_dir, "fences"), exist_ok=True)
         for name, df in self._fences.items():
@@ -298,11 +299,9 @@ class FenceIndex:
             )
         if self._state is not None:
             pq.write_table(self._state, os.path.join(out_dir, "state.parquet"))
-        tmp = os.path.join(out_dir, "_meta.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump({"fence_sets": sorted(self._fences),
-                       "has_state": self._state is not None}, fh)
-        os.replace(tmp, os.path.join(out_dir, "_meta.json"))
+        atomic_write_json(os.path.join(out_dir, "_meta.json"),
+                          {"fence_sets": sorted(self._fences),
+                           "has_state": self._state is not None})
 
     @staticmethod
     def restore(out_dir: str) -> "FenceIndex":

@@ -23,6 +23,8 @@ stage that rewrites `bytes` (and re-stamps w/h/fmt accordingly).
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pyarrow as pa
 
@@ -69,7 +71,7 @@ class DecodeStats:
                 means.append(float(img.mean()))
                 stds.append(float(img.std()))
                 ok.append(True)
-            except (ValueError, NotImplementedError):
+            except (ValueError, NotImplementedError, zlib.error):
                 means.append(0.0)
                 stds.append(0.0)
                 ok.append(False)
@@ -95,13 +97,16 @@ def decode_batch_uniform(
     every blob into ``raw_buf`` (caller-owned, reused across batches).
     Returns ``(pixels, raw_buf)`` with pixels a read-only
     (n, h, w, 3) uint8 view, or ``(None, raw_buf)`` when the batch is
-    mixed / non-uniform / not our encoder's layout — callers fall back
-    to the per-image ``_decode`` loop.
+    mixed / non-uniform / missing or null in its w/h/fmt columns / not
+    our encoder's layout — callers fall back to the per-image
+    ``_decode`` loop.
     """
     import pyarrow.compute as pc
 
     n = batch.num_rows
-    if n == 0:
+    if n == 0 or not {"w", "h", "fmt"} <= set(batch.column_names):
+        return None, raw_buf
+    if batch["w"].null_count or batch["h"].null_count:
         return None, raw_buf
     wmm = pc.min_max(batch["w"]).as_py()
     hmm = pc.min_max(batch["h"]).as_py()

@@ -93,6 +93,8 @@ class CompiledPolygons:
         """Row index in the compiled table for each polygon_id (-1 kept).
         Vectorized searchsorted over the (bounded) polygon-id set — no
         per-row dict lookups in the probe hot path."""
+        if not len(self.polygon_ids):
+            return np.full(len(polygon_id), -1, dtype=np.int64)
         order = getattr(self, "_id_order", None)
         if order is None:
             order = self._id_order = np.argsort(
@@ -112,6 +114,9 @@ class CompiledPolygons:
 
         if not self.meta_cols:
             return []
+        if not len(self.polygon_ids):
+            return [(c, pa.nulls(len(pid), pa.string()))
+                    for c in self.meta_cols]
         arrs = getattr(self, "_meta_arrays", None)
         if arrs is None:
             arrs = self._meta_arrays = {

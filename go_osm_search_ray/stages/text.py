@@ -201,7 +201,7 @@ def _tf_matrix(toks: pd.Series, terms: list[str], name_len: int):
     return tf_n, tf_a
 
 
-def _collect_stats(ds, query_terms, id_col, text_col, name_len):
+def _global_stats(ds, query_terms, id_col, text_col, name_len):
     """Pass 1: global stats — N, avg field lengths, df per query term.
     Everything is a partial-aggregated scan; results are tiny."""
     qset = sorted(set(query_terms))
@@ -246,7 +246,7 @@ def _collect_stats(ds, query_terms, id_col, text_col, name_len):
 def bm25f_score(ds, query_terms: list[str], id_col="doc_id", text_col="text",
                 name_len: int = 3):
     """Pass 2: per-doc BM25F score (reference scoring.go:29-76)."""
-    stats = _collect_stats(ds, query_terms, id_col, text_col, name_len)
+    stats = _global_stats(ds, query_terms, id_col, text_col, name_len)
 
     uniq = sorted(set(query_terms))
 
@@ -280,7 +280,7 @@ def bm25f_score(ds, query_terms: list[str], id_col="doc_id", text_col="text",
 
 def bm25plus_score(ds, query_terms: list[str], id_col="doc_id", text_col="text"):
     """BM25+ (reference scoring.go:143-181, incl. its (K1+1)+tf numerator)."""
-    stats = _collect_stats(ds, query_terms, id_col, text_col, name_len=0)
+    stats = _global_stats(ds, query_terms, id_col, text_col, name_len=0)
 
     uniq = sorted(set(query_terms))
 
@@ -308,7 +308,7 @@ def bm25plus_score(ds, query_terms: list[str], id_col="doc_id", text_col="text")
 def tfidf_score(ds, query_terms: list[str], id_col="doc_id", text_col="text"):
     """TF-IDF dot product (reference scoring.go:183-228 — no norm
     division, replicated)."""
-    stats = _collect_stats(ds, query_terms, id_col, text_col, name_len=0)
+    stats = _global_stats(ds, query_terms, id_col, text_col, name_len=0)
     q_count: dict[str, int] = {}
     for t in query_terms:
         q_count[t] = q_count.get(t, 0) + 1
@@ -375,7 +375,7 @@ def score_multi(ds, query_terms: dict, scoring: str = "bm25f",
     the scan count no longer grows with the query batch.
     """
     union = sorted({t for ts in query_terms.values() for t in ts})
-    stats = _collect_stats(ds, union, id_col, text_col,
+    stats = _global_stats(ds, union, id_col, text_col,
                            name_len if scoring == "bm25f" else 0)
     # per-query (term -> multiplicity), in sorted-term order
     q_mult = {

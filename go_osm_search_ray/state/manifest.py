@@ -20,17 +20,23 @@ import os
 import time
 
 
+def atomic_write_json(path: str, obj) -> None:
+    """Write ``obj`` as JSON to ``path`` via a temp file + ``os.replace``:
+    a crash mid-write leaves the previous file intact, never a torn one
+    that would break a later resume or restore."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(obj, fh, indent=1)
+    os.replace(tmp, path)
+
+
 def write_partitioned(ds, out_dir: str, partition_col: str,
                       input_files: list[str] | None = None,
-                      collect_stats: str = "full",
                       arrow_parquet_args: dict | None = None) -> dict:
     """write_parquet(partition_cols=[col]) + manifest.  Returns manifest.
 
-    collect_stats="full": per-partition row counts from parquet footers
-    (thread-pooled; the authoritative resume record).
-    collect_stats="light": file sizes only, row_count recorded as -1 —
-    for throughput benches where footer latency matters and the caller
-    already knows the row count.
+    Per-partition row counts come from the parquet footers
+    (thread-pooled): the authoritative resume record.
     """
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
@@ -52,17 +58,13 @@ def write_partitioned(ds, out_dir: str, partition_col: str,
 
     def meta(item):
         pid, f = item
-        if collect_stats == "light":
-            return pid, -1, os.path.getsize(f)
         return pid, pq.read_metadata(f).num_rows, os.path.getsize(f)
 
     parts: dict[str, dict] = {}
     with ThreadPoolExecutor(max_workers=32) as ex:
         for pid, rows, nbytes in ex.map(meta, files):
             p = parts.setdefault(pid, {"row_count": 0, "bytes": 0})
-            p["row_count"] = (
-                -1 if rows < 0 else max(p["row_count"], 0) + rows
-            )
+            p["row_count"] += rows
             p["bytes"] += nbytes
 
     manifest = {
@@ -72,10 +74,7 @@ def write_partitioned(ds, out_dir: str, partition_col: str,
         "completed_at": time.time(),
         "partitions": parts,
     }
-    tmp = os.path.join(out_dir, "_manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    os.replace(tmp, os.path.join(out_dir, "_manifest.json"))
+    atomic_write_json(os.path.join(out_dir, "_manifest.json"), manifest)
     return manifest
 
 
@@ -191,9 +190,6 @@ def compact_partitions(out_dir: str, target_rows_per_file: int = 500_000,
             m["partitions"][pid] = rec
             changed += 1
     m["compacted_at"] = time.time()
-    tmp = os.path.join(out_dir, "_manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(m, fh, indent=1)
-    os.replace(tmp, os.path.join(out_dir, "_manifest.json"))
+    atomic_write_json(os.path.join(out_dir, "_manifest.json"), m)
     m["_compacted_partitions"] = changed
     return m

@@ -82,3 +82,19 @@ def skip_if_busy() -> None:
     if la > BUSY_LOADAVG:
         pytest.skip(f"host loaded before perf test started "
                     f"(1-min loadavg {la:.1f} > {BUSY_LOADAVG})")
+
+
+# the reason prefixes perf_gate / skip_if_busy give pytest.skip
+_PERF_SKIP_REASONS = ("perf gate under co-tenant load",
+                      "host loaded before perf test started")
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Say how many perf gates a loaded host skipped: a green run that
+    skipped them is a correctness pass, not a perf pass."""
+    skipped = [r for r in terminalreporter.stats.get("skipped", [])
+               if any(s in str(r.longrepr) for s in _PERF_SKIP_REASONS)]
+    terminalreporter.write_sep("-", f"perf gates skipped under host load: "
+                                    f"{len(skipped)}")
+    for r in skipped:
+        terminalreporter.write_line(f"  {r.nodeid}")

@@ -279,3 +279,97 @@ class TestBatchedDecode:
                         continue
                     assert fast[c].to_pylist() == slow[c].to_pylist(), (
                         cls.__name__, c)
+
+    @staticmethod
+    def _set_blob(t, i, blob):
+        import pyarrow as pa
+
+        bs = t["bytes"].to_pylist()
+        bs[i] = blob
+        return t.set_column(t.column_names.index("bytes"), "bytes",
+                            pa.array(bs, pa.binary()))
+
+    @staticmethod
+    def _layout(t):
+        """(data, starts, ends) of the Arrow binary column, as
+        decode_batch_uniform hands them to png_decode_batch."""
+        arr = t["bytes"].combine_chunks()
+        off = np.frombuffer(arr.buffers()[1], np.int32)[
+            arr.offset:arr.offset + len(arr) + 1].astype(np.int64)
+        return np.frombuffer(arr.buffers()[2], np.uint8), off[:-1], off[1:]
+
+    @staticmethod
+    def _per_image_stats(t):
+        """DecodeStats' contract computed one blob at a time with the
+        per-image decoder."""
+        import zlib
+
+        rows = []
+        for b in t["bytes"].to_pylist():
+            try:
+                img = codecs.png_decode(b)
+                rows.append((float(img.mean()), float(img.std()), True))
+            except (ValueError, NotImplementedError, zlib.error):
+                rows.append((0.0, 0.0, False))
+        return [list(c) for c in zip(*rows)]
+
+    def test_missing_wh_falls_back_to_per_image(self, monkeypatch):
+        import pyarrow as pa
+
+        import go_osm_search_ray.stages.images as im
+
+        t = self._table([(8, 8, f) for f in ("png", "jpeg") for _ in range(4)])
+        nulls = pa.nulls(t.num_rows, pa.int32())
+        variants = [t.drop_columns(["w", "h"]),
+                    t.set_column(t.column_names.index("w"), "w", nulls)]
+        got = []
+        for v in variants:
+            px, _ = im.decode_batch_uniform(v, None)
+            assert px is None
+            got.append(im.AverageHash()(v)["ahash"].to_pylist())
+        monkeypatch.setattr(im, "decode_batch_uniform", lambda b, r: (None, r))
+        want = im.AverageHash()(t)["ahash"].to_pylist()
+        assert got == [want, want]
+
+    def test_truncated_blob_in_valid_batch(self):
+        from go_osm_search_ray.stages.images import (DecodeStats,
+                                                     decode_batch_uniform)
+
+        t = self._table([(8, 8, "png")] * 5)
+        # a blob far shorter than the fixed layout, last in the buffer:
+        # the header gathers would run off the end of the data
+        short = self._set_blob(t, 4, t["bytes"][4].as_py()[:30])
+        with pytest.raises(ValueError):
+            codecs.png_decode_batch(*self._layout(short), 8, 8)
+        assert decode_batch_uniform(short, None)[0] is None
+        # tail cut off (IEND + part of IDAT): the batch falls back and
+        # gives exactly the per-image outcome, row by row
+        cut = self._set_blob(t, 2, t["bytes"][2].as_py()[:-20])
+        with pytest.raises(ValueError):
+            codecs.png_decode_batch(*self._layout(cut), 8, 8)
+        out = DecodeStats()(cut)
+        want = self._per_image_stats(cut)
+        assert [out[c].to_pylist() for c in
+                ("mean_pixel", "std_pixel", "decode_ok")] == want
+        assert want[2] == [True, True, False, True, True]
+
+    def test_corrupt_stream_in_valid_batch(self):
+        import zlib
+
+        from go_osm_search_ray.stages.images import (DecodeStats,
+                                                     decode_batch_uniform)
+
+        t = self._table([(8, 8, "png")] * 6)
+        blob = bytearray(t["bytes"][3].as_py())
+        blob[41 + 10] ^= 0x40  # one bit flipped inside the IDAT stream
+        bad = self._set_blob(t, 3, bytes(blob))
+        with pytest.raises(zlib.error):
+            codecs.png_decode(bytes(blob))
+        with pytest.raises(ValueError):
+            codecs.png_decode_batch(*self._layout(bad), 8, 8)
+        assert decode_batch_uniform(bad, None)[0] is None
+        out = DecodeStats()(bad)
+        want = self._per_image_stats(bad)
+        assert [out[c].to_pylist() for c in
+                ("mean_pixel", "std_pixel", "decode_ok")] == want
+        assert want[2] == [True, True, True, False, True, True]

@@ -50,6 +50,27 @@ class TestCompiledPolygons:
         got = compiled.first_hit(self.lat, self.lon)
         assert (got >= 0).all()
 
+    def test_empty_polygon_set(self):
+        """A zero-polygon shard: no hits, null meta, no IndexError."""
+        compiled = pip.CompiledPolygons(self.polygons.slice(0, 0),
+                                        tile_res=6)
+        np.testing.assert_array_equal(compiled.hit_index([-1, 5]), [-1, -1])
+        pid = compiled.first_hit(self.lat, self.lon,
+                                 geo.tile_id(self.lat, self.lon, 6))
+        assert (pid == -1).all()
+        meta = compiled.meta_columns(pid)
+        assert [c for c, _ in meta] == compiled.meta_cols
+        assert all(col.null_count == len(pid) for _, col in meta)
+
+
+def _readback(out: str) -> pd.DataFrame:
+    """A partitioned flagship output as one frame, sorted by image_id."""
+    import pyarrow.parquet as pq
+
+    df = pq.read_table(out).to_pandas()
+    df["part"] = df["part"].astype(np.int64)
+    return df.sort_values("image_id", ignore_index=True)
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestPipelines:
@@ -153,6 +174,8 @@ class TestPipelines:
         m1 = flagship.run_flagship(rd.from_arrow(images), polygons, out)
         total = sum(p["row_count"] for p in m1["partitions"].values())
         assert total == 3000
+        clean = _readback(out)
+        assert len(clean) == 3000 and clean["image_id"].is_unique
 
         # simulate a partial failure: drop 3 partitions + manifest entries
         victims = sorted(m1["partitions"])[:3]
@@ -176,9 +199,60 @@ class TestPipelines:
         # finished partition files untouched
         for f, t in mtimes_before.items():
             assert os.path.getmtime(f) == t
-        # full readback equals a fresh run
-        back = rd.read_parquet(out).count()
-        assert back == 3000
+        # full readback equals the clean run
+        pd.testing.assert_frame_equal(_readback(out)[clean.columns], clean)
+
+        def unrecord(pids):
+            m = manifest.load_manifest(out)
+            for v in pids:
+                del m["partitions"][v]
+            manifest.atomic_write_json(os.path.join(out, "_manifest.json"), m)
+
+        # a crash between write and manifest: orphan files sit in a
+        # partition dir the manifest does not record.  Resume must
+        # rebuild it cleanly — no duplicate rows, none missing.
+        orphan = sorted(m2["partitions"])[-1]
+        pdir = os.path.join(out, f"part={orphan}")
+        f0 = sorted(glob.glob(os.path.join(pdir, "*.parquet")))[0]
+        shutil.copy(f0, os.path.join(pdir, "orphan-copy.parquet"))
+        unrecord([orphan])
+        m3 = flagship.resume_flagship(rd.from_arrow(images), polygons, out)
+        assert set(m3["partitions"]) == set(m1["partitions"])
+        pd.testing.assert_frame_equal(_readback(out)[clean.columns], clean)
+
+        # resume from a Parquet directory source (the fused-ingest plan)
+        import pyarrow.parquet as pq
+
+        src = tmp_path / "src"
+        src.mkdir()
+        pq.write_table(images, str(src / "images.parquet"),
+                       row_group_size=700)
+        victims = sorted(m3["partitions"])[1:3]
+        for v in victims:
+            shutil.rmtree(os.path.join(out, f"part={v}"))
+        unrecord(victims)
+        m4 = flagship.resume_flagship(str(src), polygons, out)
+        assert set(m4["partitions"]) == set(m1["partitions"])
+        assert sum(p["row_count"] for p in m4["partitions"].values()) == 3000
+        pd.testing.assert_frame_equal(_readback(out)[clean.columns], clean)
+
+    def test_flagship_empty_polygon_set(self, tmp_path):
+        """Zero polygons: every row is written, unmatched, with null
+        region meta."""
+        import ray.data as rd
+        from go_osm_search_ray.pipelines import flagship
+
+        out = str(tmp_path / "nopoly")
+        images = synth.images_batch(np.arange(500, dtype=np.uint64))
+        polygons = synth.polygons_table(8, seed=42).slice(0, 0)
+        m = flagship.run_flagship(rd.from_arrow(images), polygons, out)
+        assert sum(p["row_count"] for p in m["partitions"].values()) == 500
+        back = _readback(out)
+        assert len(back) == 500
+        assert (back["polygon_id"] == -1).all()
+        for c in ("province", "district", "sub_district", "village",
+                  "postal_code"):
+            assert back[c].isna().all()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -380,9 +454,10 @@ def test_compact_partitions_preserves_rows(ray_session):
 
 @pytest.mark.usefixtures("ray_session")
 def test_fused_ingest_equals_dataset_plan(tmp_path):
-    """flagship.fused_ingest_tile_join (read inside the kernel task)
-    must produce exactly the rows of the read_parquet -> tile_and_join
-    plan, across multiple files and row groups."""
+    """tile_and_join over a Parquet directory path (read inside the
+    kernel task) must produce exactly the rows of the same call over
+    read_parquet of that directory, across multiple files and row
+    groups."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -395,7 +470,7 @@ def test_fused_ingest_equals_dataset_plan(tmp_path):
     ds.write_parquet(cache, min_rows_per_file=4000, row_group_size=1000)
     polygons = synth.polygons_table(16, seed=42)
 
-    a = flagship.fused_ingest_tile_join(
+    a = flagship.tile_and_join(
         cache, polygons, include_ahash=True, carry_payload=False
     ).to_pandas()
     b = flagship.tile_and_join(
@@ -408,3 +483,48 @@ def test_fused_ingest_equals_dataset_plan(tmp_path):
         a[cols].sort_values(cols).reset_index(drop=True),
         b[cols].sort_values(cols).reset_index(drop=True))
     assert len(flagship.ingest_specs(cache)) >= 8  # multi-file, multi-rg
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_validation_mode_equals_fast_mode():
+    """check_invariants=True runs the same kernel with the per-row
+    payload checks on: exactly the rows and columns of the fast mode."""
+    from go_osm_search_ray.pipelines import flagship
+
+    images = synth.images_dataset(1500, seed=5)
+    polygons = synth.polygons_table(30, seed=5)
+    fast = flagship.tile_and_join(images, polygons,
+                                  include_ahash=True).to_pandas()
+    checked = flagship.tile_and_join(images, polygons, include_ahash=True,
+                                     check_invariants=True).to_pandas()
+    assert list(checked.columns) == list(fast.columns)
+    assert len(fast) == 1500
+    pd.testing.assert_frame_equal(
+        checked.sort_values("image_id", ignore_index=True),
+        fast.sort_values("image_id", ignore_index=True))
+
+
+def test_kernel_invariant_catches_mid_kernel_corruption(monkeypatch):
+    """Ray-free: the validation kernel fails loudly when a step after
+    the hash rewrites a caption."""
+    from go_osm_search_ray.pipelines import flagship
+    from go_osm_search_ray.stages.images import (AverageHash,
+                                                 PayloadInvariantError)
+
+    batch = synth.images_batch(np.arange(64, dtype=np.uint64))
+    compiled = pip.CompiledPolygons(synth.polygons_table(16, seed=3),
+                                    tile_res=geo.DEFAULT_TILE_RES)
+    ok = flagship.tile_join_kernel(batch, compiled, geo.DEFAULT_TILE_RES,
+                                   AverageHash(), check_invariants=True)
+    assert ok.num_rows == 64
+    derive = tiling.derive_phash_latlon
+
+    def corrupting(b: pa.Table) -> pa.Table:
+        i = b.column_names.index("caption")
+        return derive(b).set_column(
+            i, "caption", pa.array(["oops"] * b.num_rows, pa.string()))
+
+    monkeypatch.setattr(tiling, "derive_phash_latlon", corrupting)
+    with pytest.raises(PayloadInvariantError):
+        flagship.tile_join_kernel(batch, compiled, geo.DEFAULT_TILE_RES,
+                                  AverageHash(), check_invariants=True)
