@@ -80,17 +80,8 @@ def build_index(docs_ds_factory, out_dir: str,
 
     if not done("postings"):
         with timed("postings"):
-            plists = text_stage.postings_lists(docs_ds_factory(), id_col,
-                                               text_col)
-
-            def add_df(b: pd.DataFrame) -> pd.DataFrame:
-                b = b.copy()
-                b["df"] = b["postings"].map(len).astype(np.int64)
-                return b
-
-            plists.map_batches(add_df, batch_format="pandas").write_parquet(
-                os.path.join(out_dir, "postings")
-            )
+            text_stage.postings_lists(docs_ds_factory(), id_col, text_col) \
+                .write_parquet(os.path.join(out_dir, "postings"))
 
     if not done("doc_stats"):
         with timed("doc_stats"):
@@ -99,29 +90,18 @@ def build_index(docs_ds_factory, out_dir: str,
                 batch_format="pandas",
             ).write_parquet(os.path.join(out_dir, "doc_stats"))
 
-    if not done("vocab"):
+    # vocab and ngrams come from ONE count scan, so they are rebuilt
+    # together when either is missing (both evaluated: carry timings)
+    if not (done("vocab") & done("ngrams")):
         with timed("vocab"):
-            vocab = text_stage.vocab_with_min_freq(docs_ds_factory(), 2,
-                                                   text_col=text_col)
-            if hasattr(vocab, "to_pandas"):
-                vocab = vocab.to_pandas()  # one driver-written file
+            vocab, lm = spell_stage.vocab_and_lm(docs_ds_factory(), 2,
+                                                 text_col=text_col)
             pq.write_table(pa.Table.from_pandas(vocab, preserve_index=False),
                            os.path.join(out_dir, "vocab.parquet"))
-    else:
-        vocab = pq.read_table(os.path.join(out_dir, "vocab.parquet")).to_pandas()
-
-    if not done("ngrams"):
         with timed("ngrams"):
-            vocab_set = set(vocab["term"])
-            lm = spell_stage.NGramLM.build(docs_ds_factory(), vocab_set,
-                                           text_col=text_col)
-            for n in range(1, 5):
-                t = pa.table(
-                    {
-                        "ngram": pa.array(list(lm.counts[n].keys()), pa.string()),
-                        "n": pa.array(list(lm.counts[n].values()), pa.int64()),
-                    }
-                )
+            for n, c in lm.counts.items():
+                t = pa.table({"ngram": pa.array(list(c), pa.string()),
+                              "n": pa.array(list(c.values()), pa.int64())})
                 pq.write_table(t, os.path.join(out_dir, f"ngrams_{n}.parquet"))
         total_words = lm.total
     else:
@@ -140,8 +120,7 @@ def build_index(docs_ds_factory, out_dir: str,
                 "total_words": total_words,
                 "spell_errors": spell_error_lines or [],
             }
-            with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-                json.dump(meta, fh)
+            atomic_write_json(os.path.join(out_dir, "meta.json"), meta)
 
     manifest = {"stages": stages, "completed_at": time.time()}
     atomic_write_json(os.path.join(out_dir, "_manifest.json"), manifest)
@@ -191,7 +170,7 @@ def merge_postings(old_postings_ds, new_docs_ds, id_col: str = "doc_id",
     an EXISTING postings artifact with the postings of newly ingested
     documents — no rebuild of the old corpus.
 
-    Shape: the new docs run the same salted postings build; the OLD
+    Shape: the new docs run the same postings build; the OLD
     lists first drop every re-ingested doc id (true upsert — stale
     postings for terms no longer present in a changed document are
     removed, not just unioned over), then both list sets union as

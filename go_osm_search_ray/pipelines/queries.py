@@ -4040,8 +4040,8 @@ def q_ivf_search(sf_dir: str):
 
 
 def q_postings_lists(sf_dir: str):
-    """A1+A2 merged inverted index; postings stringified so the driver
-    can value-hash against the DuckDB list aggregation."""
+    """A1+A2 merged inverted index with df; postings stringified so the
+    oracle comparison can value-hash the DuckDB list aggregation."""
     return text.postings_lists(
         read_table(sf_dir, "documents", columns=["doc_id", "text"]),
         stringify=True,
@@ -4049,7 +4049,8 @@ def q_postings_lists(sf_dir: str):
 
 
 SQL_POSTINGS_LISTS = f"""
-SELECT term, array_to_string(list(doc_id ORDER BY doc_id), ',') AS postings
+SELECT term, array_to_string(list(doc_id ORDER BY doc_id), ',') AS postings,
+       CAST(COUNT(*) AS BIGINT) AS df
 FROM (SELECT DISTINCT t.term, d.doc_id
       FROM documents d, unnest({TOK}) AS t(term))
 GROUP BY term

@@ -2,9 +2,10 @@
 
 Distributed/stateful split:
 
-- MODEL BUILD is distributed: n-gram count matrices come from
-  `text.ngram_counts` (A5, two-phase aggregation); the vocabulary from
-  `text.vocab_with_min_freq` (A6); the noisy-channel model from the tiny
+- MODEL BUILD is distributed: `vocab_and_lm` counts every n-gram order
+  in one scan (`text.ngram_counts_multi`, A5, two-phase aggregation);
+  the vocabulary (A6) is its unigram row, and the OOV map is applied to
+  the collected counts; the noisy-channel model comes from the tiny
   spell-errors corpus (A7, driver-side — it is a few KB).
 - QUERY EVAL is an actor pool: `SpellActor` compiles the models once per
   worker (the FST/LM/noisy-model trio the reference loads at server
@@ -18,7 +19,8 @@ Reference semantics mirrored exactly:
   log P over 4-grams of the (4 starts + 1 end)-padded sequence
   (ngram_lm.go:305-321)
 - vocab threshold 2 with <UNK> replacement (ngram_lm.go:56-110,
-  COUNT_THRESOLD_NGRAM constant.go:4)
+  COUNT_THRESOLD_NGRAM constant.go:4); the OOV word is spelled `unk`
+  (see `NGramLM.from_counts`)
 - noisy channel: char unigram/bigram + per-edit-type confusion counts
   from "correct: err1, err2" lines (spell_corrector.go:57-107); edit
   classification incl. transposition-vs-substitution counter test
@@ -148,7 +150,7 @@ class NoisyChannel:
 
 class NGramLM:
     """Stupid-backoff 4-gram LM over token strings.  Counts come from
-    the distributed `text.ngram_counts` pipelines (dicts keyed by
+    the distributed `text.ngram_counts_multi` scan (dicts keyed by
     space-joined n-grams)."""
 
     def __init__(self, counts: dict[int, dict[str, int]], total_words: int):
@@ -157,24 +159,44 @@ class NGramLM:
 
     @staticmethod
     def build(docs_ds, vocab: set[str], text_col: str = "text"):
-        """Distributed count build with <UNK> replacement (A5+A6)."""
+        """Distributed count build with OOV replacement (A5+A6): raw
+        1..4-gram counts from one scan of the unmodified docs, then
+        `from_counts`."""
         from . import text as text_stage
 
-        def replace_oov(batch: pd.DataFrame) -> pd.DataFrame:
-            toks = text_stage.tokenize_series(batch[text_col])
-            batch = batch.copy()
-            batch[text_col] = toks.map(
-                lambda ws: " ".join(w if w in vocab else UNK_TOKEN for w in ws)
-            )
-            return batch
+        return NGramLM.from_counts(
+            text_stage.ngram_counts_multi(docs_ds, 4, text_col=text_col), vocab)
 
-        replaced = docs_ds.map_batches(replace_oov, batch_format="pandas")
-        # NOTE: '<unk>' re-tokenizes to 'unk' after the space re-join —
-        # consistent within the counts, which is all the LM needs.
-        # All four orders come from ONE scan (ngram_counts_multi).
-        counts, total = text_stage.ngram_counts_multi(replaced, 4,
-                                                      text_col=text_col)
-        return NGramLM(counts, total)
+    @staticmethod
+    def from_counts(raw, vocab: set[str]):
+        """LM from collected raw (n_order, ngram, cnt) counts.  OOV
+        contract: every n-gram word not in `vocab` (pads excepted)
+        becomes the word `unk` and the counts are re-summed — equal to
+        writing `<unk>` into the text and recounting, as `<unk>`
+        re-tokenizes to `unk` (merged with a real in-vocab `unk`,
+        consistently).  Vectorized over the collected counts."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        words = pc.split_pattern(raw["ngram"].combine_chunks(), " ")
+        flat = words.flatten()
+        known = pc.is_in(flat, value_set=pa.array(
+            [START_TOKEN, END_TOKEN, *vocab], pa.string()))
+        if pc.any(pc.invert(known)).as_py():
+            flat = pc.if_else(known, flat, "unk")
+            raw = pa.table({
+                "n_order": raw["n_order"], "cnt": raw["cnt"],
+                "ngram": pc.binary_join(
+                    pa.ListArray.from_arrays(words.offsets, flat), " "),
+            }).group_by(["n_order", "ngram"]).aggregate([("cnt", "sum")])
+            raw = raw.rename_columns(
+                [c.removesuffix("_sum") for c in raw.column_names])
+        counts = {}
+        for n in range(1, 5):
+            t = raw.filter(pc.equal(raw["n_order"], n))
+            counts[n] = dict(zip(t["ngram"].to_numpy(zero_copy_only=False),
+                                 t["cnt"].to_numpy().tolist()))
+        return NGramLM(counts, sum(counts[1].values()))
 
     def estimate(self, next_word: str, prev: tuple[str, ...], n: int) -> float:
         """P(next|prev) for exactly order n (ngram_lm.go:215-295)."""
@@ -328,21 +350,30 @@ class SpellCorrector:
         return [[w for _, w in cands[i]] for _, i in scored[:K_AUTOCOMPLETE]]
 
 
-def build_spell_corrector(docs_ds, spell_error_lines: list[str],
-                          text_col: str = "text", min_freq: int = 2):
-    """End-to-end model build from a documents Dataset (distributed
-    counts) + the spell-errors corpus (driver-side, tiny)."""
+def vocab_and_lm(docs_ds, min_freq: int = 2, text_col: str = "text"):
+    """Vocab (A6) and the OOV-mapped 4-gram LM (A5) from ONE scan and
+    one shuffle: the vocab is the raw unigram row of the n-gram counts
+    (pads excepted) with count >= min_freq.  Returns (vocab DataFrame
+    (term, freq) sorted by term, NGramLM)."""
+    import pyarrow.compute as pc
+
     from . import text as text_stage
 
-    vocab_df = text_stage.vocab_with_min_freq(docs_ds, min_freq, text_col=text_col)
-    if hasattr(vocab_df, "to_pandas"):
-        # the combine was distributed; materializing HERE is the
-        # in-memory model build (the corrector holds the vocab anyway)
-        vocab_df = vocab_df.to_pandas()
-    vocab = set(vocab_df["term"])
-    lm = NGramLM.build(docs_ds, vocab, text_col=text_col)
-    noisy = NoisyChannel(spell_error_lines)
-    return SpellCorrector(sorted(vocab), lm, noisy)
+    raw = text_stage.ngram_counts_multi(docs_ds, 4, text_col=text_col)
+    vocab = raw.filter((pc.field("n_order") == 1) & (pc.field("cnt") >= min_freq)
+                       & ~pc.field("ngram").isin([START_TOKEN, END_TOKEN])) \
+        .select(["ngram", "cnt"]).rename_columns(["term", "freq"]) \
+        .sort_by("term").to_pandas()
+    return vocab, NGramLM.from_counts(raw, set(vocab["term"]))
+
+
+def build_spell_corrector(docs_ds, spell_error_lines: list[str],
+                          text_col: str = "text", min_freq: int = 2):
+    """End-to-end model build from a documents Dataset (one distributed
+    count scan) + the spell-errors corpus (driver-side, tiny)."""
+    vocab, lm = vocab_and_lm(docs_ds, min_freq, text_col=text_col)
+    return SpellCorrector(list(vocab["term"]), lm,
+                          NoisyChannel(spell_error_lines))
 
 
 class SpellActor:

@@ -4,9 +4,10 @@ scoring family, n-gram counts, and training-data text analysis.
 Reference mapping (SURVEY.md §2):
 - tokenizer            -> M7 (indexer.go:787; regex lowercase split —
                           identical on index and query sides)
-- postings pairs       -> M9/A1 SPIMI invert (indexer.go:672-768); the
-                          sort-based groupby shuffle replaces spill
-                          files + k-way heap merge (heap_merge.go:38-98)
+- postings pairs       -> M9/A1 SPIMI invert (indexer.go:672-768); ONE
+                          bucketed shuffle on term replaces spill files
+                          + heap merge (heap_merge.go:38-98); no salt: a
+                          salted pass's merge re-sorts whole lists anyway
 - doc/field lengths    -> A3/A4 (indexer.go:620-632, 788-790)
 - DF / TF              -> A8 (scoring.go:29-50)
 - BM25F               -> Q5 (scoring.go:9-76; constants constant.go:28-39.
@@ -111,56 +112,39 @@ def term_df(ds, id_col="doc_id", text_col="text", combine="shuffle"):
     return two_phase_agg(ds, partial, ["term"], ["df"], combine=combine)
 
 
-def postings_lists(ds, id_col="doc_id", text_col="text", n_salt: int = 16,
+def postings_lists(ds, id_col="doc_id", text_col="text",
                    stringify: bool = False):
-    """term -> sorted doc id list (the merged inverted index, A1+A2).
+    """term -> (sorted doc id list, df): the merged inverted index, A1+A2.
 
-    Hot terms (stopwords: df ~ corpus size) are SALTED so no single
-    shuffle group holds a hot term's full postings while sorting:
-    stage 1 groups by (term, salt = doc_id % n_salt) and emits sorted
-    sub-lists (~df/n_salt each), stage 2 merges the <= n_salt sub-list
-    rows per term.  The final row still carries the term's full list —
-    that is the operator's contract — but the heavy sort work and the
-    shuffle group sizes are salt-bounded.
+    ONE bucketed shuffle on term: each bucket sorts its (term, doc_id)
+    pairs and list-aggregates them.  There is no hot-term salt: a
+    (term, doc_id % k) first stage bounds nothing, because the final
+    row carries the term's full list anyway and a per-term merge must
+    re-sort every doc id of the term in the same hash(term) bucket
+    this single stage already holds.
 
     stringify=True returns postings as a comma-joined string (the
     DuckDB-oracle-hashable form)."""
 
     from .agg import bucketed_group_apply
 
-    def pairs_salted(b: pd.DataFrame) -> pd.DataFrame:
-        p = postings_pairs(b, id_col, text_col)
-        p["salt"] = p["doc_id"].to_numpy().astype(np.int64) % n_salt
-        return p
-
-    def sub_lists_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # one vectorized sort + list-agg over every (term, salt) group
-        # in the bucket — no per-group task or sort over the vocab
+    def lists_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        # one vectorized sort + list-agg over every term in the bucket
         out = (
-            g.sort_values(["term", "salt", "doc_id"], kind="mergesort")
-            .groupby(["term", "salt"], sort=False)["doc_id"]
-            .agg(list)
-            .reset_index()
-            .rename(columns={"doc_id": "sub"})
+            g.sort_values(["term", "doc_id"], kind="mergesort")
+            .groupby("term", sort=False)["doc_id"].agg(list).reset_index()
+            .rename(columns={"doc_id": "postings"})
         )
-        return out[["term", "sub"]]
-
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        e = g.explode("sub")
-        e = e.sort_values(["term", "sub"], kind="mergesort")
-        out = (
-            e.groupby("term", sort=False)["sub"].agg(list).reset_index()
-            .rename(columns={"sub": "postings"})
-        )
+        out["df"] = out["postings"].map(len).astype(np.int64)
         if stringify:
             out["postings"] = out["postings"].map(
                 lambda lst: ",".join(str(i) for i in lst)
             )
         return out
 
-    pairs = ds.map_batches(pairs_salted, batch_format="pandas")
-    subs = bucketed_group_apply(pairs, ["term", "salt"], sub_lists_bucket)
-    return bucketed_group_apply(subs, ["term"], merge_bucket)
+    pairs = ds.map_batches(postings_pairs, batch_format="pandas",
+                           fn_kwargs={"id_col": id_col, "text_col": text_col})
+    return bucketed_group_apply(pairs, ["term"], lists_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +511,7 @@ def ngram_counts_multi(ds, n_max: int = 4, text_col="text", pad: bool = True,
     """All n-gram orders 1..n_max in ONE scan (the reference runs 4
     parallel goroutines over the same data, ngram_lm.go:345-370; one
     pass emitting (n, ngram) partials is strictly cheaper).  Returns
-    {n: {ngram: count}} plus the total unigram mass."""
+    the collected counts as one Arrow table (n_order, ngram, cnt)."""
     from .agg import two_phase_agg
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -550,11 +534,12 @@ def ngram_counts_multi(ds, n_max: int = 4, text_col="text", pad: bool = True,
                         combine=combine)
     if combine == "shuffle":
         out = out.to_pandas()
-    counts: dict[int, dict[str, int]] = {n: {} for n in range(1, n_max + 1)}
-    for r in out.itertuples():
-        counts[int(r.n_order)][r.ngram] = int(r.cnt)
-    total = sum(counts[1].values())
-    return counts, total
+    if len(out) == 0:  # an empty corpus: typed empty counts
+        return pa.table({"n_order": pa.array([], pa.int64()),
+                         "ngram": pa.array([], pa.string()),
+                         "cnt": pa.array([], pa.int64())})
+    return pa.Table.from_pandas(out[["n_order", "ngram", "cnt"]],
+                                preserve_index=False)
 
 
 def vocab_with_min_freq(ds, min_freq: int = 2, id_col="doc_id", text_col="text",

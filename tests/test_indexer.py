@@ -67,6 +67,51 @@ class TestIndexer:
         docs = idx.get_docs(f"{SF}/documents.parquet", [3, 7])
         assert set(docs["doc_id"]) == {3, 7}
 
+    def test_resume_missing_ngrams_rewrites_vocab(self, tmp_path):
+        """vocab and ngrams come from one count scan: a manifest that
+        lacks only `ngrams` rebuilds both, so a stale vocab.parquet is
+        replaced and the two stay consistent."""
+        import json
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        out = str(tmp_path / "idx3")
+        factory = lambda: rd.read_parquet(f"{SF}/documents.parquet",
+                                          columns=["doc_id", "text"])
+
+        def artifacts():
+            v = pq.read_table(os.path.join(out, "vocab.parquet")).to_pandas()
+            ng = {n: dict(zip(*pq.read_table(
+                os.path.join(out, f"ngrams_{n}.parquet"))
+                .to_pydict().values())) for n in range(1, 5)}
+            return dict(zip(v["term"], v["freq"])), ng
+
+        m = indexer.build_index(factory, out)
+        vocab0, ng0 = artifacts()
+        mpath = os.path.join(out, "_manifest.json")
+        with open(mpath) as fh:
+            man = json.load(fh)
+        man["stages"].pop("ngrams")
+        with open(mpath, "w") as fh:
+            json.dump(man, fh)
+        pq.write_table(pa.table({"term": ["stale"], "freq": [9]}),
+                       os.path.join(out, "vocab.parquet"))
+        for n in range(1, 5):
+            os.remove(os.path.join(out, f"ngrams_{n}.parquet"))
+
+        m2 = indexer.build_index(factory, out, resume=True)
+        assert set(m2["stages"]) == {"postings", "doc_stats", "vocab",
+                                     "ngrams", "meta"}
+        assert m2["stages"]["postings"] == m["stages"]["postings"]
+        vocab, ng = artifacts()
+        assert vocab == vocab0 and ng == ng0
+        # consistent: every vocab term's unigram count is its freq
+        assert all(ng[1][t] == f for t, f in vocab.items())
+        with open(os.path.join(out, "meta.json")) as fh:
+            assert json.load(fh)["total_words"] == sum(ng[1].values())
+
     def test_meta_stats(self, tmp_path):
         import ray.data as rd
 

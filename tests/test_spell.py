@@ -90,6 +90,57 @@ class TestNGramLM:
         assert good > bad
 
 
+def replace_then_count(texts, vocab, n_max=4):
+    """Ray-free reference for the LM counts: rewrite OOV words as
+    <unk> in the text, re-tokenize, count padded 1..n_max-grams."""
+    counts = {n: {} for n in range(1, n_max + 1)}
+    for t in texts:
+        ws = text.TOKEN_RE.findall(t.lower())
+        ws = text.TOKEN_RE.findall(
+            " ".join(w if w in vocab else spell.UNK_TOKEN for w in ws))
+        for n in range(1, n_max + 1):
+            seq = [spell.START_TOKEN] * n + ws + [spell.END_TOKEN]
+            for i in range(len(seq) - n + 1):
+                g = " ".join(seq[i:i + n])
+                counts[n][g] = counts[n].get(g, 0) + 1
+    return counts
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestOOVMap:
+    """OOV hapaxes, a real in-vocab word 'unk' (the word every OOV
+    word maps to) and an empty document."""
+
+    TEXTS = ["jalan kebun unk raya", "Jalan zzq kebun", "",
+             "unk jalan qqx kebun raya", "raya raya solo", "kebun"]
+
+    def ds(self):
+        import ray.data as rd
+
+        return rd.from_pandas(pd.DataFrame(
+            {"doc_id": range(len(self.TEXTS)), "text": self.TEXTS})) \
+            .repartition(3)
+
+    def test_build_equals_replace_then_count(self):
+        vocab = {"jalan", "kebun", "unk", "raya"}
+        lm = spell.NGramLM.build(self.ds(), vocab)
+        want = replace_then_count(self.TEXTS, vocab)
+        assert lm.counts == want
+        # 3 OOV hapaxes + 2 real 'unk' tokens
+        assert lm.counts[1]["unk"] == 5
+        assert lm.counts[2][f"{spell.START_TOKEN} {spell.END_TOKEN}"] == 1
+        assert lm.total == sum(want[1].values())
+
+    def test_vocab_and_lm_equals_two_scans(self):
+        vocab, lm = spell.vocab_and_lm(self.ds(), 2)
+        two_scan = text.vocab_with_min_freq(self.ds(), 2).to_pandas()
+        assert sorted(zip(vocab["term"], vocab["freq"])) == \
+            sorted(zip(two_scan["term"], two_scan["freq"]))
+        assert list(vocab["term"]) == ["jalan", "kebun", "raya", "unk"]
+        assert lm.counts == replace_then_count(self.TEXTS,
+                                               set(vocab["term"]))
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestCorrector:
     def build(self):

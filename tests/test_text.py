@@ -75,6 +75,35 @@ class TestPostings:
         for p in out["postings"]:
             assert list(p) == sorted(p)
 
+    @pytest.mark.parametrize("stringify", [False, True])
+    def test_postings_lists_hot_term_equals_scan(self, stringify):
+        """A hot term in every document, and rare terms: lists and df
+        equal a corpus scan."""
+        import ray.data as rd
+
+        rng = np.random.default_rng(5)
+        n = 300
+        docs = pd.DataFrame({
+            "doc_id": rng.permutation(np.arange(1000, 1000 + n)),
+            "text": [f"the {'rare' if i % 97 == 0 else 'word'}{i % 7} The"
+                     for i in range(n)],
+        })
+        ds = rd.from_pandas(docs).repartition(5)
+        out = text.postings_lists(ds, stringify=stringify).to_pandas()
+        toks = text.tokenize_series(docs["text"])
+        want = {}
+        for d, ws in zip(docs["doc_id"], toks):
+            for w in set(ws):
+                want.setdefault(w, []).append(int(d))
+        want = {w: sorted(ids) for w, ids in want.items()}
+        assert len(want["the"]) == n
+        got = {r.term: ([int(i) for i in r.postings.split(",")] if stringify
+                        else [int(i) for i in r.postings])
+               for r in out.itertuples()}
+        assert got == want
+        assert dict(zip(out["term"], out["df"])) == {
+            w: len(ids) for w, ids in want.items()}
+
 
 def brute_bm25f(docs, terms, name_len=3):
     toks = text.tokenize_series(docs["text"])
