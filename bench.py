@@ -16,9 +16,10 @@ directory.  The synthetic image table is generated deterministically
 ONCE and cached as Parquet under /tmp, so the timed run measures the
 pipeline (read -> transform -> join -> write), not the generator.
 
---scaling: runs the flagship twice in FRESH processes at num_cpus=8 and
-num_cpus=32 on the same input and reports both throughputs plus
-scaling efficiency = (t8/t32)/(32/8).
+--scaling: runs the flagship in FRESH processes at num_cpus=n//4 and
+num_cpus=n (n = the CPUs this process may run on) on the same input
+and reports both throughputs plus scaling efficiency
+= (t_lo/t_hi)/(hi/lo).
 """
 
 from __future__ import annotations
@@ -217,6 +218,10 @@ def main_bench() -> dict:
     # fused map+write chain
     ctx.target_max_block_size = BLOCK_MB * 1024 * 1024
 
+    # the per-query sweep runs first, so it is never timed in the
+    # flagship's load shadow
+    qtimes = run_queries()
+    loadavg_after_queries = _loadavg()
     ensure_image_cache()
     warm_workers()
 
@@ -226,8 +231,6 @@ def main_bench() -> dict:
         round(run_flagship("/tmp/graft_flagship_out"), 3) for _ in range(3)
     )
     flagship_sec, flagship_rows = flagship_runs[0], FLAGSHIP_N
-    loadavg_after_flagship = _loadavg()
-    qtimes = run_queries()
     result = {
         "metric": "flagship tile-assign + PIP-join + partitioned-write sec "
                   f"({FLAGSHIP_N} images) + per-query sec at sf dir",
@@ -240,7 +243,7 @@ def main_bench() -> dict:
         "flagship_rows_per_sec": round(flagship_rows / flagship_sec, 1),
         "flagship_runs": flagship_runs,
         "loadavg_start": loadavg_start,
-        "loadavg_after_flagship": loadavg_after_flagship,
+        "loadavg_after_queries": loadavg_after_queries,
         "loadavg_end": _loadavg(),
     }
     ray.shutdown()
@@ -248,10 +251,9 @@ def main_bench() -> dict:
 
 
 # --scaling default job size: 16M, not the 4M bench default — at 4M a
-# ~1.9 s fixed tail (actor ramp + driver + write close) caps the
-# 32-CPU side and systematically understates efficiency (round-3
-# 25-attempt evidence, BASELINE.md); 16M is the regime the north rule
-# targets and where the tail amortizes.  GRAFT_FLAGSHIP_N overrides.
+# ~1.9 s fixed tail (driver + write close) caps the wide side and
+# systematically understates efficiency (BASELINE.md); 16M is where
+# the tail amortizes.  GRAFT_FLAGSHIP_N overrides.
 SCALING_N = int(os.environ.get("GRAFT_FLAGSHIP_N", "16000000"))
 
 
@@ -269,8 +271,11 @@ def main_scaling() -> dict:
     the two levels are measured in INTERLEAVED (lo, hi) iterations and
     the headline efficiency is the best SAME-WINDOW pair — comparing a
     quiet-window lo against a loaded-window hi (or vice versa) measures
-    the neighbors, not the engine.  All iterations are reported."""
-    lo, hi = 8, 32
+    the neighbors, not the engine.  All iterations are reported.  The
+    two levels come from this host: a quarter of the CPUs this process
+    may run on, and all of them."""
+    hi = len(os.sched_getaffinity(0))
+    lo = max(1, hi // 4)
     repeats = int(os.environ.get("GRAFT_SCALE_REPEATS", "2"))
     iters = []
     for _ in range(repeats):
@@ -284,7 +289,7 @@ def main_scaling() -> dict:
     r_lo, r_hi = iters[best_i]
     eff = pair_effs[best_i]
     eff_med = (r_lo["median_sec"] / r_hi["median_sec"]) / (hi / lo)
-    out = {
+    return {
         "metric": "flagship rows/sec scaling (fresh processes, same input)",
         "unit": "sec",
         "value": r_hi["value"],
@@ -308,17 +313,6 @@ def main_scaling() -> dict:
         "flagship_rows": r_hi["flagship_rows"],
         "num_cpus": hi,
     }
-    # same-window hardware ceiling (no Ray): lets the pair efficiency
-    # be read against what this window physically allowed
-    try:
-        scaling_cache = f"/tmp/graft_images_n{SCALING_N}_seed42"
-        out.update(measure_io_ceiling(scaling_cache))
-        if out.get("ceiling_efficiency_io"):
-            out["efficiency_vs_window_ceiling"] = round(
-                eff / out["ceiling_efficiency_io"], 3)
-    except Exception as e:  # ceiling is evidence, not the measurement
-        out["ceiling_error"] = str(e)[:200]
-    return out
 
 
 def main_flagship_only() -> dict:
@@ -350,165 +344,9 @@ def main_flagship_only() -> dict:
     }
 
 
-def _local_kernel():
-    """flagship.tile_join_kernel over a locally compiled polygon set,
-    no Ray: batch -> number of joined rows (consumed, so nothing is
-    optimized away)."""
-    from go_osm_search_ray import geo, synth
-    from go_osm_search_ray.pipelines import flagship
-    from go_osm_search_ray.stages.images import AverageHash
-    from go_osm_search_ray.stages.pip import CompiledPolygons
-
-    res = geo.DEFAULT_TILE_RES
-    compiled = CompiledPolygons(synth.polygons_table(64, seed=42),
-                                tile_res=res)
-    ah = AverageHash()
-    return lambda b: flagship.tile_join_kernel(
-        b, compiled, res, ah, carry_payload=False).num_rows
-
-
-def _ceiling_io_worker(specs, barrier, q):
-    """One OS process of the read+kernel ceiling phase: reads its own
-    parquet row groups (page-cache warm) and runs the fused kernel —
-    the flagship's per-task work with NO Ray runtime at all."""
-    import pyarrow.parquet as pq
-
-    kernel = _local_kernel()
-    # warm code paths on a slice, untimed
-    t0 = pq.ParquetFile(specs[0]["path"]).read_row_group(specs[0]["rg"])
-    kernel(t0.slice(0, 4096))
-    barrier.wait()
-    t0 = time.perf_counter()
-    rows = 0
-    for spec in specs:
-        t = pq.ParquetFile(spec["path"]).read_row_group(spec["rg"])
-        for lo in range(0, t.num_rows, 4096):
-            rows += kernel(t.slice(lo, 4096))
-    q.put((rows, time.perf_counter() - t0))
-
-
-def _ceiling_worker(batches, rounds, barrier, q):
-    """One OS process of the no-Ray ceiling measurement: the flagship's
-    exact fused per-batch kernel (batched decode -> ahash -> slim ->
-    derive -> PIP probe -> meta) looped over in-memory batches."""
-    kernel = _local_kernel()
-    for b in batches[:2]:
-        kernel(b)  # warm per-process caches, untimed
-    barrier.wait()
-    t0 = time.perf_counter()
-    rows = 0
-    for _ in range(rounds):
-        for b in batches:
-            rows += kernel(b)
-    q.put((rows, time.perf_counter() - t0))
-
-
-def main_ceiling() -> dict:
-    """Hardware-ceiling measurement for the scaling rule, NO Ray and
-    NO IO: run the flagship's fused per-batch kernel on the SAME
-    in-memory batches in 8 and then 32 concurrent OS processes (fork —
-    the batches are shared copy-on-write, nothing is pickled).  The
-    work per process is identical at both widths, so
-
-        ceiling_efficiency = (rows/s at 32) / (rows/s at 8) / 4
-
-    is this window's pure hardware scaling limit for this computation
-    (shared memory bus / allocator), independent of Ray, task packing,
-    the object store, and the parquet read.  A Ray `--scaling` pair at
-    or near this number means the engine extracts everything the host
-    physically gives; the rule's true N-vs-4N-node target multiplies
-    the memory bus by 4x along with the cores."""
-    import multiprocessing as mp
-
-    import pyarrow.parquet as pq
-
-    ensure_image_cache()
-    f = sorted(
-        p for p in os.listdir(IMAGE_CACHE) if p.endswith(".parquet"))[0]
-    tb = pq.read_table(os.path.join(IMAGE_CACHE, f))
-    bs = 4096
-    batches = [tb.slice(i * bs, bs) for i in range(16)]
-    rows_per_round = sum(b.num_rows for b in batches)
-    rounds = int(os.environ.get("GRAFT_CEIL_ROUNDS", "6"))
-    out = {"metric": "flagship kernel hardware ceiling (no Ray, no IO)",
-           "rows_per_round_per_proc": rows_per_round, "rounds": rounds,
-           "loadavg_start": _loadavg()}
-    rps = {}
-    ctx = mp.get_context("fork")
-    for w in (8, 32):
-        barrier = ctx.Barrier(w)
-        q = ctx.Queue()
-        procs = [ctx.Process(target=_ceiling_worker,
-                             args=(batches, rounds, barrier, q))
-                 for _ in range(w)]
-        for p in procs:
-            p.start()
-        res = [q.get() for _ in procs]
-        for p in procs:
-            p.join()
-        total_rows = sum(r for r, _ in res)
-        wall = max(t for _, t in res)
-        rps[w] = total_rows / wall
-        out[f"rows_per_sec_{w}"] = round(rps[w], 1)
-        out[f"wall_{w}"] = round(wall, 3)
-        out[f"per_proc_wall_spread_{w}"] = [
-            round(min(t for _, t in res), 3),
-            round(max(t for _, t in res), 3)]
-    out["ceiling_efficiency"] = round(rps[32] / rps[8] / 4, 3)
-    out.update(measure_io_ceiling())
-    out["loadavg_end"] = _loadavg()
-    return out
-
-
-def measure_io_ceiling(cache_dir: str | None = None) -> dict:
-    """read+kernel window ceiling: each forked process reads ITS OWN
-    parquet row groups (page-cache warm) and runs the identical fused
-    kernel — the flagship task's full work with no Ray runtime.  Same
-    per-process work at 8 and 32 wide; the ratio is the window's
-    physical scaling limit for this job (shared bus + page cache +
-    allocator), independent of Ray.  Run it in the SAME window as a
-    --scaling pair and the pair's efficiency can be read against the
-    hardware's: measured/ceiling ~ 1.0 means the engine extracts
-    everything the host gives.  (~15 s; quiet windows measured
-    0.72-0.76 ceilings on this host, loaded-decay windows up to 0.93.)
-    """
-    import multiprocessing as mp
-
-    from go_osm_search_ray.pipelines import flagship as _fl
-
-    all_specs = _fl.ingest_specs(cache_dir or IMAGE_CACHE)
-    per_proc = int(os.environ.get("GRAFT_CEIL_IO_RGS", "3"))
-    ctx = mp.get_context("fork")
-    out = {}
-    rps_io = {}
-    for w in (8, 32):
-        need = w * per_proc
-        specs = [all_specs[i % len(all_specs)] for i in range(need)]
-        barrier = ctx.Barrier(w)
-        q = ctx.Queue()
-        procs = [ctx.Process(target=_ceiling_io_worker,
-                             args=(specs[i * per_proc:(i + 1) * per_proc],
-                                   barrier, q))
-                 for i in range(w)]
-        for p in procs:
-            p.start()
-        res = [q.get() for _ in procs]
-        for p in procs:
-            p.join()
-        total_rows = sum(r for r, _ in res)
-        wall = max(t for _, t in res)
-        rps_io[w] = total_rows / wall
-        out[f"io_rows_per_sec_{w}"] = round(rps_io[w], 1)
-        out[f"io_wall_{w}"] = round(wall, 3)
-    out["ceiling_efficiency_io"] = round(rps_io[32] / rps_io[8] / 4, 3)
-    return out
-
-
 if __name__ == "__main__":
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    if "--ceiling" in sys.argv:
-        print(json.dumps(main_ceiling()))
-    elif "--scaling" in sys.argv:
+    if "--scaling" in sys.argv:
         print(json.dumps(main_scaling()))
     elif os.environ.get("GRAFT_BENCH_MODE") == "flagship_only":
         print(json.dumps(main_flagship_only()))

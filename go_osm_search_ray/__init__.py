@@ -18,8 +18,9 @@ capabilities of lintang-b-s/go-osm-search (reference snapshot at
   language id, quality scoring (new; scale additions)
 
 Everything is map_batches over Arrow/numpy batches; stateful probes
-(compiled polygons, per-cell point blocks, fence sets) are actor pools
-or broadcast objects, never shared mutable state.
+(compiled polygons, street segments, fence sets) are broadcast objects
+built once per worker process (stages/knn.cached_state) and probed by
+stateless tasks, never shared mutable state.
 """
 
 __version__ = "0.1.0"

@@ -103,7 +103,7 @@ class FusedTileJoin:
     Stateful bits (decode buffers, compiled polygons) live per worker
     process: AverageHash's reused buffers ride the callable, and the
     polygon set is a broadcast ray.put ref compiled once per process
-    via the pip module's compile cache."""
+    into the shared ``knn.cached_state`` LRU."""
 
     def __init__(self, poly_ref, res: int, include_ahash: bool,
                  carry_payload: bool, attach_meta: bool, done_parts=(),
@@ -122,12 +122,18 @@ class FusedTileJoin:
             self._ah = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.pip import _compiled_from_ref
+        import ray
 
+        from ..stages.knn import cached_state
+        from ..stages.pip import CompiledPolygons
+
+        ref, res = self.poly_ref, self.res
+        compiled = cached_state(
+            f"polygons/{ref.hex()}/{res}",
+            lambda: CompiledPolygons(ray.get(ref), tile_res=res))
         return tile_join_kernel(
-            batch, _compiled_from_ref(self.poly_ref, self.res), self.res,
-            self._ah, self.carry_payload, self.attach_meta, self.done_parts,
-            self.check_invariants)
+            batch, compiled, res, self._ah, self.carry_payload,
+            self.attach_meta, self.done_parts, self.check_invariants)
 
 
 class FusedIngestTileJoin(FusedTileJoin):
@@ -178,9 +184,9 @@ def ingest_specs(cache_dir: str) -> list[dict]:
     return specs
 
 
-def _plan(source, polygons: pa.Table, res: int, concurrency,
-          include_ahash: bool, carry_payload: bool, attach_meta: bool,
-          check_invariants: bool, done_parts=()):
+def _plan(source, polygons: pa.Table, res: int, include_ahash: bool,
+          carry_payload: bool, attach_meta: bool, check_invariants: bool,
+          done_parts=()):
     """The one flagship plan, fed by what the source is: a Parquet
     directory path is read inside the kernel task (FusedIngestTileJoin
     over its row-group specs); a Dataset is mapped in 4096-row batches
@@ -189,7 +195,6 @@ def _plan(source, polygons: pa.Table, res: int, concurrency,
 
     args = (ray.put(polygons), res, include_ahash, carry_payload,
             attach_meta, done_parts, check_invariants)
-    kw = {} if concurrency is None else {"concurrency": concurrency}
     if isinstance(source, (str, os.PathLike)):
         import ray.data as rd
 
@@ -198,13 +203,13 @@ def _plan(source, polygons: pa.Table, res: int, concurrency,
             raise FileNotFoundError(f"no parquet files in {source}")
         return rd.from_items(specs, override_num_blocks=len(specs)) \
             .map_batches(FusedIngestTileJoin(*args), batch_format="pyarrow",
-                         batch_size=1, **kw)
+                         batch_size=1)
     return source.map_batches(FusedTileJoin(*args), batch_format="pyarrow",
-                              batch_size=4096, **kw)
+                              batch_size=4096)
 
 
 def tile_and_join(source, polygons: pa.Table, res: int = geo.DEFAULT_TILE_RES,
-                  concurrency=None, include_ahash: bool = False,
+                  include_ahash: bool = False,
                   carry_payload: bool = True, attach_meta: bool = True,
                   check_invariants: bool = False):
     """images (a Dataset or a Parquet directory path) -> + (lat, lon,
@@ -213,8 +218,8 @@ def tile_and_join(source, polygons: pa.Table, res: int = geo.DEFAULT_TILE_RES,
     multimodal leg of the headline pipeline.  check_invariants runs
     the same kernel in validation mode (see tile_join_kernel): same
     rows, but every image is decoded again per check."""
-    return _plan(source, polygons, res, concurrency, include_ahash,
-                 carry_payload, attach_meta, check_invariants)
+    return _plan(source, polygons, res, include_ahash, carry_payload,
+                 attach_meta, check_invariants)
 
 
 def _write(joined, out_dir: str, polygons: pa.Table,
@@ -227,13 +232,13 @@ def _write(joined, out_dir: str, polygons: pa.Table,
 
 
 def run_flagship(source, polygons: pa.Table, out_dir: str,
-                 res: int = geo.DEFAULT_TILE_RES, concurrency=None,
+                 res: int = geo.DEFAULT_TILE_RES,
                  input_files: list[str] | None = None,
                  include_ahash: bool = False,
                  carry_payload: bool = True) -> dict:
     """tile_and_join + partitioned write + ``_manifest.json``; ``source``
     is a Dataset or a Parquet directory path.  Returns the manifest."""
-    joined = tile_and_join(source, polygons, res=res, concurrency=concurrency,
+    joined = tile_and_join(source, polygons, res=res,
                            include_ahash=include_ahash,
                            carry_payload=carry_payload)
     return _write(joined, out_dir, polygons, input_files)
@@ -263,7 +268,7 @@ def resume_flagship(source, polygons: pa.Table, out_dir: str,
         if pid not in done:
             shutil.rmtree(d, ignore_errors=True)
 
-    joined = _plan(source, polygons, res, None, include_ahash,
+    joined = _plan(source, polygons, res, include_ahash,
                    carry_payload=True, attach_meta=True,
                    check_invariants=False, done_parts=sorted(done))
     new_m = _write(joined, out_dir, polygons, None)
@@ -273,12 +278,8 @@ def resume_flagship(source, polygons: pa.Table, out_dir: str,
     return new_m
 
 
-def run_flagship_synth(n_images: int, out_dir: str, seed: int = 42,
-                       concurrency=None) -> dict:
-    # concurrency=None: elastic task pool.  (The old default of 4 only
-    # throttled the PIP stage; now that the whole pipeline is ONE fused
-    # stage a cap here would throttle everything.)
+def run_flagship_synth(n_images: int, out_dir: str, seed: int = 42) -> dict:
     images = synth.images_dataset(n_images, seed=seed)
     polygons = synth.polygons_table(64, seed=seed)
-    return run_flagship(images, polygons, out_dir, concurrency=concurrency,
+    return run_flagship(images, polygons, out_dir,
                         input_files=[f"synth://images?n={n_images}&seed={seed}"])

@@ -490,7 +490,7 @@ SQL_TILE_PYRAMID = _sql_tile_pyramid()
 def q_pip_join(sf_dir: str):
     joined = pip.pip_join(
         orders_points(sf_dir), nation_rects(sf_dir), tile_res=TILE_RES,
-        concurrency=2, attach_meta=False,
+        attach_meta=False,
     )
     return joined.select_columns(["point_id", "polygon_id"])
 
@@ -519,7 +519,7 @@ def q_pip_antijoin(sf_dir: str):
     pid = rects["polygon_id"].to_numpy()
     rects = rects.filter(pa.array((pid % 5) % 2 == 0))
     joined = pip.pip_join(orders_points(sf_dir), rects, tile_res=TILE_RES,
-                          concurrency=2, attach_meta=False)
+                          attach_meta=False)
     return joined.map_batches(
         lambda b: b.filter(pc.less(b["polygon_id"], 0)).select(["point_id"]),
         batch_format="pyarrow")
@@ -561,7 +561,7 @@ def _typed_or_empty(ds, dtypes: dict):
 
 def q_knn_join(sf_dir: str):
     out = knn.knn_join(
-        orders_points(sf_dir), supplier_queries(sf_dir, k=5), concurrency=(1, 8)
+        orders_points(sf_dir), supplier_queries(sf_dir, k=5)
     )
     return _round6(out[["query_id", "rank", "point_id", "dist_km"]], ["dist_km"])
 
@@ -591,7 +591,6 @@ def q_knn_radius_filter(sf_dir: str):
         orders_points(sf_dir),
         supplier_queries(sf_dir, k=10, offset=2, radius=3000.0, feature="O"),
         tag_col="status",
-        concurrency=(1, 8),
     )
     return _round6(out[["query_id", "rank", "point_id", "dist_km"]], ["dist_km"])
 
@@ -610,7 +609,7 @@ def q_reverse_geocode(sf_dir: str):
         return b.rename_columns(["point_id", "lat", "lon"])
 
     pts = cust.map_batches(derive, batch_format="pyarrow")
-    out = knn.reverse_geocode(pts, nation_segments(sf_dir), concurrency=2).to_pandas()
+    out = knn.reverse_geocode(pts, nation_segments(sf_dir)).to_pandas()
     out = out[["point_id", "street_id", "street_dist_km"]].rename(
         columns={"street_dist_km": "dist_km"}
     )
@@ -737,7 +736,7 @@ SQL_TRACK_MAP_MATCH = _sql_track_map_match()
 
 def q_geofence_transitions(sf_dir: str):
     return geofence.fence_transitions(
-        fence_events(sf_dir), supplier_fences(sf_dir), nearest_n=3, concurrency=2
+        fence_events(sf_dir), supplier_fences(sf_dir), nearest_n=3
     )
 
 
@@ -1924,7 +1923,7 @@ def q_embedding_knn(sf_dir: str):
         "embedding": emb["embedding"].to_pylist()[:qn],
     }
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    out = embed.cosine_topk(ds, queries, k=5, concurrency=2).to_pandas()
+    out = embed.cosine_topk(ds, queries, k=5).to_pandas()
     return _round6(out[["query_id", "rank", "vec_id", "cosine"]], ["cosine"])
 
 
@@ -2106,10 +2105,10 @@ def q_segment_revenue(sf_dir: str):
     """Broadcast hash join (customer dim -> orders fact) + aggregate.
 
     The dim side is broadcast as an ARROW TABLE (`ray.put` once, read
-    zero-copy per actor) and joined with a vectorized pandas hash merge
-    — not a Python dict + Series.map, whose per-key hashing and ~GBs of
-    dict overhead fall over at dim cardinalities like sf100's 15M
-    customers."""
+    zero-copy once per worker process) and joined with a vectorized
+    pandas hash merge — not a Python dict + Series.map, whose per-key
+    hashing and ~GBs of dict overhead fall over at dim cardinalities
+    like sf100's 15M customers."""
     import ray
 
     cust = read_table_arrow(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
@@ -2133,20 +2132,11 @@ def q_segment_revenue(sf_dir: str):
             )
             return g
 
-    from ..stages.knn import cached_state
-
-    # task mode + per-process compile cache: elastic across all CPUs
-    # (an explicit concurrency=2 pool throttled this stage to 2 workers
-    # on a 32-CPU box)
-    key = f"segjoin/{ref.hex()}"
-
-    def join_fn(b: pd.DataFrame) -> pd.DataFrame:
-        return cached_state(key, Join)(b)
-
     ds = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     # 5 market segments -> each block collapses to <= 5 partial rows;
     # driver combine beats the native sort-groupby's fixed cost
-    parts = ds.map_batches(join_fn, batch_format="pandas").to_pandas()
+    parts = knn.map_with_state(ds, f"segjoin/{ref.hex()}", Join, None,
+                               batch_format="pandas").to_pandas()
     out = (
         parts.groupby("c_mktsegment", sort=True, as_index=False)[
             ["revenue_c", "n_orders"]
@@ -3071,7 +3061,7 @@ def q_full_address(sf_dir: str):
         return b.rename_columns(["point_id", "lat", "lon", "tile_id"])
 
     pts = cust.map_batches(derive, batch_format="pyarrow")
-    with_street = knn.reverse_geocode(pts, nation_segments(sf_dir), concurrency=2)
+    with_street = knn.reverse_geocode(pts, nation_segments(sf_dir))
     with_region = pip.pip_join(with_street, nation_rects(sf_dir),
                                tile_res=TILE_RES, attach_meta=False)
 
@@ -3295,18 +3285,6 @@ def _key_images(sf_dir: str, table: str, key_col: str):
     )
 
 
-def _task_stage(ds_, cls, key, batch_size: int = 1024, **ctor):
-    """Task-mode stage for a cheap-constructor batch class: elastic
-    over every CPU with a per-process instance cache (an explicit
-    concurrency=2 pool throttled these stages on a 32-CPU box)."""
-    from ..stages.knn import cached_state
-
-    def fn(b: pa.Table) -> pa.Table:
-        return cached_state(key, lambda: cls(**ctor))(b)
-
-    return ds_.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
-
-
 SQL_IMG_ID = "'img' || lpad(CAST(k AS VARCHAR), 10, '0')"
 SQL_IMG_PX = """
   SELECT CAST(p_partkey AS BIGINT) AS k, ux.x AS x, uy.y AS y,
@@ -3319,12 +3297,13 @@ SQL_IMG_PX = """
 
 def q_image_decode_stats(sf_dir: str):
     """Multimodal decode proof: key-derived REAL PNG payloads decoded
-    through the codec in an actor pool; integer per-channel pixel sums
-    hash-match a pure-SQL pixel-math oracle that never decodes."""
+    through the codec in stateless tasks; integer per-channel pixel
+    sums hash-match a pure-SQL pixel-math oracle that never decodes."""
     from ..stages import images
 
-    return _task_stage(_key_images(sf_dir, "part", "p_partkey"),
-                       images.DecodeSums, "q/decodesums")
+    return knn.map_with_state(
+        _key_images(sf_dir, "part", "p_partkey"), "q/decodesums",
+        images.DecodeSums, 1024)
 
 
 SQL_IMAGE_DECODE_STATS = f"""
@@ -3343,8 +3322,9 @@ def q_image_ahash(sf_dir: str):
     mirrored bit-for-bit in SQL."""
     from ..stages import images
 
-    out = _task_stage(_key_images(sf_dir, "part", "p_partkey"),
-                      images.AverageHashInt, "q/ahashint")
+    out = knn.map_with_state(
+        _key_images(sf_dir, "part", "p_partkey"), "q/ahashint",
+        images.AverageHashInt, 1024)
     return out.select_columns(["image_id", "ahash_int"])
 
 
@@ -3372,8 +3352,9 @@ def q_image_edge_energy(sf_dir: str):
     over the same pixel math with self-joins on shifted coordinates."""
     from ..stages import images
 
-    out = _task_stage(_key_images(sf_dir, "part", "p_partkey"),
-                      images.EdgeEnergy, "q/edgeenergy")
+    out = knn.map_with_state(
+        _key_images(sf_dir, "part", "p_partkey"), "q/edgeenergy",
+        images.EdgeEnergy, 1024)
     return out.select_columns(["image_id", "edge_energy"])
 
 
@@ -3404,8 +3385,9 @@ def q_phash_near_pairs(sf_dir: str):
     from ..stages import dedup, images
     from ..stages.agg import bucketed_group_apply
 
-    ah = _task_stage(_key_images(sf_dir, "part", "p_partkey"),
-                     images.AverageHashInt, "q/ahashint") \
+    ah = knn.map_with_state(
+        _key_images(sf_dir, "part", "p_partkey"), "q/ahashint",
+        images.AverageHashInt, 1024) \
         .select_columns(["image_id", "ahash_int"])
 
     def collapse(g: pd.DataFrame) -> pd.DataFrame:
@@ -3459,8 +3441,9 @@ def q_phash_dedup_keep(sf_dir: str):
     from ..stages.agg import (bucketed_group_apply,
                               default_join_partitions, join_safe)
 
-    ah = _task_stage(_key_images(sf_dir, "part", "p_partkey"),
-                     images.AverageHashInt, "q/ahashint") \
+    ah = knn.map_with_state(
+        _key_images(sf_dir, "part", "p_partkey"), "q/ahashint",
+        images.AverageHashInt, 1024) \
         .select_columns(["image_id", "ahash_int"])
 
     def collapse(g: pd.DataFrame) -> pd.DataFrame:
@@ -3528,7 +3511,7 @@ def q_image_tile_pipeline(sf_dir: str):
 
     imgs = _key_images(sf_dir, "orders", "o_orderkey")
     joined = flagship.tile_and_join(imgs, nation_rects(sf_dir),
-                                    concurrency=2, attach_meta=False)
+                                    attach_meta=False)
     return joined.select_columns(["image_id", "tile_id", "polygon_id", "part"])
 
 
@@ -3632,7 +3615,8 @@ def q_image_resize_stats(sf_dir: str):
     from ..stages import images
 
     resized = images.resize(_key_images(sf_dir, "part", "p_partkey"), 4, 4)
-    return _task_stage(resized, images.DecodeSums, "q/decodesums")
+    return knn.map_with_state(
+        resized, "q/decodesums", images.DecodeSums, 1024)
 
 
 SQL_IMAGE_RESIZE_STATS = f"""
@@ -3653,8 +3637,9 @@ def q_image_embed_sums(sf_dir: str):
     SQL oracle grouping pixels by (x//2, y//2)."""
     from ..stages import images
 
-    return _task_stage(_key_images(sf_dir, "part", "p_partkey"),
-                       images.EmbedImageSums, "q/embedsums")
+    return knn.map_with_state(
+        _key_images(sf_dir, "part", "p_partkey"), "q/embedsums",
+        images.EmbedImageSums, 1024)
 
 
 SQL_IMAGE_EMBED_SUMS = f"""
@@ -3680,8 +3665,8 @@ def q_video_frame_stats(sf_dir: str):
         lambda b: synth.videos_from_keys(b["p_partkey"].to_numpy()),
         batch_format="pyarrow",
     )
-    frames = _task_stage(vids, images.FrameSample, "q/framesample2",
-                         stride=2)
+    frames = knn.map_with_state(
+        vids, "q/framesample2", lambda: images.FrameSample(stride=2), 1024)
 
     def frame_sums(b: pa.Table) -> pa.Table:
         from .. import codecs
@@ -3731,8 +3716,9 @@ def q_video_scene_changes(sf_dir: str):
         lambda b: synth.videos_from_keys(b["p_partkey"].to_numpy()),
         batch_format="pyarrow",
     )
-    return _task_stage(vids, images.SceneChanges, "q/scenechanges",
-                       threshold=SCENE_CUT_L1)
+    return knn.map_with_state(
+        vids, "q/scenechanges",
+        lambda: images.SceneChanges(threshold=SCENE_CUT_L1), 1024)
 
 
 SQL_VIDEO_SCENES = f"""
@@ -3764,7 +3750,8 @@ def q_audio_features(sf_dir: str):
         lambda b: synth.audio_from_keys(b["p_partkey"].to_numpy()),
         batch_format="pyarrow",
     )
-    return _task_stage(auds, images.AudioFeatures, "q/audiofeat")
+    return knn.map_with_state(
+        auds, "q/audiofeat", images.AudioFeatures, 1024)
 
 
 SQL_AUDIO_FEATURES = """

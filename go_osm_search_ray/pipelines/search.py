@@ -2,8 +2,8 @@
 
 FreeFormQuery (searcher.go:97-205) re-expressed Ray-Data-first:
 
-    queries Dataset -> SpellActor pool (tokenize -> vocab check -> edit
-    candidates -> LM+noisy argmax)  [Q1 front half]
+    queries Dataset -> SpellBatchCorrector tasks (tokenize -> vocab
+    check -> edit candidates -> LM+noisy argmax)  [Q1 front half]
     -> per corrected query: two-pass BM25F over the documents Dataset
        (stats scan + score scan, stages/text.py)  [A8+Q5]
     -> global sort/limit page [K1] -> hydration join by doc_id [J6]

@@ -70,7 +70,7 @@ class CosineTopKPartial:
 
 
 def cosine_topk(ds, queries: dict | pa.Table, k: int, id_col: str = "vec_id",
-                exclude_self: bool = True, concurrency=(1, 4), batch_size: int = 4096):
+                exclude_self: bool = True, batch_size: int = 4096):
     """queries: {'query_id': [...], 'embedding': [[...], ...]} ->
     (query_id, rank, vec_id, cosine) exact brute-force top-k."""
     import ray
@@ -80,21 +80,12 @@ def cosine_topk(ds, queries: dict | pa.Table, k: int, id_col: str = "vec_id",
             "query_id": queries["query_id"].to_pylist(),
             "embedding": queries["embedding"].to_pylist(),
         }
+    from .knn import map_with_state
+
     ref = ray.put(queries)
-    from .knn import cached_state
-
-    key = f"cosine/{ref.hex()}/{k}/{id_col}/{exclude_self}"
-
-    def fn(batch: pa.Table) -> pa.Table:
-        # task mode + per-process state cache: no per-call pool startup
-        st = cached_state(
-            key,
-            lambda: CosineTopKPartial(ref, k, id_col, exclude_self),
-        )
-        return st(batch)
-
-    partials = ds.map_batches(fn, batch_format="pyarrow",
-                              batch_size=batch_size)
+    partials = map_with_state(
+        ds, f"cosine/{ref.hex()}/{k}/{id_col}/{exclude_self}",
+        lambda: CosineTopKPartial(ref, k, id_col, exclude_self), batch_size)
 
     return _finalize_topk(partials, k, id_col)
 
@@ -297,15 +288,11 @@ def _dup_pairs_lsh(ds, threshold: float, id_col: str, n_planes: int,
             "cosine": np.concatenate(out_c),
         })
 
-    from .knn import cached_state
-
-    band_key = f"lshbands/{ref.hex()}/{bands}"
-
-    def band_fn(b: pd.DataFrame) -> pd.DataFrame:
-        return cached_state(band_key, BandRows)(b)
+    from .knn import map_with_state
 
     cand = bucketed_group_apply(
-        ds.map_batches(band_fn, batch_format="pandas"),
+        map_with_state(ds, f"lshbands/{ref.hex()}/{bands}", BandRows, None,
+                       batch_format="pandas"),
         ["band", "bucket"], pairs_hash_bucket,
     )
     # same pair can surface from several bands -> bucketed distinct
@@ -335,7 +322,7 @@ def kmeans_centroids(sample: np.ndarray, n_centroids: int, iters: int = 10,
 
 def ivf_topk(ds, centroids: np.ndarray, queries: dict, k: int,
              nprobe: int = 2, id_col: str = "vec_id",
-             concurrency=None, batch_size: int = 4096):
+             batch_size: int = 4096):
     """Approximate top-k via IVF probing: each query searches only the
     `nprobe` nearest centroid buckets.  If the corpus carries an
     `ivf_bucket` column (pre-partitioned via `ivf_assign`) it is used
@@ -411,23 +398,11 @@ def ivf_topk(ds, centroids: np.ndarray, queries: dict, k: int,
                              "cosine": pa.array(np.concatenate(out_s),
                                                 pa.float64())})
 
-    if concurrency is None:
-        # task mode + per-process state cache: elastic over every CPU,
-        # no fixed-size pool to starve a 32-CPU box (a concurrency=2
-        # pin capped this stage at 2 workers)
-        from .knn import cached_state
+    from .knn import map_with_state
 
-        key = f"ivfprobe/{ref_c.hex()}/{ref_q.hex()}/{k}/{id_col}"
-
-        def probe_fn(batch: pa.Table) -> pa.Table:
-            return cached_state(key, Probe)(batch)
-
-        partials = ds.map_batches(probe_fn, batch_format="pyarrow",
-                                  batch_size=batch_size)
-    else:
-        partials = ds.map_batches(Probe, batch_format="pyarrow",
-                                  batch_size=batch_size,
-                                  concurrency=concurrency)
+    partials = map_with_state(
+        ds, f"ivfprobe/{ref_c.hex()}/{ref_q.hex()}/{k}/{id_col}", Probe,
+        batch_size)
 
     return _finalize_topk(partials, k, id_col)
 
@@ -437,7 +412,7 @@ def ivf_assign(ds, centroids: np.ndarray, id_col: str = "vec_id"):
     Task mode + per-process centroid cache — elastic, no pinned pool."""
     import ray
 
-    from .knn import cached_state
+    from .knn import map_with_state
 
     ref = ray.put(centroids)
 
@@ -452,12 +427,7 @@ def ivf_assign(ds, centroids: np.ndarray, id_col: str = "vec_id"):
                 "ivf_bucket", pa.array(d.argmin(1).astype(np.int64), pa.int64())
             )
 
-    key = f"ivfassign/{ref.hex()}"
-
-    def assign_fn(batch: pa.Table) -> pa.Table:
-        return cached_state(key, Assign)(batch)
-
-    return ds.map_batches(assign_fn, batch_format="pyarrow")
+    return map_with_state(ds, f"ivfassign/{ref.hex()}", Assign, None)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +503,7 @@ def pq_encode(ds, codebooks: np.ndarray, id_col: str = "vec_id"):
     a per-process cache, like `ivf_assign`."""
     import ray
 
-    from .knn import cached_state
+    from .knn import map_with_state
 
     ref = ray.put(codebooks)
 
@@ -553,12 +523,7 @@ def pq_encode(ds, codebooks: np.ndarray, id_col: str = "vec_id"):
                 "code": pa.array(codes.reshape(-1)),
             })
 
-    key = f"pqencode/{ref.hex()}"
-
-    def enc_fn(batch: pa.Table) -> pa.Table:
-        return cached_state(key, Encode)(batch)
-
-    return ds.map_batches(enc_fn, batch_format="pyarrow")
+    return map_with_state(ds, f"pqencode/{ref.hex()}", Encode, None)
 
 
 def pq_topk(ds, codebooks: np.ndarray, queries: dict, k: int,
@@ -583,7 +548,7 @@ def pq_topk(ds, codebooks: np.ndarray, queries: dict, k: int,
     ref = ray.put({"cb": codebooks, "lut": lut,
                    "q_ids": np.asarray(queries["query_id"])})
 
-    from .knn import cached_state
+    from .knn import map_with_state
 
     class Partial:
         def __init__(self):
@@ -616,13 +581,7 @@ def pq_topk(ds, codebooks: np.ndarray, queries: dict, k: int,
                 "adc": pa.array(np.concatenate(out_d), pa.float64()),
             })
 
-    key = f"pqtopk/{ref.hex()}"
-
-    def part_fn(batch: pa.Table) -> pa.Table:
-        return cached_state(key, Partial)(batch)
-
-    partials = ds.map_batches(part_fn, batch_format="pyarrow",
-                              batch_size=batch_size)
+    partials = map_with_state(ds, f"pqtopk/{ref.hex()}", Partial, batch_size)
     return _finalize_adc(partials, k, id_col)
 
 
@@ -641,7 +600,7 @@ def ivfpq_topk(ds, centroids: np.ndarray, codebooks: np.ndarray,
     import ray
 
     from .agg import bucketed_group_apply
-    from .knn import cached_state
+    from .knn import map_with_state
 
     qm = np.asarray(queries["embedding"], dtype=np.float64)
     n_sub = codebooks.shape[0]
@@ -698,13 +657,7 @@ def ivfpq_topk(ds, centroids: np.ndarray, codebooks: np.ndarray,
                 "adc": pa.array(np.concatenate(out_d), pa.float64()),
             })
 
-    key = f"ivfpq/{ref.hex()}"
-
-    def part_fn(batch: pa.Table) -> pa.Table:
-        return cached_state(key, Partial)(batch)
-
-    partials = ds.map_batches(part_fn, batch_format="pyarrow",
-                              batch_size=batch_size)
+    partials = map_with_state(ds, f"ivfpq/{ref.hex()}", Partial, batch_size)
     return _finalize_adc(partials, k, id_col)
 
 

@@ -90,7 +90,9 @@ def with_prev_position(events_ds, state: pa.Table | None = None,
 
 
 class FenceEvaluator:
-    """Actor-pool stage: transitions of each (event, fence) pair."""
+    """Per-process state: transitions of each (event, fence) pair
+    (built once per worker process by ``fence_transitions`` through
+    ``knn.cached_state``)."""
 
     def __init__(self, fences_ref, nearest_n: int | None = 3):
         import ray
@@ -178,37 +180,20 @@ class FenceEvaluator:
 
 
 def fence_transitions(events_ds, fences: pa.Table, nearest_n: int | None = 3,
-                      state: pa.Table | None = None, concurrency=2,
-                      batch_size: int = 4096, mode: str = "auto"):
+                      state: pa.Table | None = None, batch_size: int = 4096):
     """events -> (point_id, seq, fence_key, status) transition rows.
 
-    mode="tasks" (auto for <=100k fences): stateless task pool with the
-    per-process state cache (stages/knn.cached_state) — no per-call
-    actor-pool startup."""
+    Stateless tasks over one ``FenceEvaluator`` per worker process
+    (stages/knn.cached_state)."""
     import ray
 
+    from .knn import map_with_state
+
     ref = ray.put(fences)
-    lagged = with_prev_position(events_ds, state=state)
-    if mode == "auto":
-        mode = "tasks" if fences.num_rows <= 100_000 else "actors"
-    if mode == "tasks":
-        from .knn import cached_state
-
-        key = f"fence/{ref.hex()}/{nearest_n}"
-
-        def fn(batch: pa.Table) -> pa.Table:
-            st = cached_state(key, lambda: FenceEvaluator(ref, nearest_n))
-            return st(batch)
-
-        return lagged.map_batches(fn, batch_format="pyarrow",
-                                  batch_size=batch_size)
-    return lagged.map_batches(
-        FenceEvaluator,
-        fn_constructor_kwargs={"fences_ref": ref, "nearest_n": nearest_n},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_with_state(
+        with_prev_position(events_ds, state=state),
+        f"fence/{ref.hex()}/{nearest_n}",
+        lambda: FenceEvaluator(ref, nearest_n), batch_size)
 
 
 class FenceIndex:
@@ -261,15 +246,14 @@ class FenceIndex:
             )
             self._state = pa.concat_tables([keep, row])
 
-    def search(self, name: str, events_ds, nearest_n: int | None = 3,
-               concurrency=2):
+    def search(self, name: str, events_ds, nearest_n: int | None = 3):
         """Evaluate an event batch against fence set `name`, then
         advance the state checkpoint to the batch's last positions."""
         if name not in self._fences:
             raise KeyError(f"fence {name!r} does not exist")
         fences = pa.Table.from_pandas(self._fences[name], preserve_index=False)
         out = fence_transitions(events_ds, fences, nearest_n=nearest_n,
-                                state=self._state, concurrency=concurrency)
+                                state=self._state)
         result = out.to_pandas()
         new_state = last_positions(events_ds).to_pandas()
         if self._state is not None:

@@ -2,7 +2,8 @@
 
 The input_hint table carries images as opaque binary + typed metadata
 (image_id, bytes, w, h, fmt, caption, phash).  These stages are the
-actor-pool `map_batches` plumbing a training-data pipeline needs:
+`map_batches` plumbing (stateless tasks over per-process stage state) a
+training-data pipeline needs:
 
 - DecodeStats   — decode -> per-image pixel statistics + integrity check
 - Resize        — decode -> nearest-neighbor resize -> re-encode
@@ -14,7 +15,7 @@ Decoding uses the repo's real PNG codec and the clearly-marked fake
 lossy codec (go_osm_search_ray.codecs).  `ExternalCodec` marks where a
 real image library would slot in (PIL/cv2 are not in this container):
 it raises NotImplementedError for unknown formats — the Ray-side
-schema, batch shapes, and actor signatures are real and tested.
+schema, batch shapes, and stage-class signatures are real and tested.
 
 All stages preserve the per-row invariant: `caption` (and any column
 not being transformed) rides through untouched; Resize is the only
@@ -29,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 
 from .. import codecs
+from .knn import map_with_state
 
 
 def _decode(data: bytes, fmt: str) -> np.ndarray:
@@ -267,7 +269,7 @@ class AverageHash:
 
     Uniform batches (shared w/h/fmt — the flagship case) take the
     fully-batched path: one vectorized fixed-layout PNG parse, every
-    inflate into a REUSED per-actor buffer, grayscale/threshold/packbits
+    inflate into a REUSED per-process buffer, grayscale/threshold/packbits
     as whole-batch numpy ops with ``out=`` into reused buffers.  The
     MB-scale per-batch allocations this removes are the page-fault
     traffic that BASELINE.md measured as the non-scaling resource past
@@ -651,43 +653,23 @@ def with_payload_invariant(stage_fn, psnr_min: float = 40.0):
     return wrapped
 
 
-# Stage wrappers run TASK MODE by default (concurrency=None): the
-# constructors are trivial (no broadcast side table), the per-process
-# cache keeps one compiled instance per worker, and a stateless task
-# pool is elastic over every CPU — an explicit (1, 4) pool throttled
-# these stages to 4 workers on a 32-CPU box.  Pass an explicit
-# concurrency to pin an actor pool (e.g. for a real model with a slow
-# load, sized (1, NUM_CPUS)).
+# Stage wrappers: stateless tasks over one per-process stage instance
+# (knn.map_with_state).  The constructors are trivial (no broadcast
+# side table; AverageHash just allocates reusable decode buffers).
 
 
-def _stage(images_ds, cls, batch_size, concurrency, key, **ctor):
-    if concurrency is None:
-        from .knn import cached_state
-
-        def fn(batch: pa.Table) -> pa.Table:
-            return cached_state(key, lambda: cls(**ctor))(batch)
-
-        return images_ds.map_batches(fn, batch_format="pyarrow",
-                                     batch_size=batch_size)
-    return images_ds.map_batches(
-        cls, fn_constructor_kwargs=ctor or None,
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def decode_stats(images_ds, batch_size: int = 1024):
+    return map_with_state(images_ds, "img/stats", DecodeStats, batch_size)
 
 
-def decode_stats(images_ds, concurrency=None, batch_size: int = 1024):
-    return _stage(images_ds, DecodeStats, batch_size, concurrency, "img/stats")
+def resize(images_ds, w: int, h: int, batch_size: int = 512):
+    return map_with_state(images_ds, f"img/resize/{w}x{h}",
+                          lambda: Resize(w=w, h=h), batch_size)
 
 
-def resize(images_ds, w: int, h: int, concurrency=None, batch_size: int = 512):
-    return _stage(images_ds, Resize, batch_size, concurrency,
-                  f"img/resize/{w}x{h}", w=w, h=h)
+def average_hash(images_ds, batch_size: int = 1024):
+    return map_with_state(images_ds, "img/ahash", AverageHash, batch_size)
 
 
-def average_hash(images_ds, concurrency=None, batch_size: int = 1024):
-    return _stage(images_ds, AverageHash, batch_size, concurrency, "img/ahash")
-
-
-def embed_images(images_ds, concurrency=None, batch_size: int = 512):
-    return _stage(images_ds, EmbedImage, batch_size, concurrency, "img/embed")
+def embed_images(images_ds, batch_size: int = 512):
+    return map_with_state(images_ds, "img/embed", EmbedImage, batch_size)

@@ -32,14 +32,17 @@ from .. import geo
 # sandbox host (see BASELINE.md round-2 notes)
 TILE_BUDGET = 131072
 
-# per-worker-process compiled-state cache for task-mode stages (same
-# pattern as stages/pip.py): a stateless task pool reuses worker
-# processes, so each process builds the broadcast state once — actor
-# semantics without the per-call pool-startup latency (~1-2 s per
-# query invocation on this host).  A small LRU (not a single slot): a
-# pipeline that interleaves two task-mode broadcast stages in one
-# worker process (e.g. knn_join + reverse_geocode) must not rebuild
-# the state on every alternation.
+# The one per-worker-process state cache behind every stage that probes
+# a broadcast side table (PIP, kNN, reverse geocoding, geofences,
+# cosine / IVF probes, image stages, spell correction, the flagship
+# kernel).  Those stages run as stateless map_batches tasks; Ray
+# reuses worker processes, so each process builds a stage's state from
+# its ray.put ref once and every later batch finds it here — the
+# reference's load-once-at-boot (searcher.go:37-73) without an actor
+# pool's per-call startup (~1-2 s).  A small LRU (not a single slot):
+# a pipeline that interleaves two broadcast stages in one worker
+# process (e.g. knn_join + reverse_geocode) must not rebuild the state
+# on every alternation; it also bounds a process to 4 held states.
 _STATE_CACHE: dict[str, object] = {}
 _STATE_CACHE_MAX = 4
 
@@ -56,6 +59,20 @@ def cached_state(key: str, build):
         _STATE_CACHE.pop(key)
         _STATE_CACHE[key] = c
     return c
+
+
+def map_with_state(ds, key: str, build, batch_size: int | None,
+                   batch_format: str = "pyarrow"):
+    """The broadcast-probe plan: stateless ``map_batches`` tasks, each
+    batch handed to the per-process state ``cached_state(key, build)``.
+    ``key`` must name everything ``build`` depends on (the side table's
+    ray.put ref hex and the stage parameters)."""
+
+    def fn(batch):
+        return cached_state(key, build)(batch)
+
+    return ds.map_batches(fn, batch_format=batch_format,
+                          batch_size=batch_size)
 
 
 def topk_cols_exact(a: np.ndarray, n: int, sec: np.ndarray | None = None):
@@ -82,8 +99,9 @@ def topk_cols_exact(a: np.ndarray, n: int, sec: np.ndarray | None = None):
 
 
 class KNNPartial:
-    """Actor-pool stage: per-batch partial top-k of corpus points
-    against every broadcast query."""
+    """Per-process state: per-batch partial top-k of corpus points
+    against every broadcast query (built once per worker process by
+    ``knn_join`` through ``cached_state``)."""
 
     def __init__(self, queries_ref, point_id_col: str = "point_id",
                  tag_col: str | None = None):
@@ -108,10 +126,23 @@ class KNNPartial:
         self.point_id_col = point_id_col
         self.tag_col = tag_col
 
+    def _empty(self, p_id: np.ndarray) -> pa.Table:
+        return pa.table(
+            {
+                "query_id": pa.array([], pa.int64()),
+                self.point_id_col: pa.array([], pa.from_numpy_dtype(p_id.dtype))
+                if p_id.dtype != object
+                else pa.array([], pa.string()),
+                "dist_km": pa.array([], pa.float64()),
+            }
+        )
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         p_lat = batch["lat"].to_numpy()
         p_lon = batch["lon"].to_numpy()
         p_id = batch[self.point_id_col].to_numpy()
+        if not len(self.q_id):
+            return self._empty(p_id)
         # Pre-sort the batch by point_id: array POSITION then equals the
         # id rank, so every (a, position) lexsort below is exactly the
         # oracle's (dist, point_id) tie-break — exact ties are systemic
@@ -190,15 +221,7 @@ class KNNPartial:
         out_p = [p_id[acc_i.ravel()][m]]
         out_d = [dist.ravel()[m]]
         if not m.any():
-            return pa.table(
-                {
-                    "query_id": pa.array([], pa.int64()),
-                    self.point_id_col: pa.array([], pa.from_numpy_dtype(p_id.dtype))
-                    if p_id.dtype != object
-                    else pa.array([], pa.string()),
-                    "dist_km": pa.array([], pa.float64()),
-                }
-            )
+            return self._empty(p_id)
         return pa.table(
             {
                 "query_id": pa.array(np.concatenate(out_q)),
@@ -209,49 +232,23 @@ class KNNPartial:
 
 
 def knn_join(points_ds, queries: pa.Table, point_id_col: str = "point_id",
-             tag_col: str | None = None, concurrency=(1, 4),
-             batch_size: int = 8192, mode: str = "auto"):
+             tag_col: str | None = None, batch_size: int = 8192):
     """points x queries -> (query_id, rank, point_id, dist_km), exact kNN.
 
     `queries` columns: query_id, lat, lon, k [, offset, radius_km, feature].
     rank is 1-based AFTER the offset slice.  Returns a pandas DataFrame:
     the result is inherently small (Q x k), and the per-block partial
     top-k already collapsed the corpus, so the final merge is a
-    driver-side combine of partials — no shuffle.
-
-    mode="tasks" (auto for <=100k queries): stateless task pool with a
-    per-process compiled-state cache — elastic, no pool startup.
-    mode="actors": explicit pool (pin big query tables once per worker).
+    driver-side combine of partials — no shuffle.  Stateless tasks; the
+    broadcast queries live in one ``KNNPartial`` per worker process
+    (``cached_state``).
     """
     import ray
 
     ref = ray.put(queries)
-    if mode == "auto":
-        mode = "tasks" if queries.num_rows <= 100_000 else "actors"
-    if mode == "tasks":
-        key = f"knn/{ref.hex()}/{point_id_col}/{tag_col}"
-
-        def fn(batch: pa.Table) -> pa.Table:
-            st = cached_state(
-                key, lambda: KNNPartial(ref, point_id_col, tag_col)
-            )
-            return st(batch)
-
-        partials = points_ds.map_batches(
-            fn, batch_format="pyarrow", batch_size=batch_size
-        )
-    else:
-        partials = points_ds.map_batches(
-            KNNPartial,
-            fn_constructor_kwargs={
-                "queries_ref": ref,
-                "point_id_col": point_id_col,
-                "tag_col": tag_col,
-            },
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
+    partials = map_with_state(
+        points_ds, f"knn/{ref.hex()}/{point_id_col}/{tag_col}",
+        lambda: KNNPartial(ref, point_id_col, tag_col), batch_size)
 
     qcols = ["query_id", "k"] + (
         ["offset"] if "offset" in queries.column_names else []
@@ -558,7 +555,8 @@ def knn_cell_join_unbounded(points_ds, queries_ds, k: int, res: int = 6,
 
 
 class CompiledSegments:
-    """Street polylines exploded into a flat segment array once per actor."""
+    """Street polylines exploded into a flat segment array once per
+    worker process."""
 
     def __init__(self, streets: pa.Table):
         a_lat, a_lon, b_lat, b_lon, sid, names = [], [], [], [], [], []
@@ -583,8 +581,13 @@ class CompiledSegments:
         """Per point: (street_id, dist_km, proj_lat, proj_lon) of the
         nearest segment (haversine to the clamped GREAT-CIRCLE
         projection — the spherical analog of the reference's S2 chord
-        projection, searcher.go:437-459).  Ties -> lower street_id wins."""
+        projection, searcher.go:437-459).  Ties -> lower street_id wins.
+        With no segments every point misses: street_id -1 (PIP's miss
+        sentinel) and NaN distance / projection."""
         n = len(p_lat)
+        if not len(self.a_lat):
+            nan = np.full(n, np.nan)
+            return np.full(n, -1, dtype=np.int64), nan, nan.copy(), nan.copy()
         best_d = np.full(n, np.inf)
         best_i = np.zeros(n, dtype=np.int64)
         best_la = np.zeros(n); best_lo = np.zeros(n)
@@ -609,7 +612,10 @@ class CompiledSegments:
 
 
 class ReverseGeocoder:
-    """Actor-pool stage: nearest street for each point in the batch."""
+    """Per-process state: nearest street for each point in the batch
+    (built once per worker process by ``reverse_geocode``).  A point
+    with no street (empty street table) gets street_id -1 and null
+    distance / projection."""
 
     def __init__(self, streets_ref, lat_col="lat", lon_col="lon"):
         import ray
@@ -621,41 +627,27 @@ class ReverseGeocoder:
         sid, d, pla, plo = self.compiled.nearest(
             batch[self.lat_col].to_numpy(), batch[self.lon_col].to_numpy()
         )
+        miss = sid < 0
         return (
             batch.append_column("street_id", pa.array(sid, pa.int64()))
-            .append_column("street_dist_km", pa.array(d, pa.float64()))
-            .append_column("proj_lat", pa.array(pla, pa.float64()))
-            .append_column("proj_lon", pa.array(plo, pa.float64()))
+            .append_column("street_dist_km",
+                           pa.array(d, pa.float64(), mask=miss))
+            .append_column("proj_lat", pa.array(pla, pa.float64(), mask=miss))
+            .append_column("proj_lon", pa.array(plo, pa.float64(), mask=miss))
         )
 
 
-def reverse_geocode(points_ds, streets: pa.Table, concurrency=(1, 4),
-                    batch_size: int = 4096, lat_col="lat", lon_col="lon",
-                    mode: str = "auto"):
+def reverse_geocode(points_ds, streets: pa.Table, batch_size: int = 4096,
+                    lat_col="lat", lon_col="lon"):
+    """points -> + (street_id, street_dist_km, proj_lat, proj_lon) of the
+    nearest street segment; stateless tasks over one ``ReverseGeocoder``
+    per worker process (``cached_state``)."""
     import ray
 
     ref = ray.put(streets)
-    if mode == "auto":
-        mode = "tasks" if streets.num_rows <= 100_000 else "actors"
-    if mode == "tasks":
-        key = f"revgeo/{ref.hex()}/{lat_col}/{lon_col}"
-
-        def fn(batch: pa.Table) -> pa.Table:
-            st = cached_state(
-                key, lambda: ReverseGeocoder(ref, lat_col, lon_col)
-            )
-            return st(batch)
-
-        return points_ds.map_batches(fn, batch_format="pyarrow",
-                                     batch_size=batch_size)
-    return points_ds.map_batches(
-        ReverseGeocoder,
-        fn_constructor_kwargs={"streets_ref": ref, "lat_col": lat_col,
-                               "lon_col": lon_col},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_with_state(
+        points_ds, f"revgeo/{ref.hex()}/{lat_col}/{lon_col}",
+        lambda: ReverseGeocoder(ref, lat_col, lon_col), batch_size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Point-in-polygon spatial join (reference J3/ST2, indexer.go:1035-1061).
 
 The polygon side is small (admin boundaries); it is broadcast once via
-``ray.put`` and compiled ONCE PER ACTOR in ``PIPJoiner.__init__`` —
-never re-shipped per batch.  Candidate pruning is two-level:
+``ray.put`` and compiled ONCE PER WORKER PROCESS in
+``PIPJoiner.__init__`` (held by ``knn.cached_state``) — never
+re-shipped per batch.  Candidate pruning is two-level:
 
 1. per-polygon bbox test (vectorized, replaces the R-tree probe
    `indexer.go:1036`),
@@ -132,14 +133,9 @@ class CompiledPolygons:
 
 
 class PIPJoiner:
-    """Actor-pool stage: broadcast-compiled polygons probed per batch.
-
-    Usage::
-
-        ref = ray.put(polygons_arrow_table)
-        ds.map_batches(PIPJoiner, fn_constructor_kwargs={"polygons_ref": ref},
-                       batch_format="pyarrow", concurrency=N)
-    """
+    """Per-process state: broadcast-compiled polygons probed per batch.
+    ``pip_join`` builds one per worker process through
+    ``knn.cached_state`` and calls it on every batch."""
 
     def __init__(self, polygons_ref, tile_res: int | None = None,
                  lat_col: str = "lat", lon_col: str = "lon",
@@ -168,71 +164,23 @@ class PIPJoiner:
         return batch
 
 
-# per-worker-process compile cache for task-mode PIP (a stateless task
-# pool reuses worker processes, so each process compiles the broadcast
-# polygon set once — actor-pool semantics without pool-startup latency)
-_COMPILE_CACHE: dict[str, "CompiledPolygons"] = {}
-
-
-def _compiled_from_ref(ref, tile_res):
-    import ray
-
-    key = f"{ref.hex()}/{tile_res}"
-    c = _COMPILE_CACHE.get(key)
-    if c is None:
-        c = CompiledPolygons(ray.get(ref), tile_res=tile_res)
-        _COMPILE_CACHE.clear()  # hold at most one compiled set per process
-        _COMPILE_CACHE[key] = c
-    return c
-
-
 def pip_join(ds, polygons: pa.Table, tile_res: int | None = None,
-             concurrency=None, batch_size: int = 8192, attach_meta: bool = True,
+             batch_size: int = 8192, attach_meta: bool = True,
              lat_col: str = "lat", lon_col: str = "lon",
-             tile_col: str | None = "tile_id", mode: str = "auto"):
+             tile_col: str | None = "tile_id"):
     """points Dataset -> points + (polygon_id, region meta...) columns.
 
-    mode="tasks" (default for small polygon sets): stateless task pool
-    with a per-process compile cache — elastic, no actor-pool startup.
-    mode="actors": explicit actor pool (use for big polygon sets where
-    compile cost must be strictly once per worker and memory pinned).
-    """
+    Stateless tasks over a per-process ``PIPJoiner``: each worker
+    process compiles the broadcast polygon set once and keeps it in the
+    shared ``knn.cached_state`` LRU (at most 4 broadcast states per
+    process, across every probe stage)."""
     import ray
 
+    from .knn import map_with_state
+
     ref = ray.put(polygons)
-    if mode == "auto":
-        mode = "tasks" if polygons.num_rows <= 10_000 else "actors"
-    if mode == "tasks":
-        meta_cols = None
-
-        def fn(batch: pa.Table) -> pa.Table:
-            compiled = _compiled_from_ref(ref, tile_res)
-            lat = batch[lat_col].to_numpy()
-            lon = batch[lon_col].to_numpy()
-            tiles = (
-                batch[tile_col].to_numpy()
-                if tile_col and tile_col in batch.column_names
-                else None
-            )
-            pid = compiled.first_hit(lat, lon, tiles)
-            batch = batch.append_column("polygon_id", pa.array(pid, pa.int64()))
-            if attach_meta:
-                for c, col in compiled.meta_columns(pid):
-                    batch = batch.append_column(c, col)
-            return batch
-
-        return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
-    return ds.map_batches(
-        PIPJoiner,
-        fn_constructor_kwargs={
-            "polygons_ref": ref,
-            "tile_res": tile_res,
-            "lat_col": lat_col,
-            "lon_col": lon_col,
-            "tile_col": tile_col,
-            "attach_meta": attach_meta,
-        },
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or (1, 4),
-    )
+    return map_with_state(
+        ds, f"pip/{ref.hex()}/{tile_res}/{lat_col}/{lon_col}/{tile_col}/"
+        f"{attach_meta}",
+        lambda: PIPJoiner(ref, tile_res, lat_col, lon_col, tile_col,
+                          attach_meta), batch_size)

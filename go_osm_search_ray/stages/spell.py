@@ -7,9 +7,10 @@ Distributed/stateful split:
   the vocabulary (A6) is its unigram row, and the OOV map is applied to
   the collected counts; the noisy-channel model comes from the tiny
   spell-errors corpus (A7, driver-side — it is a few KB).
-- QUERY EVAL is an actor pool: `SpellActor` compiles the models once per
-  worker (the FST/LM/noisy-model trio the reference loads at server
-  boot, searcher.go:37-73) and corrects query batches vectorized-ish
+- QUERY EVAL is stateless tasks over per-process state:
+  `SpellBatchCorrector` fetches the models once per worker process (the
+  FST/LM/noisy-model trio the reference loads at server boot,
+  searcher.go:37-73) and corrects query batches vectorized-ish
   (queries are short; candidate spaces are bounded).
 
 Reference semantics mirrored exactly:
@@ -376,12 +377,13 @@ def build_spell_corrector(docs_ds, spell_error_lines: list[str],
                           NoisyChannel(spell_error_lines))
 
 
-class SpellActor:
-    """Actor-pool stage: corrects a batch of query strings.
+class SpellBatchCorrector:
+    """Per-process state: corrects a batch of query strings.
 
-    State (vocab + LM + noisy model) is built once per actor from
-    broadcast refs — the Ray equivalent of the reference's server-boot
-    model load (searcher.go:37-73)."""
+    The corrector (vocab + LM + noisy model) is fetched once per worker
+    process from its broadcast ref (``correct_queries`` through
+    ``knn.cached_state``) — the Ray equivalent of the reference's
+    server-boot model load (searcher.go:37-73)."""
 
     def __init__(self, corrector_ref):
         import ray
@@ -402,13 +404,14 @@ class SpellActor:
         )
 
 
-def correct_queries(queries_ds, corrector: SpellCorrector, concurrency=2):
+def correct_queries(queries_ds, corrector: SpellCorrector):
+    """queries (query_id, query) -> + corrected; stateless tasks over
+    one ``SpellBatchCorrector`` per worker process."""
     import ray
 
+    from .knn import map_with_state
+
     ref = ray.put(corrector)
-    return queries_ds.map_batches(
-        SpellActor,
-        fn_constructor_kwargs={"corrector_ref": ref},
-        batch_format="pandas",
-        concurrency=concurrency,
-    )
+    return map_with_state(queries_ds, f"spell/{ref.hex()}",
+                          lambda: SpellBatchCorrector(ref), None,
+                          batch_format="pandas")

@@ -56,13 +56,6 @@ def tokenize_series(texts: pd.Series) -> pd.Series:
     return texts.str.lower().str.findall(TOKEN_RE)
 
 
-def split_fields(tokens: list[str], name_len: int = 3):
-    """Two-field split for BM25F: name = first `name_len` tokens,
-    address = the rest (documents have one text column; the reference's
-    name/address pair is emulated deterministically)."""
-    return tokens[:name_len], tokens[name_len:]
-
-
 # ---------------------------------------------------------------------------
 # postings / stats batch emitters (all return slim pair tables)
 
@@ -77,17 +70,6 @@ def postings_pairs(batch: pd.DataFrame, id_col="doc_id", text_col="text") -> pd.
         .drop_duplicates()
     )
     return out[["term", "doc_id"]].reset_index(drop=True)
-
-
-def tf_pairs(batch: pd.DataFrame, id_col="doc_id", text_col="text") -> pd.DataFrame:
-    """(term, doc_id, tf) rows."""
-    toks = tokenize_series(batch[text_col])
-    e = pd.DataFrame({"doc_id": batch[id_col], "term": toks}).explode("term").dropna(
-        subset=["term"]
-    )
-    out = e.groupby(["term", "doc_id"], sort=False).size().reset_index(name="tf")
-    out["tf"] = out["tf"].astype(np.int64)
-    return out
 
 
 def doc_lengths(batch: pd.DataFrame, id_col="doc_id", text_col="text") -> pd.DataFrame:

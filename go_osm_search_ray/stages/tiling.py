@@ -85,21 +85,6 @@ def hash_str(s: str) -> int:
     return h
 
 
-def partial_tile_counts(batch: pa.Table, key_col: str = "tile_id") -> pa.Table:
-    """Per-batch combiner: one (tile, partial_count) row per distinct tile.
-
-    Collapses hot cells before the shuffle — the groupby that follows
-    moves O(distinct tiles per block) rows instead of O(rows).
-    """
-    vc = batch[key_col].value_counts()
-    return pa.table(
-        {
-            key_col: vc.field("values"),
-            "partial": vc.field("counts").cast(pa.int64()),
-        }
-    )
-
-
 def salted_tile_counts(ds, key_col: str = "tile_id", combine="driver"):
     """Skew-safe exact per-tile counts: partial per-batch combine (which
     collapses hot cells inside each block) -> small final combine.

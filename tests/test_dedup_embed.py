@@ -318,7 +318,7 @@ class TestEmbeddings:
         }
         ds = rd.read_parquet(f"{SF}/embeddings.parquet").repartition(4)
         got = (
-            embed.cosine_topk(ds, queries, k=5, concurrency=2, batch_size=100)
+            embed.cosine_topk(ds, queries, k=5, batch_size=100)
             .to_pandas()
             .sort_values(["query_id", "rank"])
         )

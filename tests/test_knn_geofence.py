@@ -65,7 +65,7 @@ class TestKNN:
             }
         )
         ds = rd.from_arrow(points).repartition(8)
-        got = knn.knn_join(ds, queries, concurrency=2, batch_size=512).sort_values(
+        got = knn.knn_join(ds, queries, batch_size=512).sort_values(
             ["query_id", "rank"]
         )
         want = pd.DataFrame(
@@ -92,7 +92,7 @@ class TestKNN:
         )
         ds = rd.from_arrow(points).repartition(6)
         got = (
-            knn.knn_join(ds, queries, tag_col="tag", concurrency=2, batch_size=777)
+            knn.knn_join(ds, queries, tag_col="tag", batch_size=777)
             .sort_values(["query_id", "rank"])[
                 ["query_id", "rank", "point_id", "dist_km"]
             ]
@@ -135,7 +135,7 @@ class TestKNN:
             }
         )
         got = (
-            knn.knn_join(rd.from_arrow(points), queries, concurrency=1)
+            knn.knn_join(rd.from_arrow(points), queries)
             .sort_values("rank")["point_id"]
             .tolist()
         )
@@ -161,7 +161,7 @@ class TestReverseGeocode:
             }
         )
         got = (
-            knn.reverse_geocode(rd.from_arrow(pts), streets, concurrency=2)
+            knn.reverse_geocode(rd.from_arrow(pts), streets)
             .to_pandas()
             .sort_values("point_id")
         )
@@ -240,7 +240,6 @@ class TestGeofence:
         events = synth.fence_events_table(fences, n_points=6, steps=15, seed=21)
         got = geofence.fence_transitions(
             rd.from_arrow(events).repartition(4), fences, nearest_n=None,
-            concurrency=2,
         ).to_pandas()
         got_rows = sorted(
             (r.point_id, int(r.seq), r.fence_key, r.status)
@@ -255,7 +254,6 @@ class TestGeofence:
         events = synth.fence_events_table(fences, n_points=5, steps=12, seed=23)
         got = geofence.fence_transitions(
             rd.from_arrow(events).repartition(3), fences, nearest_n=3,
-            concurrency=2,
         ).to_pandas()
         got_rows = sorted(
             (r.point_id, int(r.seq), r.fence_key, r.status)
@@ -269,7 +267,7 @@ class TestGeofence:
         fences = synth.fences_table(6, seed=20)
         events = synth.fence_events_table(fences, n_points=10, steps=25, seed=24)
         got = geofence.fence_transitions(
-            rd.from_arrow(events), fences, nearest_n=None, concurrency=1
+            rd.from_arrow(events), fences, nearest_n=None
         ).to_pandas()
         assert {"INSIDE", "OUTSIDE", "ENTER", "EXIT"} <= set(got["status"])
 
@@ -314,7 +312,7 @@ class TestGeofence:
         state = geofence.last_positions(rd.from_arrow(e1)).to_pandas()
         state_t = pa.Table.from_pandas(state, preserve_index=False)
         got2 = geofence.fence_transitions(
-            rd.from_arrow(e2), fences, nearest_n=None, state=state_t, concurrency=1
+            rd.from_arrow(e2), fences, nearest_n=None, state=state_t
         ).to_pandas()
         # epoch-2 with checkpoint == tail of the single-run brute oracle
         want = [r for r in self.brute(events, fences, None)
@@ -326,6 +324,63 @@ class TestGeofence:
         # only compare events belonging to epoch 2
         want = [r for r in want if r[1] in set(e2["seq"].to_pylist())]
         assert got_rows == sorted(want)
+
+
+def _run_probe(stage: str, empty: bool):
+    """One broadcast-probe stage over a small point/event set; the side
+    table is its synth table, or that table sliced to zero rows."""
+    import ray
+    import ray.data as rd
+
+    from go_osm_search_ray.stages import pip
+
+    def side(t: pa.Table) -> pa.Table:
+        return t.slice(0, 0) if empty else t
+
+    pts = make_points(500, seed=70)
+    if stage == "knn_join":
+        queries = pa.table({"query_id": pa.array([0, 1], pa.int64()),
+                            "lat": pa.array([10.0, -20.0]),
+                            "lon": pa.array([30.0, 40.0]),
+                            "k": pa.array([3, 3], pa.int64())})
+        return knn.knn_join(rd.from_arrow(pts), side(queries))
+    if stage == "reverse_geocode":
+        ds = knn.reverse_geocode(rd.from_arrow(pts),
+                                 side(synth.streets_table(20, seed=71)))
+    elif stage == "pip_join":
+        ds = pip.pip_join(rd.from_arrow(pts),
+                          side(synth.polygons_table(10, seed=72)))
+    else:
+        fences = synth.fences_table(5, seed=73)
+        events = synth.fence_events_table(fences, n_points=4, steps=6,
+                                          seed=74)
+        ds = geofence.fence_transitions(rd.from_arrow(events), side(fences))
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("stage", ["knn_join", "reverse_geocode", "pip_join",
+                                   "fence_transitions"])
+def test_probe_accepts_empty_side_table(stage):
+    """An empty side table means every probe misses, with the same
+    output columns as a non-empty run — never a batch-wide crash."""
+    full = _run_probe(stage, empty=False)
+    got = _run_probe(stage, empty=True)
+    if stage == "knn_join":
+        assert list(got.columns) == list(full.columns) and len(got) == 0
+        return
+    assert got.schema == full.schema
+    if stage == "fence_transitions":
+        assert got.num_rows == 0
+        return
+    assert got.num_rows == full.num_rows == 500
+    if stage == "pip_join":
+        assert (got["polygon_id"].to_numpy() == -1).all()
+        assert got["province"].null_count == got.num_rows
+    else:
+        assert (got["street_id"].to_numpy() == -1).all()
+        for c in ("street_dist_km", "proj_lat", "proj_lon"):
+            assert got[c].null_count == got.num_rows
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -82,7 +82,7 @@ class TestPipelines:
         ds = rd.from_arrow(images).map_batches(
             tiling.derive_phash_latlon, batch_format="pyarrow"
         ).map_batches(tiling.assign_tiles(7), batch_format="pyarrow")
-        out = pip.pip_join(ds, polygons, tile_res=7, concurrency=2).take_all()
+        out = pip.pip_join(ds, polygons, tile_res=7).take_all()
 
         lat, lon = geo.phash_to_latlon(images["phash"].to_numpy())
         want = brute_first_hit(lat, lon, polygons)
@@ -100,6 +100,23 @@ class TestPipelines:
         cap = {r["image_id"]: r["caption"] for r in out}
         for i, c in zip(ids, images["caption"].to_pylist()):
             assert cap[i] == c
+
+    def test_pip_join_many_polygons(self):
+        """10,001 polygons: the same stateless-task plan as a small
+        polygon set, equal to the Ray-free compiled probe."""
+        import ray.data as rd
+
+        polygons = synth.polygons_table(10_001, seed=7)
+        rng = np.random.default_rng(8)
+        pts = pa.table({"point_id": pa.array(np.arange(6000), pa.int64()),
+                        "lat": pa.array(rng.uniform(-80, 80, 6000)),
+                        "lon": pa.array(rng.uniform(-170, 170, 6000))})
+        out = pip.pip_join(rd.from_arrow(pts).repartition(3), polygons,
+                           batch_size=2048, attach_meta=False).to_pandas()
+        out = out.sort_values("point_id")
+        want = pip.CompiledPolygons(polygons).first_hit(
+            pts["lat"].to_numpy(), pts["lon"].to_numpy())
+        np.testing.assert_array_equal(out["polygon_id"].to_numpy(), want)
 
     def test_salted_tile_counts(self):
         import ray.data as rd
@@ -121,7 +138,7 @@ class TestPipelines:
         from go_osm_search_ray.state import manifest
 
         out = str(tmp_path / "flag")
-        m = flagship.run_flagship_synth(2000, out, seed=42, concurrency=2)
+        m = flagship.run_flagship_synth(2000, out, seed=42)
         assert sum(p["row_count"] for p in m["partitions"].values()) == 2000
         assert all(p["bytes"] > 0 for p in m["partitions"].values())
         assert m["wall_ms"] > 0
@@ -138,7 +155,7 @@ class TestPipelines:
         from go_osm_search_ray.pipelines import flagship
 
         out = str(tmp_path / "flag2")
-        flagship.run_flagship_synth(500, out, seed=42, concurrency=2)
+        flagship.run_flagship_synth(500, out, seed=42)
         back = rd.read_parquet(out).take_all()
         assert len(back) == 500
         src = synth.images_batch(np.arange(500, dtype=np.uint64))
@@ -427,7 +444,7 @@ def test_compact_partitions_preserves_rows(ray_session):
 
     out = "/tmp/test_compact_out"
     shutil.rmtree(out, ignore_errors=True)
-    m0 = flagship.run_flagship_synth(3000, out, seed=42, concurrency=2)
+    m0 = flagship.run_flagship_synth(3000, out, seed=42)
     col = m0["partition_col"]
     before = pd.read_parquet(out).sort_values("image_id") \
         .reset_index(drop=True)

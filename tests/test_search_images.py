@@ -87,12 +87,12 @@ class TestImageStages:
         return rd.from_arrow(synth.images_batch(np.arange(n, dtype=np.uint64)))
 
     def test_decode_stats_all_ok(self):
-        out = images.decode_stats(self.ds(), concurrency=2).to_pandas()
+        out = images.decode_stats(self.ds()).to_pandas()
         assert out["decode_ok"].all()
         assert ((out["mean_pixel"] >= 0) & (out["mean_pixel"] <= 255)).all()
 
     def test_resize_roundtrip_and_invariant(self):
-        out = images.resize(self.ds(50), 4, 4, concurrency=1).take_all()
+        out = images.resize(self.ds(50), 4, 4).take_all()
         src = synth.images_batch(np.arange(50, dtype=np.uint64))
         caps = dict(zip(src["image_id"].to_pylist(), src["caption"].to_pylist()))
         for r in out:
@@ -109,11 +109,11 @@ class TestImageStages:
 
     def test_average_hash_near_dup_collision(self):
         # identical images -> identical hash; different -> mostly different
-        out = images.average_hash(self.ds(100), concurrency=1).to_pandas()
+        out = images.average_hash(self.ds(100)).to_pandas()
         assert out["ahash"].nunique() > 50
 
     def test_embed_images_shape(self):
-        out = images.embed_images(self.ds(20), concurrency=1).take_all()
+        out = images.embed_images(self.ds(20)).take_all()
         for r in out:
             assert len(r["embedding"]) == 48
             assert all(0.0 <= v <= 1.0 for v in r["embedding"])
@@ -209,7 +209,7 @@ class TestEdgeCases:
             {"query_id": pa.array([0], pa.int64()), "lat": pa.array([0.5]),
              "lon": pa.array([0.5]), "k": pa.array([10], pa.int64())}
         )
-        out = knn.knn_join(rd.from_arrow(points), queries, concurrency=1)
+        out = knn.knn_join(rd.from_arrow(points), queries)
         assert len(out) == 2  # returns what exists
 
     def test_single_pixel_image(self):

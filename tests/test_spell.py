@@ -191,7 +191,7 @@ class TestCorrector:
             }
         )
         out = (
-            spell.correct_queries(rd.from_pandas(qs), sc, concurrency=1)
+            spell.correct_queries(rd.from_pandas(qs), sc)
             .to_pandas()
             .sort_values("query_id")
         )
