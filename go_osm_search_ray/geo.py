@@ -193,59 +193,419 @@ def cells_for_radius_km(lat, res, radius_km):
 # point in polygon (winding number; on-segment bbox test = inside)
 
 
-def point_in_polygon(lat, lon, ring_lat, ring_lon):
-    """Vectorized winding-number PIP for many points vs ONE closed ring.
+def concat_ranges(start, count):
+    """Concatenated aranges [start[j], start[j] + count[j]) (int64):
+    the flat positions of CSR slices, with no per-slice Python."""
+    count = np.asarray(count, dtype=np.int64)
+    excl = np.cumsum(count) - count
+    return np.repeat(np.asarray(start, dtype=np.int64) - excl, count) + np.arange(
+        int(count.sum()), dtype=np.int64)
+
+
+def flat_points(col):
+    """A list<struct<lat, lon>> column as flat vertex arrays plus row
+    offsets: (lat, lon, offsets), row i's vertices at
+    offsets[i]:offsets[i + 1].  Read from the Arrow list layout, with
+    no per-row Python; a null row has no vertices."""
+    import pyarrow.compute as pc
+
+    lengths = pc.fill_null(pc.list_value_length(col), 0).to_numpy()
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    flat = pc.list_flatten(col)
+    return (pc.struct_field(flat, "lat").to_numpy().astype(np.float64, copy=False),
+            pc.struct_field(flat, "lon").to_numpy().astype(np.float64, copy=False),
+            offsets)
+
+
+def point_in_rings(lat, lon, v_lat, v_lon, start, end):
+    """Winding-number PIP for point/ring PAIRS: pair j tests point
+    (lat[j], lon[j]) against the closed ring v[start[j]:end[j]] (first
+    vertex == last).  All pairs' edges are tested in one vectorized pass.
 
     Mirrors reference geometry.go:90-126 exactly:
     - the "on segment" check is an axis-aligned bbox test per segment
       (geometry.go:94-102) and short-circuits to inside;
     - up-crossing counted when seg_lat[i] <= p < seg_lat[i+1] and point
       left of the edge; down-crossing symmetric.
-
-    ring_lat/ring_lon must be closed (first == last).  Returns bool array.
-    """
-    p_lat = np.atleast_1d(np.asarray(lat, dtype=np.float64))
-    p_lon = np.atleast_1d(np.asarray(lon, dtype=np.float64))
-    a_lat = np.asarray(ring_lat[:-1], dtype=np.float64)[:, None]
-    a_lon = np.asarray(ring_lon[:-1], dtype=np.float64)[:, None]
-    b_lat = np.asarray(ring_lat[1:], dtype=np.float64)[:, None]
-    b_lon = np.asarray(ring_lon[1:], dtype=np.float64)[:, None]
+    Returns a bool array, one entry per pair."""
+    lat = np.atleast_1d(np.asarray(lat, dtype=np.float64))
+    lon = np.atleast_1d(np.asarray(lon, dtype=np.float64))
+    n_edges = np.maximum(np.asarray(end) - np.asarray(start) - 1, 0)
+    pair = np.repeat(np.arange(len(lat)), n_edges)
+    e = concat_ranges(start, n_edges)
+    a_lat, a_lon = v_lat[e], v_lon[e]
+    b_lat, b_lon = v_lat[e + 1], v_lon[e + 1]
+    p_lat, p_lon = lat[pair], lon[pair]
 
     on_seg = (
-        (p_lon[None, :] >= np.minimum(a_lon, b_lon))
-        & (p_lon[None, :] <= np.maximum(a_lon, b_lon))
-        & (p_lat[None, :] >= np.minimum(a_lat, b_lat))
-        & (p_lat[None, :] <= np.maximum(a_lat, b_lat))
-    ).any(axis=0)
-
-    cross = (b_lon - a_lon) * (p_lat[None, :] - a_lat) - (
-        p_lon[None, :] - a_lon
-    ) * (b_lat - a_lat)
-    up = (a_lat <= p_lat[None, :]) & (b_lat > p_lat[None, :]) & (cross > 0)
-    down = (a_lat > p_lat[None, :]) & (b_lat <= p_lat[None, :]) & (cross < 0)
-    wn = up.sum(axis=0).astype(np.int64) - down.sum(axis=0).astype(np.int64)
-    return on_seg | (wn != 0)
-
-
-def ring_bbox(ring_lat, ring_lon):
-    return (
-        float(np.min(ring_lat)),
-        float(np.max(ring_lat)),
-        float(np.min(ring_lon)),
-        float(np.max(ring_lon)),
+        (p_lon >= np.minimum(a_lon, b_lon))
+        & (p_lon <= np.maximum(a_lon, b_lon))
+        & (p_lat >= np.minimum(a_lat, b_lat))
+        & (p_lat <= np.maximum(a_lat, b_lat))
     )
+    cross = (b_lon - a_lon) * (p_lat - a_lat) - (p_lon - a_lon) * (b_lat - a_lat)
+    up = (a_lat <= p_lat) & (b_lat > p_lat) & (cross > 0)
+    down = (a_lat > p_lat) & (b_lat <= p_lat) & (cross < 0)
+    n = len(lat)
+    on = np.bincount(pair, weights=on_seg, minlength=n) > 0
+    wn = (np.bincount(pair, weights=up, minlength=n)
+          - np.bincount(pair, weights=down, minlength=n))
+    return on | (wn != 0)
 
 
-def ring_covering_tiles(ring_lat, ring_lon, res=DEFAULT_TILE_RES):
-    """All grid cells intersecting the ring's bbox (conservative covering)."""
-    lat0, lat1, lon0, lon1 = ring_bbox(ring_lat, ring_lon)
+def point_in_polygon(lat, lon, ring_lat, ring_lon):
+    """Vectorized winding-number PIP for many points vs ONE closed ring
+    (``point_in_rings`` with every point paired to that ring)."""
+    lat = np.atleast_1d(np.asarray(lat, dtype=np.float64))
+    lon = np.atleast_1d(np.asarray(lon, dtype=np.float64))
+    n = len(lat)
+    return point_in_rings(lat, lon, np.asarray(ring_lat, dtype=np.float64),
+                          np.asarray(ring_lon, dtype=np.float64),
+                          np.zeros(n, np.int64), np.full(n, len(ring_lat)))
+
+
+# ---------------------------------------------------------------------------
+# cell index: the one spatial index behind every broadcast probe
+# (nearest street, nearest fences, point in polygon, per-batch kNN).
+# The reference answers these from an R-tree (rtree.go:553-682,
+# searcher.go:402-435); here items are filed under the cells of the
+# tile grid above that their bboxes cover, and nearest probes expand
+# Chebyshev rings of cells around the probe's own cell.
+
+# a cell holds about this share of the k nearest items a probe asks
+# for, so the first 3x3 block of cells around a probe usually answers it
+CELL_K_SHARE = 0.25
+CELL_COVER_CAP = 8       # at most this many cell entries per item, on average
+CELL_MAX_RES = 20
+# relative and absolute (km) slack taken off the ring bound, far above
+# the float error of the distance kernels and of the cell assignment
+BOUND_SLACK = 1e-9
+
+
+def wrap_lon(lon):
+    """Longitudes outside [-180, 180] folded back into it; values
+    inside are returned bit-for-bit."""
+    lon = np.asarray(lon, dtype=np.float64)
+    inside = (lon >= -180.0) & (lon <= 180.0)
+    return np.where(inside, lon, np.mod(lon + 180.0, 360.0) - 180.0)
+
+
+def _cover(lat0, lat1, lon0, lon1, res):
+    """Bottom-left cell (x0, y0) and the (width, height) in cells of
+    each bbox's cover; a bbox with lon0 > lon1 wraps across ±180 and a
+    non-finite one covers nothing."""
     n = 1 << res
-    x0, y0 = tile_xy(np.array([lat0]), np.array([lon0]), res)
-    x1, y1 = tile_xy(np.array([lat1]), np.array([lon1]), res)
-    xs = np.arange(x0[0], x1[0] + 1)
-    ys = np.arange(y0[0], y1[0] + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return (gy.ravel() * n + gx.ravel()).astype(np.int64)
+    with np.errstate(invalid="ignore"):
+        x0, y0 = tile_xy(lat0, lon0, res)
+        x1, y1 = tile_xy(lat1, lon1, res)
+    w = np.where(lon0 > lon1, np.where(x0 > x1, n - x0 + x1 + 1, n),
+                 x1 - x0 + 1)
+    h = np.maximum(y1 - y0 + 1, 0)
+    ok = (np.isfinite(lat0) & np.isfinite(lat1) & np.isfinite(lon0)
+          & np.isfinite(lon1))
+    return x0, y0, np.where(ok, np.minimum(w, n), 0), np.where(ok, h, 0)
+
+
+def cell_res(lat0, lat1, lon0, lon1, k: float = 1.0) -> int:
+    """Grid resolution for an item set, from its item count and extent:
+    about ``CELL_K_SHARE * k`` items per cell over the items' bbox
+    extent (k: the nearest items a probe asks for), then coarsened
+    while the bbox covers would file more than ``CELL_COVER_CAP`` cell
+    entries per item."""
+    m = len(lat0)
+    ok = np.isfinite(lat0) & np.isfinite(lat1) & np.isfinite(lon0) & np.isfinite(lon1)
+    if not ok.any():
+        return 0
+    a = (np.max(lat1[ok]) - np.min(lat0[ok])) / 180.0
+    b = (360.0 if (lon0[ok] > lon1[ok]).any()
+         else np.max(lon1[ok]) - np.min(lon0[ok])) / 360.0
+    # solve (a n + 1)(b n + 1) = cells: the extent's cell count at
+    # n x n, exact for thin strips and single points too
+    c = max(m / (CELL_K_SHARE * max(k, 1.0)), 1.0)
+    if a * b > 0:
+        n = (-(a + b) + np.sqrt((a + b) ** 2 + 4 * a * b * (c - 1))) / (2 * a * b)
+    elif a + b > 0:
+        n = (c - 1) / (a + b)
+    else:
+        n = 1.0
+    res = int(np.clip(np.round(np.log2(max(n, 1.0))), 0, CELL_MAX_RES))
+    while res > 0:
+        _, _, w, h = _cover(lat0, lat1, lon0, lon1, res)
+        if (w * h).sum() <= CELL_COVER_CAP * m:
+            break
+        res -= 1
+    return res
+
+
+class ProbeWork:
+    """Work counters of one probe state: probes answered, items whose
+    exact distance or containment test ran, and cell rings visited."""
+
+    def __init__(self):
+        self.probes = self.checked = self.rings = 0
+
+    def add(self, probes: int, checked: int, rings: int) -> None:
+        self.probes += int(probes)
+        self.checked += int(checked)
+        self.rings += int(rings)
+
+    def per_probe(self) -> dict:
+        p = max(self.probes, 1)
+        return {"checked_per_probe": self.checked / p,
+                "rings_per_probe": self.rings / p}
+
+
+def _pdi_order(p, d, i):
+    """Positions sorting (p, d, i) lexicographically (d finite, >= 0):
+    one argsort on the float key p * scale + d, then an exact lexsort
+    redo only for the probes whose order that key got wrong (distance
+    ties, or distances closer than the key's resolution)."""
+    if not len(p):
+        return np.empty(0, np.int64)
+    scale = 2.0 ** np.ceil(np.log2(d.max() + 1.0))
+    o = np.argsort(p * scale + d)
+    ps, ds, is_ = p[o], d[o], i[o]
+    same = ps[1:] == ps[:-1]
+    bad = same & ((ds[1:] < ds[:-1]) | ((ds[1:] == ds[:-1]) & (is_[1:] < is_[:-1])))
+    if bad.any():
+        redo = np.isin(ps, ps[1:][bad])
+        sub = o[redo]
+        o[redo] = sub[np.lexsort((i[sub], d[sub], p[sub]))]
+    return o
+
+
+class CellIndex:
+    """Items filed under the cells of the 2^res x 2^res tile grid their
+    bboxes cover, as CSR arrays: ``cells`` (sorted occupied cell ids),
+    ``offsets`` (len(cells) + 1) and ``items`` (item positions,
+    ascending within a cell).  A bbox with lon0 > lon1 wraps across
+    ±180; a point item is a zero-size bbox.  ``res`` defaults to
+    ``cell_res`` of the bboxes for probes asking for ``k`` items.
+
+    ``nearest`` answers k-nearest probes by ring expansion; ``cell_pairs``
+    hands each containment probe the items of its own cell."""
+
+    def __init__(self, lat0, lat1, lon0, lon1, res: int | None = None,
+                 k: float = 1.0):
+        lat0, lat1, lon0, lon1 = (np.atleast_1d(np.asarray(v, dtype=np.float64))
+                                  for v in (lat0, lat1, lon0, lon1))
+        self.res = (cell_res(lat0, lat1, lon0, lon1, k) if res is None
+                    else int(res))
+        n = self.n = 1 << self.res
+        x0, y0, w, h = _cover(lat0, lat1, lon0, lon1, self.res)
+        cnt = w * h
+        j = concat_ranges(np.zeros(len(cnt), np.int64), cnt)
+        wi = np.repeat(w, cnt)
+        cell = ((np.repeat(y0, cnt) + j // wi) * n
+                + (np.repeat(x0, cnt) + j % wi) % n)
+        order = np.argsort(cell, kind="stable")
+        self.items = np.repeat(np.arange(len(cnt)), cnt)[order]
+        cell = cell[order]
+        first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]][:len(cell)])
+        self.cells = cell[first]
+        self.offsets = np.append(first, len(cell)).astype(np.int64)
+        # occupied extent: rows [y_lo, y_hi] and the shortest circular
+        # column interval [x_lo, x_lo + x_w) holding every occupied cell
+        self.y_lo = self.y_hi = self.x_lo = self.x_w = 0
+        if len(self.cells):
+            ys = self.cells // n
+            self.y_lo, self.y_hi = int(ys.min()), int(ys.max())
+            xs = np.unique(self.cells % n)
+            gaps = np.append(np.diff(xs), xs[0] + n - xs[-1])
+            g = int(np.argmax(gaps))
+            self.x_lo = int(xs[(g + 1) % len(xs)])
+            self.x_w = int(n - gaps[g] + 1)
+
+    @classmethod
+    def of_points(cls, lat, lon, res: int | None = None,
+                  k: float = 1.0) -> "CellIndex":
+        lon = wrap_lon(lon)
+        return cls(lat, lat, lon, lon, res, k)
+
+    def _pairs(self, probe, lo, hi):
+        """(probe, item) pairs of the items filed under cell ids [lo, hi)."""
+        s = self.offsets[np.searchsorted(self.cells, lo)]
+        cnt = self.offsets[np.searchsorted(self.cells, hi)] - s
+        return np.repeat(probe, cnt), self.items[concat_ranges(s, cnt)]
+
+    def cell_pairs(self, lat, lon):
+        """(probe, item) pairs of the items filed under each probe's own
+        cell, with no longitude folding: a containment probe inside a
+        bbox always lands in one of the bbox's cells because ``tile_xy``
+        is monotone."""
+        with np.errstate(invalid="ignore"):
+            x, y = tile_xy(lat, lon, self.res)
+        c = y * self.n + x
+        return self._pairs(np.arange(len(c)), c, c + 1)
+
+    def _band(self, cx, cy, r0, r1):
+        """Cell-id ranges (probe position, lo, hi) of block r1 minus
+        block r0 (r0 = -1: the empty block), blocks being the Chebyshev
+        squares around each probe cell — rows clamp at the poles,
+        columns wrap — clipped to the occupied extent."""
+        n = self.n
+        idx = np.arange(len(cx))
+        w0, w1 = np.minimum(2 * r0 + 1, n), np.minimum(2 * r1 + 1, n)
+        left = np.minimum(r1 - r0, n - w0)
+        # runs of rows ya..yb times a circular column interval
+        # [xs, xs + xl): block r1's new rows carry its whole column span,
+        # block r0's rows gain the columns left and right of it
+        probe = np.concatenate([idx, idx, idx, idx])
+        ya = np.concatenate([cy - r1, np.maximum(cy + r0 + 1, cy - r0),
+                             cy - r0, cy - r0])
+        yb = np.concatenate([cy - r0 - 1, cy + r1, cy + r0, cy + r0])
+        xs = np.concatenate([cx - r1, cx - r1, cx - r0 - left, cx - r0 + w0])
+        xl = np.concatenate([w1, w1, left, w1 - w0 - left])
+        ya = np.maximum(ya, self.y_lo)
+        yb = np.minimum(yb, self.y_hi)
+        cnt = np.where((yb >= ya) & (xl > 0), yb - ya + 1, 0)
+        run = np.repeat(np.arange(len(cnt)), cnt)
+        y = concat_ranges(ya, cnt) * n
+        s, span, probe = xs[run] % n, xl[run], probe[run]
+        # a circular interval is at most two linear pieces, and so is
+        # the occupied column interval
+        ring = [(s, np.minimum(s + span, n))]
+        if len(s) and (s + span > n).any():
+            ring.append((0, s + span - n))
+        occ = [(self.x_lo, min(self.x_lo + self.x_w, n))]
+        if self.x_lo + self.x_w > n:
+            occ.append((0, self.x_lo + self.x_w - n))
+        P, LO, HI = [], [], []
+        for a0, a1 in ring:
+            for o0, o1 in occ:
+                lo, hi = np.maximum(a0, o0), np.minimum(a1, o1)
+                m = lo < hi
+                P.append(probe[m])
+                LO.append((y + lo)[m])
+                HI.append((y + hi)[m])
+        return np.concatenate(P), np.concatenate(LO), np.concatenate(HI)
+
+    def _start_ring(self, cx, cy):
+        """First ring that can hold an item: every smaller block misses
+        the occupied extent."""
+        n = self.n
+        dy = np.maximum(0, np.maximum(self.y_lo - cy, cy - self.y_hi))
+        rel = (cx - self.x_lo) % n
+        dx = np.where(rel < self.x_w, 0, np.minimum(rel - self.x_w + 1, n - rel))
+        return np.maximum(dx, dy)
+
+    def _covers(self, cx, cy, r):
+        """Block r holds the whole occupied extent: every item was seen."""
+        n = self.n
+        span = np.minimum(2 * r + 1, n)
+        rows = (cy - r <= self.y_lo) & (cy + r >= self.y_hi)
+        return rows & ((span >= n) | ((self.x_lo - (cx - r)) % n + self.x_w <= span))
+
+    def _bound_km(self, lat, lon, cx, cy, r):
+        """Lower bound on the distance from each probe to anything
+        outside its block r, from the probe's exact position: the
+        latitude gap to the block's south and north edges, and the
+        distance to its two bounding half-meridians — asin(cos φ sin Δλ)
+        for Δλ <= 90°, else the distance to the nearer pole.  Edges that
+        do not exist (a block reaching a pole row, or one 2r+1 >= n
+        wide) are skipped.  Less ``BOUND_SLACK``, so float error in the
+        distance kernels and cell assignment never breaks exactness."""
+        n = self.n
+        dlat, dlon = 180.0 / n, 360.0 / n
+        b = np.full(len(lat), np.inf)
+        s, t = cy - r, cy + r + 1
+        b = np.where(s > 0, np.minimum(b, lat - (-90.0 + s * dlat)), b)
+        b = np.where(t < n, np.minimum(b, (-90.0 + t * dlat) - lat), b)
+        wedge = 2 * r + 1 < n
+        if wedge.any():
+            coslat = np.cos(np.radians(lat))
+            polar = 90.0 - np.abs(lat)
+            for gap in (lon - (-180.0 + (cx - r) * dlon),
+                        (-180.0 + (cx + r + 1) * dlon) - lon):
+                h = np.where(gap <= 90.0, np.degrees(np.arcsin(np.clip(
+                    coslat * np.sin(np.radians(gap)), -1.0, 1.0))), polar)
+                b = np.where(wedge, np.minimum(b, h), b)
+        km = np.radians(b) * EARTH_RADIUS_KM
+        return km * (1.0 - BOUND_SLACK) - BOUND_SLACK
+
+    def nearest(self, lat, lon, k, dist, keep=None, max_km=None,
+                work: ProbeWork | None = None):
+        """Per probe point, its k nearest items (k may be per probe) by
+        (distance, item position) — exact, ties to the lower position.
+
+        ``dist(probe, item)`` returns the exact distances of index
+        pairs; ``keep(probe, item)`` optionally masks pairs out (tag
+        filters); ``max_km`` (per probe) drops pairs farther than it.
+        Rings expand per probe until its k-th distance is strictly below
+        ``_bound_km``, the ring passes ``max_km``, or the block holds
+        every item.  Returns (probe, item, dist) sorted by (probe, dist,
+        item)."""
+        lat = np.atleast_1d(np.asarray(lat, dtype=np.float64))
+        lon = wrap_lon(np.atleast_1d(lon))
+        P = len(lat)
+        k = np.broadcast_to(np.asarray(k, dtype=np.int64), (P,))
+        ok = (k > 0) & np.isfinite(lat) & np.isfinite(lon)
+        if not len(self.cells):
+            ok[:] = False
+        active = np.flatnonzero(ok)
+        with np.errstate(invalid="ignore"):
+            cx, cy = tile_xy(lat, lon, self.res)
+        # visited block radius (-1: none; blocks below the start ring
+        # hold no item) and the radius the next pass expands to
+        r_in = self._start_ring(cx, cy) - 1
+        r = r_in + 2
+        # per probe, pairs farther than this can no longer make its top k
+        lim = (np.full(P, np.inf) if max_km is None
+               else np.asarray(max_km, dtype=np.float64).copy())
+        empty_i, empty_d = np.empty(0, np.int64), np.empty(0, np.float64)
+        acc = (empty_i, empty_i, empty_d)
+        out = []
+        checked = rings = 0
+        while len(active):
+            a = active
+            pos, lo, hi = self._band(cx[a], cy[a], r_in[a], r[a])
+            pi, it = self._pairs(a[pos], lo, hi)
+            checked += len(pi)
+            rings += int((r[a] - r_in[a]).sum())
+            if keep is not None and len(pi):
+                m = keep(pi, it)
+                pi, it = pi[m], it[m]
+            d = dist(pi, it) if len(pi) else empty_d
+            m = d <= lim[pi]
+            p = np.concatenate([acc[0], pi[m]])
+            i = np.concatenate([acc[1], it[m]])
+            d = np.concatenate([acc[2], d[m]])
+            o = _pdi_order(p, d, i)
+            p, i, d = p[o], i[o], d[o]
+            # an item filed under several cells shows up once per cell,
+            # always with the same distance: drop the adjacent repeats
+            m = np.r_[True, (p[1:] != p[:-1]) | (i[1:] != i[:-1])][:len(p)]
+            p, i, d = p[m], i[m], d[m]
+            first = np.r_[True, p[1:] != p[:-1]][:len(p)]
+            rank = np.arange(len(p)) - np.maximum.accumulate(
+                np.where(first, np.arange(len(p)), 0))
+            m = rank < k[p]
+            p, i, d = p[m], i[m], d[m]
+            start = np.searchsorted(p, a)
+            full = np.searchsorted(p, a, side="right") - start >= k[a]
+            kth = np.full(len(a), np.inf)
+            kth[full] = d[start[full] + k[a][full] - 1]
+            lim[a] = np.minimum(lim[a], kth)
+            bound = self._bound_km(lat[a], lon[a], cx[a], cy[a], r[a])
+            done = self._covers(cx[a], cy[a], r[a]) | (full & (kth < bound))
+            if max_km is not None:
+                done |= bound > max_km[a]
+            fin = np.zeros(P, bool)
+            fin[a[done]] = True
+            f = fin[p]
+            out.append((p[f], i[f], d[f]))
+            acc = (p[~f], i[~f], d[~f])
+            r_in[a] = r[a]
+            r[a] += 1
+            active = a[~done]
+        if work is not None:
+            work.add(ok.sum(), checked, rings)
+        if not out:
+            return empty_i, empty_i, empty_d
+        p, i, d = (np.concatenate(x) for x in zip(*out))
+        o = np.argsort(p, kind="stable")
+        return p[o], i[o], d[o]
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +704,44 @@ def project_point_to_segment(p_lat, p_lon, a_lat, a_lon, b_lat, b_lon):
     end_lon = np.where(use_a, a_lon_b, b_lon_b)
     return (np.where(on_arc, q_lat, end_lat),
             np.where(on_arc, q_lon, end_lon))
+
+
+def arc_bbox(a_lat, a_lon, b_lat, b_lon, pad_deg: float = 1e-9):
+    """(lat0, lat1, lon0, lon1) covering each minor great-circle arc AB:
+    the endpoint box, widened to the arc's poleward vertex when that
+    vertex lies on the arc, padded by ``pad_deg``.  A minor arc sweeps
+    the short way round in longitude, so lon0 > lon1 marks a box that
+    wraps across ±180."""
+    rad = np.radians
+    alat, alon = rad(np.asarray(a_lat, np.float64)), rad(np.asarray(a_lon, np.float64))
+    blat, blon = rad(np.asarray(b_lat, np.float64)), rad(np.asarray(b_lon, np.float64))
+    ax, ay, az = np.cos(alat) * np.cos(alon), np.cos(alat) * np.sin(alon), np.sin(alat)
+    bx, by, bz = np.cos(blat) * np.cos(blon), np.cos(blat) * np.sin(blon), np.sin(blat)
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    lat0 = np.minimum(a_lat, b_lat)
+    lat1 = np.maximum(a_lat, b_lat)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # V: the arc's great-circle point nearest the north pole,
+        # z - (z.n)n / |n|^2 (unnormalized; only signs are tested)
+        nn2 = nx * nx + ny * ny + nz * nz
+        vx, vy, vz = -nz * nx / nn2, -nz * ny / nn2, 1.0 - nz * nz / nn2
+        top = np.degrees(np.arccos(np.clip(np.abs(nz) / np.sqrt(nn2), 0.0, 1.0)))
+        for sgn in (1.0, -1.0):
+            px, py, pz = sgn * vx, sgn * vy, sgn * vz
+            t1 = (ay * pz - az * py) * nx + (az * px - ax * pz) * ny + (ax * py - ay * px) * nz
+            t2 = (py * bz - pz * by) * nx + (pz * bx - px * bz) * ny + (px * by - py * bx) * nz
+            on = (nn2 > 0) & (t1 >= 0) & (t2 >= 0)
+            if sgn > 0:
+                lat1 = np.where(on, np.maximum(lat1, top), lat1)
+            else:
+                lat0 = np.where(on, np.minimum(lat0, -top), lat0)
+    a_lon = np.asarray(a_lon, np.float64)
+    sweep = np.mod(np.asarray(b_lon, np.float64) - a_lon + 180.0, 360.0) - 180.0
+    lo = a_lon + np.minimum(sweep, 0.0) - pad_deg
+    hi = a_lon + np.maximum(sweep, 0.0) + pad_deg
+    full = hi - lo >= 360.0
+    return (np.maximum(lat0 - pad_deg, -90.0), np.minimum(lat1 + pad_deg, 90.0),
+            np.where(full, -180.0, wrap_lon(lo)), np.where(full, 180.0, wrap_lon(hi)))
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,7 @@ def tile_join_kernel(b: pa.Table, compiled, res: int, ah=None,
     b = tiling.assign_tiles(res)(b)
     part = geo.tile_parent(b["tile_id"].to_numpy(), res, PARTITION_RES)
     b = b.append_column("part", pa.array(part, pa.int64()))
-    pid = compiled.first_hit(b["lat"].to_numpy(), b["lon"].to_numpy(),
-                             b["tile_id"].to_numpy())
+    pid = compiled.first_hit(b["lat"].to_numpy(), b["lon"].to_numpy())
     b = b.append_column("polygon_id", pa.array(pid, pa.int64()))
     if attach_meta:
         for c, col in compiled.meta_columns(pid):
@@ -129,8 +128,8 @@ class FusedTileJoin:
 
         ref, res = self.poly_ref, self.res
         compiled = cached_state(
-            f"polygons/{ref.hex()}/{res}",
-            lambda: CompiledPolygons(ray.get(ref), tile_res=res))
+            f"polygons/{ref.hex()}",
+            lambda: CompiledPolygons(ray.get(ref)))
         return tile_join_kernel(
             batch, compiled, res, self._ah, self.carry_payload,
             self.attach_meta, self.done_parts, self.check_invariants)

@@ -241,8 +241,7 @@ def q_zonal_stats(sf_dir: str):
                                  "tile_id"])
 
     pts = ds.map_batches(derive, batch_format="pyarrow")
-    joined = pip.pip_join(pts, nation_rects(sf_dir), tile_res=TILE_RES,
-                          attach_meta=False)
+    joined = pip.pip_join(pts, nation_rects(sf_dir), attach_meta=False)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         b = b[b["polygon_id"] >= 0]
@@ -488,10 +487,8 @@ SQL_TILE_PYRAMID = _sql_tile_pyramid()
 
 
 def q_pip_join(sf_dir: str):
-    joined = pip.pip_join(
-        orders_points(sf_dir), nation_rects(sf_dir), tile_res=TILE_RES,
-        attach_meta=False,
-    )
+    joined = pip.pip_join(orders_points(sf_dir), nation_rects(sf_dir),
+                          attach_meta=False)
     return joined.select_columns(["point_id", "polygon_id"])
 
 
@@ -518,8 +515,7 @@ def q_pip_antijoin(sf_dir: str):
     # rows 0, 2, 4 of the 5-row grid: polygon_id % 5 in {0, 2, 4}
     pid = rects["polygon_id"].to_numpy()
     rects = rects.filter(pa.array((pid % 5) % 2 == 0))
-    joined = pip.pip_join(orders_points(sf_dir), rects, tile_res=TILE_RES,
-                          attach_meta=False)
+    joined = pip.pip_join(orders_points(sf_dir), rects, attach_meta=False)
     return joined.map_batches(
         lambda b: b.filter(pc.less(b["polygon_id"], 0)).select(["point_id"]),
         batch_format="pyarrow")
@@ -3063,7 +3059,7 @@ def q_full_address(sf_dir: str):
     pts = cust.map_batches(derive, batch_format="pyarrow")
     with_street = knn.reverse_geocode(pts, nation_segments(sf_dir))
     with_region = pip.pip_join(with_street, nation_rects(sf_dir),
-                               tile_res=TILE_RES, attach_meta=False)
+                               attach_meta=False)
 
     def assemble(b: pa.Table) -> pa.Table:
         addr = [

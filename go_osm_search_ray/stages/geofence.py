@@ -11,9 +11,10 @@ nearest fence circles.  Ray-Data-native equivalent:
    Missing previous -> the reference's (-999, -999) sentinel
    (fence_index.go:61-64) — note the sentinel deliberately FLOWS INTO
    the CROSS line test, exactly as in the reference.
-2. fences are a broadcast side table; each event batch evaluates
-   containment + transitions vectorized against its ``nearest_n``
-   fences (or all fences when ``nearest_n is None``).
+2. fences are a broadcast side table filed in a ``geo.CellIndex`` over
+   their centers; each event picks its ``nearest_n`` fences (or all
+   fences when ``nearest_n is None``) by ring expansion, and the batch
+   evaluates containment + transitions vectorized against them.
 
 Transition matrix (geofence.go:97-116):
     INSIDE  -> INSIDE : [INSIDE]
@@ -89,10 +90,17 @@ def with_prev_position(events_ds, state: pa.Table | None = None,
     return bucketed_group_apply(ds, ["point_id"], lag_bucket, n_buckets)
 
 
+# transition statuses in emit order (geofence.go:97-116)
+_STATUSES = pa.array(["INSIDE", "EXIT", "OUTSIDE", "ENTER", "INSIDE", "CROSS",
+                      "OUTSIDE"], pa.string())
+
+
 class FenceEvaluator:
     """Per-process state: transitions of each (event, fence) pair
     (built once per worker process by ``fence_transitions`` through
-    ``knn.cached_state``)."""
+    ``knn.cached_state``).  The nearest-n fence pick probes a
+    ``geo.CellIndex`` over the fence centers, so an event measures only
+    the fences near it; ``work`` counts the fences checked per event."""
 
     def __init__(self, fences_ref, nearest_n: int | None = 3):
         import ray
@@ -101,44 +109,44 @@ class FenceEvaluator:
         if isinstance(f, pa.Table):
             f = f.to_pandas()
         self.keys = f["key"].to_numpy()
+        self.key_arr = pa.array(self.keys, pa.string())
         self.f_lat = f["lat"].to_numpy(dtype=np.float64)
         self.f_lon = f["lon"].to_numpy(dtype=np.float64)
         self.f_r = f["radius_km"].to_numpy(dtype=np.float64)
         self.nearest_n = nearest_n
+        self.index = geo.CellIndex.of_points(self.f_lat, self.f_lon,
+                                             k=nearest_n or 1)
+        self.work = geo.ProbeWork()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lat = batch["lat"].to_numpy()
         lon = batch["lon"].to_numpy()
         olat = batch["old_lat"].to_numpy()
         olon = batch["old_lon"].to_numpy()
-        pid = batch["point_id"].to_pylist()
         seq = batch["seq"].to_numpy()
 
         nf = len(self.keys)
         B = len(lat)
         n = min(self.nearest_n if self.nearest_n is not None else nf, nf)
-        # nearest-n selection on the BLAS hav-"a" matrix (distance-
-        # monotone, no per-pair trig — the reference's 3-NN fence probe,
-        # geofence.go:65).  Only the MEMBERSHIP of the n nearest fences
-        # matters (each selected fence is evaluated independently), but a
-        # distance TIE at the nth boundary must resolve like the SQL
-        # oracle's ORDER BY dist, fence_id — the broadcast fence table is
-        # fence_id-sorted, so (a, column position) tie-break is exactly
-        # that.  Exact per-pair math then runs only on (E, n).
+        # the reference's 3-NN fence probe (geofence.go:65): ties at the
+        # nth distance resolve like the SQL oracle's ORDER BY dist,
+        # fence_id — the broadcast fence table is fence_id-sorted, so
+        # (dist, fence position) is exactly that
         if n < nf:
-            # cache-sized event chunks; argpartition fast path with
-            # exact tie handling only where ties straddle the cut
-            from .knn import topk_cols_exact
-
-            chunk = max(1, 131072 // max(nf, 1))
-            parts = []
-            for e0 in range(0, B, chunk):
-                a = geo.hav_matrix(lat[e0 : e0 + chunk], lon[e0 : e0 + chunk],
-                                   self.f_lat, self.f_lon)
-                parts.append(topk_cols_exact(a, n))
-            kth = np.concatenate(parts, axis=0)
+            e, f, _ = self.index.nearest(
+                lat, lon, n,
+                lambda p, j: geo.haversine_km(lat[p], lon[p],
+                                              self.f_lat[j], self.f_lon[j]),
+                work=self.work)
+            # an event with no fence pick (non-finite position) emits nothing
+            col = np.arange(len(e)) - np.searchsorted(e, e)
+            kth = np.zeros((B, n), dtype=np.int64)
+            valid = np.zeros((B, n), dtype=bool)
+            kth[e, col] = f
+            valid[e, col] = True
         else:
             kth = np.broadcast_to(np.arange(nf), (B, nf)).copy()
+            valid = np.ones((B, nf), dtype=bool)
 
         f_lat, f_lon, f_r = self.f_lat[kth], self.f_lon[kth], self.f_r[kth]
         d_new = geo.haversine_km(lat[:, None], lon[:, None], f_lat, f_lon)
@@ -151,30 +159,24 @@ class FenceEvaluator:
             olat[:, None], olon[:, None], lat[:, None], lon[:, None],
         )
 
-        out = {"point_id": [], "seq": [], "fence_key": [], "status": []}
-
-        def emit(mask, status):
-            e, j = np.nonzero(mask)
-            f = kth[e, j]
-            out["point_id"].extend(pid[i] for i in e)
-            out["seq"].extend(seq[e].tolist())
-            out["fence_key"].extend(self.keys[f].tolist())
-            out["status"].extend([status] * len(e))
-
-        emit(old_in & new_in, "INSIDE")
-        emit(old_in & ~new_in, "EXIT")
-        emit(old_in & ~new_in, "OUTSIDE")
-        emit(~old_in & new_in, "ENTER")
-        emit(~old_in & new_in, "INSIDE")
-        emit(~old_in & ~new_in & cross, "CROSS")
-        emit(~old_in & ~new_in & ~cross, "OUTSIDE")
-
+        # one (event, fence) index pass per status, in _STATUSES order
+        masks = (old_in & new_in, old_in & ~new_in, old_in & ~new_in,
+                 ~old_in & new_in, ~old_in & new_in,
+                 ~old_in & ~new_in & cross, ~old_in & ~new_in & ~cross)
+        ev, fe, st = [], [], []
+        for code, mask in enumerate(masks):
+            i, j = np.nonzero(mask & valid)
+            ev.append(i)
+            fe.append(kth[i, j])
+            st.append(np.full(len(i), code, dtype=np.int64))
+        ev, fe, st = np.concatenate(ev), np.concatenate(fe), np.concatenate(st)
         return pa.table(
             {
-                "point_id": pa.array(out["point_id"], pa.string()),
-                "seq": pa.array(out["seq"], pa.int64()),
-                "fence_key": pa.array(out["fence_key"], pa.string()),
-                "status": pa.array(out["status"], pa.string()),
+                "point_id": batch["point_id"].take(pa.array(ev))
+                .combine_chunks().cast(pa.string()),
+                "seq": pa.array(seq[ev], pa.int64()),
+                "fence_key": self.key_arr.take(pa.array(fe)),
+                "status": _STATUSES.take(pa.array(st)),
             }
         )
 

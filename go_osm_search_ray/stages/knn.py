@@ -10,8 +10,11 @@ reference's incremental best-first R-tree traversal (Hjaltason-Samet,
 rtree.go:685-723) with a combiner-style distributed argmin; both are
 exact, ours parallelizes.
 
-Memory note: each batch materializes a Q x B float64 distance matrix;
-keep Q * batch_size ~ 1e7 (chunk queries above that).
+Probe cost: each batch files its points in a ``geo.CellIndex`` and each
+query expands cell rings until its answer is provably complete, so a
+query checks the points near it, not the whole batch (no Q x B
+distance matrix).  Reverse geocoding probes a ``geo.CellIndex`` over
+the street segments the same way.
 
 Tag filter semantics mirror `NearestNeighboursRadiusFilterOSM`
 (rtree.go:656-682): filter tag + dist <= radius while collecting,
@@ -23,14 +26,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import geo
 
-
-# elements per Q x CHUNK selection tile (x8 bytes).  131072 = 1 MiB
-# keeps the tile in L2/L3; benchmarked against 0.5-16 MiB on the
-# sandbox host (see BASELINE.md round-2 notes)
-TILE_BUDGET = 131072
 
 # The one per-worker-process state cache behind every stage that probes
 # a broadcast side table (PIP, kNN, reverse geocoding, geofences,
@@ -99,9 +98,12 @@ def topk_cols_exact(a: np.ndarray, n: int, sec: np.ndarray | None = None):
 
 
 class KNNPartial:
-    """Per-process state: per-batch partial top-k of corpus points
-    against every broadcast query (built once per worker process by
-    ``knn_join`` through ``cached_state``)."""
+    """Per-process state: per-batch partial top-(k+offset) of corpus
+    points for every broadcast query (built once per worker process by
+    ``knn_join`` through ``cached_state``).  Each batch files its points
+    in a ``geo.CellIndex`` and every query expands cell rings around
+    itself until its (k+offset)-th eligible point is provably nearest;
+    ``work`` counts the points checked and rings visited."""
 
     def __init__(self, queries_ref, point_id_col: str = "point_id",
                  tag_col: str | None = None):
@@ -125,6 +127,7 @@ class KNNPartial:
         self.q_feature = q["feature"].tolist() if "feature" in q else [None] * len(q)
         self.point_id_col = point_id_col
         self.tag_col = tag_col
+        self.work = geo.ProbeWork()
 
     def _empty(self, p_id: np.ndarray) -> pa.Table:
         return pa.table(
@@ -137,6 +140,20 @@ class KNNPartial:
             }
         )
 
+    def _tag_codes(self, batch: pa.Table, order: np.ndarray):
+        """(query code, point code) of the tag filter, or None: a query
+        with a feature (code >= 0) keeps only points of the same code."""
+        if not (self.tag_col and self.tag_col in batch.column_names):
+            return None
+        feats = sorted({f for f in self.q_feature if f is not None})
+        if not feats:
+            return None
+        code = {f: j for j, f in enumerate(feats)}
+        q_code = np.array([code[f] if f is not None else -1
+                           for f in self.q_feature], dtype=np.int64)
+        tags = pc.index_in(batch[self.tag_col], value_set=pa.array(feats))
+        return q_code, pc.fill_null(tags, -2).to_numpy()[order]
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         p_lat = batch["lat"].to_numpy()
         p_lon = batch["lon"].to_numpy()
@@ -144,89 +161,42 @@ class KNNPartial:
         if not len(self.q_id):
             return self._empty(p_id)
         # Pre-sort the batch by point_id: array POSITION then equals the
-        # id rank, so every (a, position) lexsort below is exactly the
+        # id rank, so the index's (dist, position) order is exactly the
         # oracle's (dist, point_id) tie-break — exact ties are systemic
         # here (point_from_key collides for keys differing by 36000).
         order = np.argsort(p_id, kind="stable")
         p_lat, p_lon, p_id = p_lat[order], p_lon[order], p_id[order]
-        tags = (
-            np.asarray(batch[self.tag_col].to_pylist())[order]
-            if self.tag_col and self.tag_col in batch.column_names
-            else None
-        )
-        # Selection runs on the haversine "a" matrix (distance-monotone)
-        # computed in CACHE-SIZED point chunks — a full Q x B float64
-        # matrix would thrash memory bandwidth; each Q x CHUNK tile stays
-        # in L2/L3 and a running per-query top-kmax accumulator merges
-        # tiles.  The exact haversine formula runs only on the final
-        # (Q x kmax) winners, so emitted distances stay bit-identical to
-        # the scalar formula the SQL oracles use.  The partial keeps
-        # kmax = max(k+offset) for EVERY query; the driver-side finalize
-        # re-sorts and trims per query.
-        big = np.float64(2.0)  # sentinel > any valid hav value (<= 1)
-        Q = len(self.q_id)
-        kmax = min(int(self.q_keep.max()), len(p_lat))
-        CHUNK = max(kmax, TILE_BUDGET // max(Q, 1))  # Q*CHUNK*8B tile
-        has_r = ~np.isnan(self.q_radius)
-        # inflate the approximate hav-space threshold by a few ulps so a
-        # float-boundary point is never dropped HERE; the exact-distance
-        # recheck below prunes the overshoot
-        thr = np.where(
-            has_r,
-            geo.hav_of_km(np.where(has_r, self.q_radius, 1.0)) * (1 + 1e-12) + 1e-300,
-            np.inf,
-        )
-        feat_rows = {}
-        if tags is not None:
-            for f in set(x for x in self.q_feature if x is not None):
-                feat_rows[f] = np.array([x == f for x in self.q_feature])
-        acc_a = np.full((Q, 0), big)
-        acc_i = np.zeros((Q, 0), dtype=np.int64)
-        for s0 in range(0, len(p_lat), CHUNK):
-            s1 = min(s0 + CHUNK, len(p_lat))
-            a = geo.hav_matrix(self.q_lat, self.q_lon, p_lat[s0:s1], p_lon[s0:s1])
-            for f, rows in feat_rows.items():
-                a[np.ix_(rows, tags[s0:s1] != f)] = big
-            if has_r.any():
-                np.putmask(a, a > thr[:, None], big)
-            kc = min(kmax, a.shape[1])
-            # exact (dist, id-rank) membership at the cut: column
-            # position IS the id rank (batch pre-sorted by id);
-            # argpartition fast path, lexsort only on tie-straddle rows
-            t = topk_cols_exact(a, kc)
-            acc_a = np.concatenate([acc_a, np.take_along_axis(a, t, axis=1)], axis=1)
-            acc_i = np.concatenate([acc_i, t + s0], axis=1)
-            if acc_a.shape[1] > 4 * kmax:
-                t2 = topk_cols_exact(acc_a, kmax, sec=acc_i)
-                acc_a = np.take_along_axis(acc_a, t2, axis=1)
-                acc_i = np.take_along_axis(acc_i, t2, axis=1)
-        if acc_a.shape[1] > kmax:
-            t2 = topk_cols_exact(acc_a, kmax, sec=acc_i)
-            acc_a = np.take_along_axis(acc_a, t2, axis=1)
-            acc_i = np.take_along_axis(acc_i, t2, axis=1)
-        valid = acc_a < big
-        dist = geo.haversine_km(
-            self.q_lat[:, None], self.q_lon[:, None],
-            p_lat[acc_i], p_lon[acc_i],
-        )
-        # re-check the radius on the EXACT recomputed distances: a point
-        # whose approximate hav-"a" value straddles the threshold must
-        # not be emitted past radius_km (or the SQL oracle diverges at
-        # the float boundary)
-        if has_r.any():
-            radius = np.where(has_r, self.q_radius, np.inf)
-            valid &= dist <= radius[:, None]
-        m = valid.ravel()
-        out_q = [np.repeat(self.q_id, acc_a.shape[1])[m]]
-        out_p = [p_id[acc_i.ravel()][m]]
-        out_d = [dist.ravel()[m]]
-        if not m.any():
+        # the index is sized for the points a query must see: k+offset,
+        # divided by the share of the batch its tag filter keeps
+        keep, need = None, self.q_keep.astype(np.float64)
+        codes = self._tag_codes(batch, order)
+        if codes is not None:
+            q_code, p_code = codes
+            hits = np.bincount(p_code[p_code >= 0], minlength=q_code.max() + 1)
+            share = np.where(q_code >= 0, hits[np.maximum(q_code, 0)], len(p_id))
+            need /= np.maximum(share, 1) / max(len(p_id), 1)
+
+            def keep(q, p):
+                return (q_code[q] < 0) | (p_code[p] == q_code[q])
+
+        # the partial keeps k+offset per query; the driver-side finalize
+        # re-sorts and slices the page.  Radius and tag filter apply
+        # while collecting (rtree.go:656-682), on exact distances
+        index = geo.CellIndex.of_points(p_lat, p_lon, k=float(need.mean()))
+        qi, pi, dist = index.nearest(
+            self.q_lat, self.q_lon, self.q_keep,
+            lambda q, p: geo.haversine_km(self.q_lat[q], self.q_lon[q],
+                                          p_lat[p], p_lon[p]),
+            keep=keep,
+            max_km=np.where(np.isnan(self.q_radius), np.inf, self.q_radius),
+            work=self.work)
+        if not len(qi):
             return self._empty(p_id)
         return pa.table(
             {
-                "query_id": pa.array(np.concatenate(out_q)),
-                self.point_id_col: pa.array(np.concatenate(out_p)),
-                "dist_km": pa.array(np.concatenate(out_d), pa.float64()),
+                "query_id": pa.array(self.q_id[qi]),
+                self.point_id_col: pa.array(p_id[pi]),
+                "dist_km": pa.array(dist, pa.float64()),
             }
         )
 
@@ -556,59 +526,50 @@ def knn_cell_join_unbounded(points_ds, queries_ds, k: int, res: int = 6,
 
 class CompiledSegments:
     """Street polylines exploded into a flat segment array once per
-    worker process."""
+    worker process (from the Arrow list offsets), each segment filed in
+    a ``geo.CellIndex`` under the cells its great-circle arc's bbox
+    covers.  ``work`` counts the segments checked per point."""
 
     def __init__(self, streets: pa.Table):
-        a_lat, a_lon, b_lat, b_lon, sid, names = [], [], [], [], [], []
-        street_names = (
-            streets["name"].to_pylist()
-            if "name" in streets.column_names
-            else [None] * streets.num_rows
-        )
-        for i in range(streets.num_rows):
-            pts = streets["geom"][i].as_py()
-            s = streets["street_id"][i].as_py()
-            for j in range(len(pts) - 1):
-                a_lat.append(pts[j]["lat"]); a_lon.append(pts[j]["lon"])
-                b_lat.append(pts[j + 1]["lat"]); b_lon.append(pts[j + 1]["lon"])
-                sid.append(s); names.append(street_names[i])
-        self.a_lat = np.array(a_lat); self.a_lon = np.array(a_lon)
-        self.b_lat = np.array(b_lat); self.b_lon = np.array(b_lon)
-        self.street_id = np.array(sid, dtype=np.int64)
-        self.names = names
+        v_lat, v_lon, off = geo.flat_points(streets["geom"])
+        n_seg = np.maximum(np.diff(off) - 1, 0)
+        a = geo.concat_ranges(off[:-1], n_seg)
+        self.a_lat, self.a_lon = v_lat[a], v_lon[a]
+        self.b_lat, self.b_lon = v_lat[a + 1], v_lon[a + 1]
+        self.street_id = np.repeat(
+            streets["street_id"].to_numpy().astype(np.int64), n_seg)
+        self.index = geo.CellIndex(*geo.arc_bbox(
+            self.a_lat, self.a_lon, self.b_lat, self.b_lon))
+        self.work = geo.ProbeWork()
 
-    def nearest(self, p_lat: np.ndarray, p_lon: np.ndarray, seg_chunk: int = 2048):
+    def _project(self, p_lat, p_lon, seg):
+        return geo.project_point_to_segment(
+            p_lat, p_lon, self.a_lat[seg], self.a_lon[seg],
+            self.b_lat[seg], self.b_lon[seg])
+
+    def nearest(self, p_lat: np.ndarray, p_lon: np.ndarray):
         """Per point: (street_id, dist_km, proj_lat, proj_lon) of the
         nearest segment (haversine to the clamped GREAT-CIRCLE
         projection — the spherical analog of the reference's S2 chord
-        projection, searcher.go:437-459).  Ties -> lower street_id wins.
-        With no segments every point misses: street_id -1 (PIP's miss
-        sentinel) and NaN distance / projection."""
+        projection, searcher.go:437-459).  Ties -> the lower segment
+        index wins (segments are laid out in street order).  A point
+        with no segment (empty street table) misses: street_id -1 (PIP's
+        miss sentinel) and NaN distance / projection."""
+        p_lat = np.asarray(p_lat, dtype=np.float64)
+        p_lon = np.asarray(p_lon, dtype=np.float64)
+
+        def dist(p, s):
+            return geo.haversine_km(p_lat[p], p_lon[p],
+                                    *self._project(p_lat[p], p_lon[p], s))
+
+        pi, si, d = self.index.nearest(p_lat, p_lon, 1, dist, work=self.work)
         n = len(p_lat)
-        if not len(self.a_lat):
-            nan = np.full(n, np.nan)
-            return np.full(n, -1, dtype=np.int64), nan, nan.copy(), nan.copy()
-        best_d = np.full(n, np.inf)
-        best_i = np.zeros(n, dtype=np.int64)
-        best_la = np.zeros(n); best_lo = np.zeros(n)
-        for s0 in range(0, len(self.a_lat), seg_chunk):
-            s1 = min(s0 + seg_chunk, len(self.a_lat))
-            pla, plo = geo.project_point_to_segment(
-                p_lat[None, :], p_lon[None, :],
-                self.a_lat[s0:s1, None], self.a_lon[s0:s1, None],
-                self.b_lat[s0:s1, None], self.b_lon[s0:s1, None],
-            )
-            d = geo.haversine_km(p_lat[None, :], p_lon[None, :], pla, plo)
-            # tie-break on street_id: strictly-less keeps the first (lowest
-            # segment index, and segments are emitted in street_id order)
-            j = np.argmin(d, axis=0)
-            dmin = d[j, np.arange(n)]
-            upd = dmin < best_d
-            best_d[upd] = dmin[upd]
-            best_i[upd] = s0 + j[upd]
-            best_la[upd] = pla[j, np.arange(n)][upd]
-            best_lo[upd] = plo[j, np.arange(n)][upd]
-        return self.street_id[best_i], best_d, best_la, best_lo
+        sid = np.full(n, -1, dtype=np.int64)
+        best = np.full(n, np.nan)
+        pla, plo = np.full(n, np.nan), np.full(n, np.nan)
+        sid[pi], best[pi] = self.street_id[si], d
+        pla[pi], plo[pi] = self._project(p_lat[pi], p_lon[pi], si)
+        return sid, best, pla, plo
 
 
 class ReverseGeocoder:

@@ -3,12 +3,13 @@
 The polygon side is small (admin boundaries); it is broadcast once via
 ``ray.put`` and compiled ONCE PER WORKER PROCESS in
 ``PIPJoiner.__init__`` (held by ``knn.cached_state``) — never
-re-shipped per batch.  Candidate pruning is two-level:
+re-shipped per batch.  Candidate pruning is two-level, both vectorized
+over (point, polygon) pairs (together they replace the R-tree probe,
+`indexer.go:1036`):
 
-1. per-polygon bbox test (vectorized, replaces the R-tree probe
-   `indexer.go:1036`),
-2. optional tile bucket index (polygon covering cells) when the polygon
-   set is large.
+1. a ``geo.CellIndex`` hands each point the polygons filed under its
+   own cell (each polygon is filed under every cell its bbox covers);
+2. a per-pair bbox test drops the rest before the ring test.
 
 Containment is the reference's winding-number kernel with on-boundary
 counting as inside (geometry.go:90-126).  Tie-break: FIRST HIT in the
@@ -25,8 +26,12 @@ from .. import geo
 
 
 class CompiledPolygons:
-    """Precompiled polygon set: contiguous ring arrays + bboxes + an
-    optional tile->polygon bucket index."""
+    """Precompiled polygon set: flat ring vertex arrays (read from the
+    Arrow list offsets), per-polygon bboxes, and a ``geo.CellIndex``
+    filing each polygon under the cells its bbox covers.  ``tile_res``
+    pins the index resolution; by default it comes from the polygon
+    count and extent.  ``work`` counts the containment tests run per
+    point."""
 
     def __init__(self, polygons: pa.Table, tile_res: int | None = None,
                  meta_cols: tuple[str, ...] = ("province", "district",
@@ -34,59 +39,43 @@ class CompiledPolygons:
                                                "postal_code")):
         self.polygon_ids = polygons["polygon_id"].to_numpy()
         self.meta_cols = [c for c in meta_cols if c in polygons.column_names]
-        self.meta = {c: polygons[c].to_pylist() for c in self.meta_cols}
-        self.rings = []
-        bbox = np.empty((polygons.num_rows, 4), dtype=np.float64)
-        for i, ring in enumerate(polygons["ring"].to_pylist()):
-            rl = np.array([p["lat"] for p in ring], dtype=np.float64)
-            ro = np.array([p["lon"] for p in ring], dtype=np.float64)
-            self.rings.append((rl, ro))
-            bbox[i] = geo.ring_bbox(rl, ro)
+        self._meta_arrays = {c: polygons[c].combine_chunks().cast(pa.string())
+                             for c in self.meta_cols}
+        self.v_lat, self.v_lon, off = geo.flat_points(polygons["ring"])
+        self.start, self.end = off[:-1], off[1:]
+        bbox = np.full((polygons.num_rows, 4), np.nan)
+        has = self.end > self.start
+        if has.any():
+            s = self.start[has]
+            for j, (ufunc, v) in enumerate(((np.minimum, self.v_lat),
+                                            (np.maximum, self.v_lat),
+                                            (np.minimum, self.v_lon),
+                                            (np.maximum, self.v_lon))):
+                bbox[has, j] = ufunc.reduceat(v, s)
         self.bbox = bbox
-        self.tile_res = tile_res
-        self.tile_index: dict[int, list[int]] | None = None
-        if tile_res is not None:
-            self.tile_index = {}
-            for i, (rl, ro) in enumerate(self.rings):
-                for t in geo.ring_covering_tiles(rl, ro, tile_res):
-                    self.tile_index.setdefault(int(t), []).append(i)
-
-    def candidates_for(self, tiles: np.ndarray) -> np.ndarray:
-        """Polygon indices possibly touching any of the given tiles."""
-        if self.tile_index is None:
-            return np.arange(len(self.rings))
-        out: set[int] = set()
-        for t in np.unique(tiles):
-            out.update(self.tile_index.get(int(t), ()))
-        return np.fromiter(out, dtype=np.int64) if out else np.empty(0, np.int64)
+        self.index = geo.CellIndex(bbox[:, 0], bbox[:, 1], bbox[:, 2],
+                                   bbox[:, 3], res=tile_res)
+        self.work = geo.ProbeWork()
 
     def first_hit(self, lat: np.ndarray, lon: np.ndarray,
                   tiles: np.ndarray | None = None) -> np.ndarray:
-        """Min-polygon_id containing each point; -1 when none."""
-        n = len(lat)
-        best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        cand = (
-            self.candidates_for(tiles)
-            if tiles is not None and self.tile_index is not None
-            else np.arange(len(self.rings))
-        )
-        # visit candidates in ascending polygon_id so we can skip points
-        # that already have a smaller hit
-        order = cand[np.argsort(self.polygon_ids[cand], kind="stable")]
-        for i in order:
-            pid = self.polygon_ids[i]
-            lat0, lat1, lon0, lon1 = self.bbox[i]
-            todo = (
-                (best > pid)
-                & (lat >= lat0) & (lat <= lat1)
-                & (lon >= lon0) & (lon <= lon1)
-            )
-            if not todo.any():
-                continue
-            rl, ro = self.rings[i]
-            sub = np.nonzero(todo)[0]
-            inside = geo.point_in_polygon(lat[sub], lon[sub], rl, ro)
-            best[sub[inside]] = np.minimum(best[sub[inside]], pid)
+        """Min-polygon_id containing each point; -1 when none.  Each
+        point is tested only against the polygons filed under its own
+        cell whose bbox holds it.  ``tiles`` is accepted for callers
+        that carry a tile column and is not read: the probe cells always
+        come from lat/lon at the index's own resolution."""
+        lat = np.asarray(lat, dtype=np.float64)
+        lon = np.asarray(lon, dtype=np.float64)
+        pt, poly = self.index.cell_pairs(lat, lon)
+        b = self.bbox[poly]
+        m = ((lat[pt] >= b[:, 0]) & (lat[pt] <= b[:, 1])
+             & (lon[pt] >= b[:, 2]) & (lon[pt] <= b[:, 3]))
+        pt, poly = pt[m], poly[m]
+        inside = geo.point_in_rings(lat[pt], lon[pt], self.v_lat, self.v_lon,
+                                    self.start[poly], self.end[poly])
+        self.work.add(len(lat), len(pt), len(lat))
+        best = np.full(len(lat), np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(best, pt[inside], self.polygon_ids[poly[inside]])
         best[best == np.iinfo(np.int64).max] = -1
         return best
 
@@ -118,12 +107,7 @@ class CompiledPolygons:
         if not len(self.polygon_ids):
             return [(c, pa.nulls(len(pid), pa.string()))
                     for c in self.meta_cols]
-        arrs = getattr(self, "_meta_arrays", None)
-        if arrs is None:
-            arrs = self._meta_arrays = {
-                c: pa.array(self.meta[c], pa.string())
-                for c in self.meta_cols
-            }
+        arrs = self._meta_arrays
         hi = self.hit_index(pid)
         valid = pa.array(hi >= 0)
         idx = pa.array(np.where(hi >= 0, hi, 0), pa.int64())
@@ -139,24 +123,17 @@ class PIPJoiner:
 
     def __init__(self, polygons_ref, tile_res: int | None = None,
                  lat_col: str = "lat", lon_col: str = "lon",
-                 tile_col: str | None = "tile_id",
                  attach_meta: bool = True):
         import ray
 
         polygons = ray.get(polygons_ref)
         self.compiled = CompiledPolygons(polygons, tile_res=tile_res)
-        self.lat_col, self.lon_col, self.tile_col = lat_col, lon_col, tile_col
+        self.lat_col, self.lon_col = lat_col, lon_col
         self.attach_meta = attach_meta
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lat = batch[self.lat_col].to_numpy()
-        lon = batch[self.lon_col].to_numpy()
-        tiles = (
-            batch[self.tile_col].to_numpy()
-            if self.tile_col and self.tile_col in batch.column_names
-            else None
-        )
-        pid = self.compiled.first_hit(lat, lon, tiles)
+        pid = self.compiled.first_hit(batch[self.lat_col].to_numpy(),
+                                      batch[self.lon_col].to_numpy())
         batch = batch.append_column("polygon_id", pa.array(pid, pa.int64()))
         if self.attach_meta:
             for c, col in self.compiled.meta_columns(pid):
@@ -166,21 +143,20 @@ class PIPJoiner:
 
 def pip_join(ds, polygons: pa.Table, tile_res: int | None = None,
              batch_size: int = 8192, attach_meta: bool = True,
-             lat_col: str = "lat", lon_col: str = "lon",
-             tile_col: str | None = "tile_id"):
+             lat_col: str = "lat", lon_col: str = "lon"):
     """points Dataset -> points + (polygon_id, region meta...) columns.
 
     Stateless tasks over a per-process ``PIPJoiner``: each worker
     process compiles the broadcast polygon set once and keeps it in the
     shared ``knn.cached_state`` LRU (at most 4 broadcast states per
-    process, across every probe stage)."""
+    process, across every probe stage).  ``tile_res`` pins the cell
+    index resolution (default: from the polygon count and extent)."""
     import ray
 
     from .knn import map_with_state
 
     ref = ray.put(polygons)
     return map_with_state(
-        ds, f"pip/{ref.hex()}/{tile_res}/{lat_col}/{lon_col}/{tile_col}/"
-        f"{attach_meta}",
-        lambda: PIPJoiner(ref, tile_res, lat_col, lon_col, tile_col,
-                          attach_meta), batch_size)
+        ds, f"pip/{ref.hex()}/{tile_res}/{lat_col}/{lon_col}/{attach_meta}",
+        lambda: PIPJoiner(ref, tile_res, lat_col, lon_col, attach_meta),
+        batch_size)

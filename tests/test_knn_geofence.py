@@ -146,6 +146,18 @@ class TestKNN:
         assert got[0] == 7  # nearest is the query point itself
 
 
+def brute_nearest_street(compiled, lat, lon):
+    """Every point projected onto every segment; ties -> lowest segment
+    index (argmin keeps the first)."""
+    pla, plo = geo.project_point_to_segment(
+        lat[None, :], lon[None, :], compiled.a_lat[:, None],
+        compiled.a_lon[:, None], compiled.b_lat[:, None],
+        compiled.b_lon[:, None])
+    d = geo.haversine_km(lat[None, :], lon[None, :], pla, plo)
+    j = np.argmin(d, axis=0)
+    return compiled.street_id[j], d[j, np.arange(len(lat))]
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestReverseGeocode:
     def test_nearest_street_matches_brute(self):
@@ -166,13 +178,28 @@ class TestReverseGeocode:
             .sort_values("point_id")
         )
 
-        compiled = knn.CompiledSegments(streets)
-        # brute: all segments, no chunking
-        sid, d, _, _ = compiled.nearest(
-            pts["lat"].to_numpy(), pts["lon"].to_numpy(), seg_chunk=10**9
-        )
+        sid, d = brute_nearest_street(knn.CompiledSegments(streets),
+                                      pts["lat"].to_numpy(),
+                                      pts["lon"].to_numpy())
         np.testing.assert_array_equal(got["street_id"].to_numpy(), sid)
-        np.testing.assert_allclose(got["street_dist_km"].to_numpy(), d)
+        np.testing.assert_array_equal(got["street_dist_km"].to_numpy(), d)
+
+    def test_segments_checked_per_point_drop_tenfold(self):
+        """Benchmark-shaped reverse geocoding (300 streets, world points
+        in lat -60..60): the cell index checks at most a tenth of the
+        segments per point, and still equals the brute force."""
+        compiled = knn.CompiledSegments(synth.streets_table(300, seed=44))
+        rng = np.random.default_rng(4)
+        lat = rng.uniform(-60, 60, 4000)
+        lon = rng.uniform(-170, 170, 4000)
+        sid, d, _, _ = compiled.nearest(lat, lon)
+        want_sid, want_d = brute_nearest_street(compiled, lat, lon)
+        np.testing.assert_array_equal(sid, want_sid)
+        np.testing.assert_array_equal(d, want_d)
+        work = compiled.work.per_probe()
+        assert compiled.work.probes == 4000
+        assert work["checked_per_probe"] * 10 <= len(compiled.a_lat), work
+        assert work["rings_per_probe"] >= 1
 
     def test_projection_distance_sanity(self):
         # point exactly on a segment -> distance 0

@@ -44,6 +44,20 @@ class TestCompiledPolygons:
         want = brute_first_hit(self.lat, self.lon, self.polygons)
         np.testing.assert_array_equal(got, want)
 
+    def test_tile_ids_at_another_resolution_are_not_read(self):
+        """A res-7 tile id handed to a res-5 polygon index (a batch
+        tiled by ``assign_tiles(7)``) must not pick the candidates: the
+        probe cells come from lat/lon at the index's own resolution."""
+        polygons = synth.polygons_table(200, seed=42)
+        compiled = pip.CompiledPolygons(polygons, tile_res=5)
+        got = np.concatenate([
+            compiled.first_hit(self.lat[i:i + 8], self.lon[i:i + 8],
+                               geo.tile_id(self.lat[i:i + 8],
+                                           self.lon[i:i + 8], 7))
+            for i in range(0, 1600, 8)])
+        want = brute_first_hit(self.lat[:1600], self.lon[:1600], polygons)
+        np.testing.assert_array_equal(got, want)
+
     def test_world_rect_coverage(self):
         # first 25 polygons tile the world -> no point unmatched
         compiled = pip.CompiledPolygons(self.polygons)
@@ -100,6 +114,23 @@ class TestPipelines:
         cap = {r["image_id"]: r["caption"] for r in out}
         for i, c in zip(ids, images["caption"].to_pylist()):
             assert cap[i] == c
+
+    def test_pip_join_ignores_tile_column_resolution(self):
+        """Points carrying res-7 tile ids, joined with tile_res=5: the
+        polygon_id is the brute-force min id, not a res-7/res-5 mix-up."""
+        import ray.data as rd
+
+        polygons = synth.polygons_table(200, seed=42)
+        images = synth.images_batch(np.arange(2000, dtype=np.uint64))
+        ds = rd.from_arrow(images).map_batches(
+            tiling.derive_phash_latlon, batch_format="pyarrow"
+        ).map_batches(tiling.assign_tiles(7), batch_format="pyarrow")
+        out = pip.pip_join(ds, polygons, tile_res=5, batch_size=8,
+                           attach_meta=False).to_pandas()
+        lat, lon = geo.phash_to_latlon(images["phash"].to_numpy())
+        want = dict(zip(images["image_id"].to_pylist(),
+                        brute_first_hit(lat, lon, polygons)))
+        assert [want[i] for i in out["image_id"]] == out["polygon_id"].tolist()
 
     def test_pip_join_many_polygons(self):
         """10,001 polygons: the same stateless-task plan as a small

@@ -7,6 +7,7 @@ round-trips, bag-invariance of signatures.
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,3 +196,263 @@ class TestQuantileHistogram:
         got = quantile_disc_from_histogram(uniq, counts, q)
         want = arr[int(np.ceil(q * len(arr))) - 1]
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# indexed broadcast probes == test-local brute force.  Inputs mix
+# polar points (|lat| > 85), antimeridian-crossing geometry, exact
+# distance ties (duplicated items and probes placed on items), empty
+# side tables and pinned coarse/fine cell resolutions.
+
+GEOM = pa.list_(pa.struct([("lat", pa.float64()), ("lon", pa.float64())]))
+
+
+def _coords(rng, n, polar, wrap):
+    lat = rng.uniform(-90.0, 90.0, n)
+    lon = rng.uniform(-180.0, 180.0, n)
+    pick = rng.random(n)
+    lat = np.where(pick < polar, np.sign(lat) * rng.uniform(85.0, 90.0, n), lat)
+    lon = np.where((pick >= polar) & (pick < polar + wrap),
+                   np.sign(lon) * rng.uniform(178.0, 180.0, n), lon)
+    return lat, lon
+
+
+def _wrap(lon):
+    return np.mod(lon + 180.0, 360.0) - 180.0
+
+
+def _streets(rng, n, dup):
+    """n polylines of 2-4 vertices, short or long steps, crossing ±180
+    when they start near it; the last ``dup`` repeat earlier ones."""
+    lat, lon = _coords(rng, n, 0.2, 0.3)
+    geoms = []
+    for i in range(n):
+        step = 0.3 if rng.random() < 0.5 else 25.0
+        pts = [(lat[i], lon[i])]
+        for _ in range(int(rng.integers(1, 4))):
+            a = float(np.clip(pts[-1][0] + rng.uniform(-step, step), -90, 90))
+            o = float(_wrap(pts[-1][1] + rng.uniform(-step, step)))
+            pts.append((a, o))
+        geoms.append([{"lat": a, "lon": o} for a, o in pts])
+    for j in range(min(dup, n)):
+        geoms[n - 1 - j] = geoms[j]
+    return pa.table({"street_id": pa.array(np.arange(n), pa.int64()),
+                     "geom": pa.array(geoms, GEOM)})
+
+
+def _probes(rng, n, items_lat, items_lon):
+    lat, lon = _coords(rng, n, 0.2, 0.2)
+    if len(items_lat):
+        on = rng.random(n) < 0.2  # exactly on an item: distance ties
+        j = rng.integers(0, len(items_lat), n)
+        lat, lon = np.where(on, items_lat[j], lat), np.where(on, items_lon[j], lon)
+    return lat, lon
+
+
+def _as_ref():
+    """ray.get that passes a local object through, so the per-process
+    probe states can be built without a Ray session."""
+    from unittest import mock
+
+    return mock.patch("ray.get", side_effect=lambda x: x)
+
+
+probe_case = st.tuples(st.integers(min_value=0, max_value=10**6),
+                       st.integers(min_value=0, max_value=40),
+                       st.integers(min_value=0, max_value=5),
+                       st.sampled_from([None, None, 0, 1, 2, 5, 9]))
+
+
+class TestIndexedProbeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(probe_case)
+    def test_nearest_segment_equals_brute(self, case):
+        from go_osm_search_ray.stages import knn
+
+        seed, n, dup, res = case
+        rng = np.random.default_rng(seed)
+        c = knn.CompiledSegments(_streets(rng, n, dup))
+        if res is not None:
+            c.index = geo.CellIndex(*geo.arc_bbox(c.a_lat, c.a_lon, c.b_lat,
+                                                  c.b_lon), res=res)
+        lat, lon = _probes(rng, 60, c.a_lat, c.a_lon)
+        sid, d, pla, plo = c.nearest(lat, lon)
+        if not len(c.a_lat):
+            assert (sid == -1).all() and np.isnan(d).all()
+            return
+        qa, qo = geo.project_point_to_segment(
+            lat[None, :], lon[None, :], c.a_lat[:, None], c.a_lon[:, None],
+            c.b_lat[:, None], c.b_lon[:, None])
+        dd = geo.haversine_km(lat[None, :], lon[None, :], qa, qo)
+        j = np.argmin(dd, axis=0)  # first = lowest segment index
+        cols = np.arange(len(lat))
+        np.testing.assert_array_equal(sid, c.street_id[j])
+        np.testing.assert_array_equal(d, dd[j, cols])
+        np.testing.assert_array_equal(pla, qa[j, cols])
+        np.testing.assert_array_equal(plo, qo[j, cols])
+
+    @settings(max_examples=60, deadline=None)
+    @given(probe_case, st.sampled_from([1, 2, 3, 5]))
+    def test_nearest_fences_equal_brute(self, case, nearest_n):
+        from go_osm_search_ray.stages import geofence
+
+        seed, n, dup, res = case
+        rng = np.random.default_rng(seed)
+        f_lat, f_lon = _coords(rng, n, 0.2, 0.3)
+        f_lat[n - min(dup, n):] = f_lat[:min(dup, n)]
+        f_lon[n - min(dup, n):] = f_lon[:min(dup, n)]
+        f_r = rng.uniform(10.0, 3000.0, n)
+        fences = pa.table({"key": pa.array([f"f{i}" for i in range(n)]),
+                           "lat": pa.array(f_lat), "lon": pa.array(f_lon),
+                           "radius_km": pa.array(f_r)})
+        with _as_ref():
+            ev = geofence.FenceEvaluator(fences, nearest_n)
+        if res is not None:
+            ev.index = geo.CellIndex.of_points(f_lat, f_lon, res=res)
+        lat, lon = _probes(rng, 40, f_lat, f_lon)
+        olat, olon = _probes(rng, 40, f_lat, f_lon)
+        olat[:5] = olon[:5] = geofence.SENTINEL
+        batch = pa.table({"point_id": pa.array([f"p{i % 7}" for i in range(40)]),
+                          "seq": pa.array(np.arange(40), pa.int64()),
+                          "lat": pa.array(lat), "lon": pa.array(lon),
+                          "old_lat": pa.array(olat), "old_lon": pa.array(olon)})
+        out = ev(batch)
+        assert out.schema == pa.schema([("point_id", pa.string()),
+                                        ("seq", pa.int64()),
+                                        ("fence_key", pa.string()),
+                                        ("status", pa.string())])
+        want = []
+        S = geofence.SENTINEL
+        for e in range(40):
+            d = geo.haversine_km(lat[e], lon[e], f_lat, f_lon)
+            for j in np.lexsort((np.arange(n), d))[:nearest_n]:
+                new_in = d[j] <= f_r[j]
+                old_in = olat[e] != S and geo.haversine_km(
+                    olat[e], olon[e], f_lat[j], f_lon[j]) <= f_r[j]
+                if old_in:
+                    st_ = ["INSIDE"] if new_in else ["EXIT", "OUTSIDE"]
+                elif new_in:
+                    st_ = ["ENTER", "INSIDE"]
+                else:
+                    st_ = ["CROSS" if geo.line_circle_intersect(
+                        f_lat[j], f_lon[j], f_r[j], olat[e], olon[e],
+                        lat[e], lon[e]) else "OUTSIDE"]
+                want += [(f"p{e % 7}", e, f"f{j}", s) for s in st_]
+        got = list(zip(*(out[c].to_pylist() for c in out.column_names)))
+        assert sorted(got) == sorted(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(probe_case, st.booleans())
+    def test_knn_partial_equals_brute(self, case, tagged):
+        from go_osm_search_ray.stages import knn
+
+        seed, n, dup, res = case
+        rng = np.random.default_rng(seed)
+        n = 3 * n
+        p_lat, p_lon = _coords(rng, n, 0.2, 0.3)
+        p_lat[n - min(dup, n):] = p_lat[:min(dup, n)]
+        p_lon[n - min(dup, n):] = p_lon[:min(dup, n)]
+        pid = rng.permutation(n).astype(np.int64)
+        tags = rng.choice(["a", "b", "c"], n)
+        Q = 12
+        q_lat, q_lon = _probes(rng, Q, p_lat, p_lon)
+        radius = np.where(rng.random(Q) < 0.5, np.nan, rng.uniform(1, 8000, Q))
+        feats = [None if rng.random() < 0.3 else str(rng.choice(["a", "b", "z"]))
+                 for _ in range(Q)]
+        queries = pa.table({
+            "query_id": pa.array(np.arange(Q), pa.int64()),
+            "lat": pa.array(q_lat), "lon": pa.array(q_lon),
+            "k": pa.array(rng.integers(1, 6, Q), pa.int64()),
+            "offset": pa.array(rng.integers(0, 3, Q), pa.int64()),
+            "radius_km": pa.array(radius), "feature": pa.array(feats)})
+        points = pa.table({"point_id": pa.array(pid), "lat": pa.array(p_lat),
+                           "lon": pa.array(p_lon), "tag": pa.array(tags)})
+        with _as_ref():
+            kp = knn.KNNPartial(queries, "point_id", "tag" if tagged else None)
+        if res is not None:
+            orig = geo.CellIndex.of_points
+            of_points = lambda lat, lon, k=1.0: orig(lat, lon, res=res)  # noqa: E731
+        else:
+            of_points = geo.CellIndex.of_points
+        from unittest import mock
+
+        with mock.patch.object(geo.CellIndex, "of_points", of_points):
+            part = pd.concat([kp(points.slice(0, n // 2)).to_pandas(),
+                              kp(points.slice(n // 2)).to_pandas()])
+        q = queries.to_pandas()
+        for r in q.itertuples():
+            d = geo.haversine_km(r.lat, r.lon, p_lat, p_lon)
+            m = np.ones(n, bool)
+            if not np.isnan(r.radius_km):
+                m &= d <= r.radius_km
+            if tagged and r.feature is not None:
+                m &= tags == r.feature
+            idx = np.flatnonzero(m)
+            idx = idx[np.lexsort((pid[idx], d[idx]))][r.offset:r.offset + r.k]
+            g = part[part["query_id"] == r.query_id].sort_values(
+                ["dist_km", "point_id"], kind="mergesort")
+            g = g.iloc[r.offset:r.offset + r.k]
+            assert g["point_id"].tolist() == pid[idx].tolist()
+            np.testing.assert_array_equal(g["dist_km"].to_numpy(), d[idx])
+
+    @settings(max_examples=60, deadline=None)
+    @given(probe_case)
+    def test_pip_min_id_equals_brute(self, case):
+        from go_osm_search_ray.stages import pip
+
+        seed, n, dup, res = case
+        rng = np.random.default_rng(seed)
+        c_lat, c_lon = _coords(rng, n, 0.2, 0.3)
+        rings = []
+        for i in range(n):
+            k = int(rng.integers(3, 7))
+            ang = np.sort(rng.uniform(0, 2 * np.pi, k))
+            rad = rng.uniform(0.5, 40.0, k)
+            # planar rings: lon may run past ±180 near the antimeridian
+            a = np.clip(c_lat[i] + rad * np.sin(ang), -90, 90)
+            o = c_lon[i] + rad * np.cos(ang) * 2
+            rings.append([{"lat": float(x), "lon": float(y)}
+                          for x, y in zip(np.r_[a, a[0]], np.r_[o, o[0]])])
+        for j in range(min(dup, n)):
+            rings[n - 1 - j] = rings[j]
+        ids = rng.permutation(n).astype(np.int64)
+        polys = pa.table({"polygon_id": pa.array(ids), "ring": pa.array(rings, GEOM)})
+        lat, lon = _coords(rng, 300, 0.2, 0.3)
+        lon = lon * rng.choice([1.0, 1.05], 300)  # queries past ±180 too
+        got = pip.CompiledPolygons(polys, tile_res=res).first_hit(lat, lon)
+        want = np.full(len(lat), -1, np.int64)
+        for i in np.argsort(ids)[::-1]:
+            rl = np.array([p["lat"] for p in rings[i]])
+            ro = np.array([p["lon"] for p in rings[i]])
+            want[geo.point_in_polygon(lat, lon, rl, ro)] = ids[i]
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_arc_bbox_covers_the_arc(self, seed):
+        rng = np.random.default_rng(seed)
+        a_lat, a_lon = _coords(rng, 20, 0.3, 0.3)
+        b_lat = np.clip(a_lat + rng.uniform(-60, 60, 20), -90, 90)
+        b_lon = _wrap(a_lon + rng.uniform(-170, 170, 20))
+        lat0, lat1, lon0, lon1 = geo.arc_bbox(a_lat, a_lon, b_lat, b_lon)
+        # points along each minor arc by slerp
+        def unit(lat, lon):
+            la, lo = np.radians(lat), np.radians(lon)
+            return np.stack([np.cos(la) * np.cos(lo), np.cos(la) * np.sin(lo),
+                             np.sin(la)], -1)
+        A, B = unit(a_lat, a_lon), unit(b_lat, b_lon)
+        om = np.arccos(np.clip((A * B).sum(-1), -1, 1))
+        t = np.linspace(0, 1, 201)[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            P = (np.sin((1 - t) * om)[..., None] * A + np.sin(t * om)[..., None] * B) \
+                / np.sin(om)[None, :, None]
+        ok = (om > 1e-6) & (om < np.pi - 1e-6)
+        plat = np.degrees(np.arcsin(np.clip(P[..., 2], -1, 1)))
+        plon = np.degrees(np.arctan2(P[..., 1], P[..., 0]))
+        wraps = lon0 > lon1
+        in_lat = (plat >= lat0 - 1e-7) & (plat <= lat1 + 1e-7)
+        in_lon = np.where(wraps, (plon >= lon0 - 1e-7) | (plon <= lon1 + 1e-7),
+                          (plon >= lon0 - 1e-7) & (plon <= lon1 + 1e-7))
+        polar = np.abs(plat) > 90 - 1e-6  # longitude is arbitrary at a pole
+        assert (in_lat | ~ok).all()
+        assert (in_lon | polar | ~ok).all()
