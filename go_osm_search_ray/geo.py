@@ -255,14 +255,33 @@ def point_in_rings(lat, lon, v_lat, v_lon, start, end):
 
 
 def point_in_polygon(lat, lon, ring_lat, ring_lon):
-    """Vectorized winding-number PIP for many points vs ONE closed ring
-    (``point_in_rings`` with every point paired to that ring)."""
-    lat = np.atleast_1d(np.asarray(lat, dtype=np.float64))
-    lon = np.atleast_1d(np.asarray(lon, dtype=np.float64))
-    n = len(lat)
-    return point_in_rings(lat, lon, np.asarray(ring_lat, dtype=np.float64),
-                          np.asarray(ring_lon, dtype=np.float64),
-                          np.zeros(n, np.int64), np.full(n, len(ring_lat)))
+    """Vectorized winding-number PIP for many points vs ONE closed ring:
+    a dense edges x points pass, same rules as ``point_in_rings``.  Kept
+    as its own implementation (not a wrapper over ``point_in_rings``) so
+    brute-force references built on it check the pair kernel
+    independently.  ring_lat/ring_lon must be closed (first == last).
+    Returns a bool array."""
+    p_lat = np.atleast_1d(np.asarray(lat, dtype=np.float64))
+    p_lon = np.atleast_1d(np.asarray(lon, dtype=np.float64))
+    a_lat = np.asarray(ring_lat[:-1], dtype=np.float64)[:, None]
+    a_lon = np.asarray(ring_lon[:-1], dtype=np.float64)[:, None]
+    b_lat = np.asarray(ring_lat[1:], dtype=np.float64)[:, None]
+    b_lon = np.asarray(ring_lon[1:], dtype=np.float64)[:, None]
+
+    on_seg = (
+        (p_lon[None, :] >= np.minimum(a_lon, b_lon))
+        & (p_lon[None, :] <= np.maximum(a_lon, b_lon))
+        & (p_lat[None, :] >= np.minimum(a_lat, b_lat))
+        & (p_lat[None, :] <= np.maximum(a_lat, b_lat))
+    ).any(axis=0)
+
+    cross = (b_lon - a_lon) * (p_lat[None, :] - a_lat) - (
+        p_lon[None, :] - a_lon
+    ) * (b_lat - a_lat)
+    up = (a_lat <= p_lat[None, :]) & (b_lat > p_lat[None, :]) & (cross > 0)
+    down = (a_lat > p_lat[None, :]) & (b_lat <= p_lat[None, :]) & (cross < 0)
+    wn = up.sum(axis=0).astype(np.int64) - down.sum(axis=0).astype(np.int64)
+    return on_seg | (wn != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +300,9 @@ CELL_MAX_RES = 20
 # relative and absolute (km) slack taken off the ring bound, far above
 # the float error of the distance kernels and of the cell assignment
 BOUND_SLACK = 1e-9
+# degrees added on every side of a segment's arc bbox, so float error
+# in the poleward-vertex test cannot leave part of the arc uncovered
+ARC_PAD_DEG = 1e-9
 
 
 def wrap_lon(lon):
@@ -706,10 +728,10 @@ def project_point_to_segment(p_lat, p_lon, a_lat, a_lon, b_lat, b_lon):
             np.where(on_arc, q_lon, end_lon))
 
 
-def arc_bbox(a_lat, a_lon, b_lat, b_lon, pad_deg: float = 1e-9):
+def arc_bbox(a_lat, a_lon, b_lat, b_lon):
     """(lat0, lat1, lon0, lon1) covering each minor great-circle arc AB:
     the endpoint box, widened to the arc's poleward vertex when that
-    vertex lies on the arc, padded by ``pad_deg``.  A minor arc sweeps
+    vertex lies on the arc, padded by ``ARC_PAD_DEG``.  A minor arc sweeps
     the short way round in longitude, so lon0 > lon1 marks a box that
     wraps across ±180."""
     rad = np.radians
@@ -737,10 +759,10 @@ def arc_bbox(a_lat, a_lon, b_lat, b_lon, pad_deg: float = 1e-9):
                 lat0 = np.where(on, np.minimum(lat0, -top), lat0)
     a_lon = np.asarray(a_lon, np.float64)
     sweep = np.mod(np.asarray(b_lon, np.float64) - a_lon + 180.0, 360.0) - 180.0
-    lo = a_lon + np.minimum(sweep, 0.0) - pad_deg
-    hi = a_lon + np.maximum(sweep, 0.0) + pad_deg
+    lo = a_lon + np.minimum(sweep, 0.0) - ARC_PAD_DEG
+    hi = a_lon + np.maximum(sweep, 0.0) + ARC_PAD_DEG
     full = hi - lo >= 360.0
-    return (np.maximum(lat0 - pad_deg, -90.0), np.minimum(lat1 + pad_deg, 90.0),
+    return (np.maximum(lat0 - ARC_PAD_DEG, -90.0), np.minimum(lat1 + ARC_PAD_DEG, 90.0),
             np.where(full, -180.0, wrap_lon(lo)), np.where(full, 180.0, wrap_lon(hi)))
 
 

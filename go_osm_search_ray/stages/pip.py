@@ -121,13 +121,12 @@ class PIPJoiner:
     ``pip_join`` builds one per worker process through
     ``knn.cached_state`` and calls it on every batch."""
 
-    def __init__(self, polygons_ref, tile_res: int | None = None,
-                 lat_col: str = "lat", lon_col: str = "lon",
-                 attach_meta: bool = True):
+    def __init__(self, polygons_ref, lat_col: str = "lat",
+                 lon_col: str = "lon", attach_meta: bool = True):
         import ray
 
         polygons = ray.get(polygons_ref)
-        self.compiled = CompiledPolygons(polygons, tile_res=tile_res)
+        self.compiled = CompiledPolygons(polygons)
         self.lat_col, self.lon_col = lat_col, lon_col
         self.attach_meta = attach_meta
 
@@ -141,22 +140,22 @@ class PIPJoiner:
         return batch
 
 
-def pip_join(ds, polygons: pa.Table, tile_res: int | None = None,
-             batch_size: int = 8192, attach_meta: bool = True,
+def pip_join(ds, polygons: pa.Table, batch_size: int = 8192,
+             attach_meta: bool = True,
              lat_col: str = "lat", lon_col: str = "lon"):
     """points Dataset -> points + (polygon_id, region meta...) columns.
 
     Stateless tasks over a per-process ``PIPJoiner``: each worker
     process compiles the broadcast polygon set once and keeps it in the
     shared ``knn.cached_state`` LRU (at most 4 broadcast states per
-    process, across every probe stage).  ``tile_res`` pins the cell
-    index resolution (default: from the polygon count and extent)."""
+    process, across every probe stage).  The cell index resolution
+    comes from the polygon count and extent."""
     import ray
 
     from .knn import map_with_state
 
     ref = ray.put(polygons)
     return map_with_state(
-        ds, f"pip/{ref.hex()}/{tile_res}/{lat_col}/{lon_col}/{attach_meta}",
-        lambda: PIPJoiner(ref, tile_res, lat_col, lon_col, attach_meta),
+        ds, f"pip/{ref.hex()}/{lat_col}/{lon_col}/{attach_meta}",
+        lambda: PIPJoiner(ref, lat_col, lon_col, attach_meta),
         batch_size)

@@ -96,7 +96,7 @@ class TestPipelines:
         ds = rd.from_arrow(images).map_batches(
             tiling.derive_phash_latlon, batch_format="pyarrow"
         ).map_batches(tiling.assign_tiles(7), batch_format="pyarrow")
-        out = pip.pip_join(ds, polygons, tile_res=7).take_all()
+        out = pip.pip_join(ds, polygons).take_all()
 
         lat, lon = geo.phash_to_latlon(images["phash"].to_numpy())
         want = brute_first_hit(lat, lon, polygons)
@@ -116,8 +116,9 @@ class TestPipelines:
             assert cap[i] == c
 
     def test_pip_join_ignores_tile_column_resolution(self):
-        """Points carrying res-7 tile ids, joined with tile_res=5: the
-        polygon_id is the brute-force min id, not a res-7/res-5 mix-up."""
+        """Points carrying res-7 tile ids: the join never reads that
+        column, so the polygon_id is the brute-force min id whatever
+        resolution the cell index chose."""
         import ray.data as rd
 
         polygons = synth.polygons_table(200, seed=42)
@@ -125,7 +126,7 @@ class TestPipelines:
         ds = rd.from_arrow(images).map_batches(
             tiling.derive_phash_latlon, batch_format="pyarrow"
         ).map_batches(tiling.assign_tiles(7), batch_format="pyarrow")
-        out = pip.pip_join(ds, polygons, tile_res=5, batch_size=8,
+        out = pip.pip_join(ds, polygons, batch_size=8,
                            attach_meta=False).to_pandas()
         lat, lon = geo.phash_to_latlon(images["phash"].to_numpy())
         want = dict(zip(images["image_id"].to_pylist(),
