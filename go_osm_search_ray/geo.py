@@ -378,6 +378,40 @@ class ProbeWork:
                 "rings_per_probe": self.rings / p}
 
 
+def ring_bound_km(lat, lon, cx, cy, r, res):
+    """Lower bound (km) on the distance from each probe at (lat, lon)
+    to anything outside block r — the Chebyshev square of cells within
+    r steps of the probe's cell (cx, cy) on the 2^res grid, rows
+    clamped at the poles and columns wrapping, as in ``tile_ring``.
+
+    From the probe's exact position: the latitude gap to the block's
+    south and north edges, and the distance to its two bounding
+    half-meridians — asin(cos φ sin Δλ) for Δλ <= 90°, else the
+    distance to the nearer pole.  Edges that do not exist (a block
+    reaching a pole row, or one 2r+1 >= 2^res wide) are skipped.  Less
+    ``BOUND_SLACK``, so float error in the distance kernels and cell
+    assignment never breaks exactness: a ring search is complete once
+    its k-th distance is strictly below this bound."""
+    lat, lon = np.asarray(lat, np.float64), np.asarray(lon, np.float64)
+    n = 1 << res
+    dlat, dlon = 180.0 / n, 360.0 / n
+    b = np.full(lat.shape, np.inf)
+    s, t = cy - r, cy + r + 1
+    b = np.where(s > 0, np.minimum(b, lat - (-90.0 + s * dlat)), b)
+    b = np.where(t < n, np.minimum(b, (-90.0 + t * dlat) - lat), b)
+    wedge = 2 * r + 1 < n
+    if np.any(wedge):
+        coslat = np.cos(np.radians(lat))
+        polar = 90.0 - np.abs(lat)
+        for gap in (lon - (-180.0 + (cx - r) * dlon),
+                    (-180.0 + (cx + r + 1) * dlon) - lon):
+            h = np.where(gap <= 90.0, np.degrees(np.arcsin(np.clip(
+                coslat * np.sin(np.radians(gap)), -1.0, 1.0))), polar)
+            b = np.where(wedge, np.minimum(b, h), b)
+    km = np.radians(b) * EARTH_RADIUS_KM
+    return km * (1.0 - BOUND_SLACK) - BOUND_SLACK
+
+
 def _pdi_order(p, d, i):
     """Positions sorting (p, d, i) lexicographically (d finite, >= 0):
     one argsort on the float key p * scale + d, then an exact lexsort
@@ -519,33 +553,6 @@ class CellIndex:
         rows = (cy - r <= self.y_lo) & (cy + r >= self.y_hi)
         return rows & ((span >= n) | ((self.x_lo - (cx - r)) % n + self.x_w <= span))
 
-    def _bound_km(self, lat, lon, cx, cy, r):
-        """Lower bound on the distance from each probe to anything
-        outside its block r, from the probe's exact position: the
-        latitude gap to the block's south and north edges, and the
-        distance to its two bounding half-meridians — asin(cos φ sin Δλ)
-        for Δλ <= 90°, else the distance to the nearer pole.  Edges that
-        do not exist (a block reaching a pole row, or one 2r+1 >= n
-        wide) are skipped.  Less ``BOUND_SLACK``, so float error in the
-        distance kernels and cell assignment never breaks exactness."""
-        n = self.n
-        dlat, dlon = 180.0 / n, 360.0 / n
-        b = np.full(len(lat), np.inf)
-        s, t = cy - r, cy + r + 1
-        b = np.where(s > 0, np.minimum(b, lat - (-90.0 + s * dlat)), b)
-        b = np.where(t < n, np.minimum(b, (-90.0 + t * dlat) - lat), b)
-        wedge = 2 * r + 1 < n
-        if wedge.any():
-            coslat = np.cos(np.radians(lat))
-            polar = 90.0 - np.abs(lat)
-            for gap in (lon - (-180.0 + (cx - r) * dlon),
-                        (-180.0 + (cx + r + 1) * dlon) - lon):
-                h = np.where(gap <= 90.0, np.degrees(np.arcsin(np.clip(
-                    coslat * np.sin(np.radians(gap)), -1.0, 1.0))), polar)
-                b = np.where(wedge, np.minimum(b, h), b)
-        km = np.radians(b) * EARTH_RADIUS_KM
-        return km * (1.0 - BOUND_SLACK) - BOUND_SLACK
-
     def nearest(self, lat, lon, k, dist, keep=None, max_km=None,
                 work: ProbeWork | None = None):
         """Per probe point, its k nearest items (k may be per probe) by
@@ -555,7 +562,7 @@ class CellIndex:
         pairs; ``keep(probe, item)`` optionally masks pairs out (tag
         filters); ``max_km`` (per probe) drops pairs farther than it.
         Rings expand per probe until its k-th distance is strictly below
-        ``_bound_km``, the ring passes ``max_km``, or the block holds
+        ``ring_bound_km``, the ring passes ``max_km``, or the block holds
         every item.  Returns (probe, item, dist) sorted by (probe, dist,
         item)."""
         lat = np.atleast_1d(np.asarray(lat, dtype=np.float64))
@@ -609,7 +616,8 @@ class CellIndex:
             kth = np.full(len(a), np.inf)
             kth[full] = d[start[full] + k[a][full] - 1]
             lim[a] = np.minimum(lim[a], kth)
-            bound = self._bound_km(lat[a], lon[a], cx[a], cy[a], r[a])
+            bound = ring_bound_km(lat[a], lon[a], cx[a], cy[a], r[a],
+                                  self.res)
             done = self._covers(cx[a], cy[a], r[a]) | (full & (kth < bound))
             if max_km is not None:
                 done |= bound > max_km[a]

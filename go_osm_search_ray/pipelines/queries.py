@@ -2221,14 +2221,12 @@ def q_events_sessionize(sf_dir: str):
     stream-shaped op Ray Data expresses as an ordered per-key group
     (SURVEY.md §2.10 pattern; ordering: (ts, event_id) per user).
 
-    Users are co-located by hash bucket (cheap 64-group shuffle) and
-    each bucket sessionizes ALL its users in one vectorized pass
+    Users are co-located by the bucket shuffle (`bucketed_group_apply`)
+    and each bucket sessionizes ALL its users in one vectorized pass
     (sort + shift + cumsum with user boundaries) — no per-user task."""
-    ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
+    from ..stages.agg import bucketed_group_apply
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(b["user_id"], index=False)
-        return b.assign(_bucket=h.to_numpy() % 64)
+    ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
     def sessionize_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -2244,11 +2242,7 @@ def q_events_sessionize(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("_bucket")
-        .map_groups(sessionize_bucket, batch_format="pandas")
-    )
+    return bucketed_group_apply(ds, ["user_id"], sessionize_bucket)
 
 
 SQL_SESSIONIZE = """
@@ -2859,29 +2853,22 @@ GROUP BY 1
 
 def q_event_type_users(sf_dir: str):
     """COUNT DISTINCT, fully distributed: per-batch distinct pairs ->
-    bucket-hash shuffle on the pair key (a cheap 64-group sort; every
-    pair lands in exactly one bucket) -> per-bucket vectorized distinct
-    + partial counts -> tiny 5-key sum.  Nothing unbounded ever lands
-    on the driver (the pair space is O(users x types))."""
-    from ..stages.agg import two_phase_agg
+    bucket shuffle on the pair key (`bucketed_group_apply`; every pair
+    lands in exactly one bucket) -> per-bucket vectorized distinct +
+    partial counts -> tiny 5-key sum.  Nothing unbounded ever lands on
+    the driver (the pair space is O(users x types))."""
+    from ..stages.agg import bucketed_group_apply, two_phase_agg
 
     ds = read_table(sf_dir, "events", columns=["event_type", "user_id"])
     pairs = ds.map_batches(lambda b: b.drop_duplicates(), batch_format="pandas")
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(b[["event_type", "user_id"]], index=False)
-        return b.assign(_bucket=h.to_numpy() % 64)
-
     def distinct_partial(g: pd.DataFrame) -> pd.DataFrame:
-        vc = g.drop(columns=["_bucket"]).drop_duplicates()["event_type"].value_counts()
+        vc = g.drop_duplicates()["event_type"].value_counts()
         return pd.DataFrame({"event_type": vc.index,
                              "n_users": vc.to_numpy(np.int64)})
 
-    partials = (
-        pairs.map_batches(add_bucket, batch_format="pandas")
-        .groupby("_bucket")
-        .map_groups(distinct_partial, batch_format="pandas")
-    )
+    partials = bucketed_group_apply(pairs, ["event_type", "user_id"],
+                                    distinct_partial)
     out = two_phase_agg(partials, lambda b: b, ["event_type"], ["n_users"],
                         combine="shuffle")
     return out.map_batches(
@@ -3392,7 +3379,7 @@ def q_phash_near_pairs(sf_dir: str):
                       n_images=("image_id", "size"))
                  .reset_index())
 
-    sigs = bucketed_group_apply(ah, ["ahash_int"], collapse, n_buckets=32)
+    sigs = bucketed_group_apply(ah, ["ahash_int"], collapse)
     # max_bucket=None: the SQL oracle's self-join is uncapped, so the
     # query must be too (bounded distinct-signature corpus here; cap
     # when running uncapped-oracle-free at web scale)
@@ -3451,8 +3438,7 @@ def q_phash_dedup_keep(sf_dir: str):
 
     # consumed TWICE (pair generation + keep side): materialize so the
     # decode+ahash lineage runs once
-    sigs = bucketed_group_apply(ah, ["ahash_int"], collapse,
-                                n_buckets=32).materialize()
+    sigs = bucketed_group_apply(ah, ["ahash_int"], collapse).materialize()
     pairs = dedup.hamming_dup_pairs(sigs, id_col="rep",
                                     sig_col="ahash_int", max_hamming=7,
                                     n_bands=8, max_bucket=None)  # uncapped oracle

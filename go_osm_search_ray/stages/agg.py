@@ -1,53 +1,51 @@
-"""Two-phase aggregation helpers.
+"""Keyed aggregation and the one bucket shuffle.
 
-Ray Data's sort-based `groupby().aggregate()` pays a large fixed
-all-to-all cost (and degrades with group count in this version: ~60 s
-for 100k groups on 100k rows at 8 CPUs).  When the per-batch PARTIAL
-aggregation already collapses the data to O(distinct keys per block),
-the final combine over partials is tiny — so this helper finishes it
-with a single pandas combine on the driver.
+`bucketed_group_apply` is the only keyed hash-bucket shuffle in the
+engine.  Every row gets a bucket column, hash(keys) % N_BUCKETS
+(`pd.util.hash_pandas_object`), the rows shuffle on that 64-group
+column through Ray's sort-based `groupby`, and `bucket_fn` runs ONCE
+per bucket over all the groups the bucket holds.  This Ray version's
+`groupby(keys).map_groups` degrades with group count (~25 s at 100k
+groups) and pays a Python dispatch per group; 64 buckets keep the sort
+small at any key cardinality.
 
-Scale contract: the DEFAULT is combine="shuffle" — a distributed
-`Dataset.groupby` over the partials, safe for any key cardinality
-(web-corpus vocab / n-gram keyspaces are billions of keys at 100 TB).
-Pass combine="driver" ONLY when the key space is provably small and
-bounded (grid cells at a fixed resolution, enum-like keys, per-language
-buckets): it skips the all-to-all and finishes with one pandas combine
-on the driver, which this Ray version makes worth having (~60 s fixed
-cost for a 100k-group sorted groupby at 8 CPUs).
+Contract of `bucket_fn`: its input holds every row of each of its keys
+and NOT the bucket column; it owns its per-group semantics (vectorized
+groupby / sort+shift / drop_duplicates, or a loop over the groups of
+the bucket).  The bucket count only decides where rows are placed,
+never the answers, so it is one module constant.
+
+`two_phase_agg` is the SUM aggregation on top of it: a per-batch
+partial collapses each block to O(distinct keys per block) rows, and
+the combine over partials is either that bucket shuffle
+(combine="shuffle", the default: safe for unbounded key spaces such as
+vocabularies and n-grams) or one pandas groupby on the driver
+(combine="driver": ONLY for provably bounded key spaces — grid cells at
+a fixed resolution, enum-like keys — where it skips the all-to-all).
 """
 
 from __future__ import annotations
 
 import pandas as pd
 
+# buckets of the keyed shuffle: rows per bucket, not answers, depend on it
+N_BUCKETS = 64
 
-def two_phase_agg(ds, partial_fn, keys, sums, combine: str = "shuffle",
-                  n_buckets: int = 64):
+
+def two_phase_agg(ds, partial_fn, keys, sums, combine: str = "shuffle"):
     """partial_fn: batch -> partial rows with `keys` + `sums` columns.
     Returns aggregated result with SUM over each column in `sums`.
 
-    combine="shuffle" (default): distributed BUCKET-HASH combine —
-    partials shuffle on hash(keys) % n_buckets (a cheap 64-group sort,
-    NOT a sort over the full key space: this Ray version's sort-based
-    groupby degrades badly with group count, ~25 s for 100k groups),
-    then each bucket runs one vectorized pandas groupby-sum.  Returns a
-    Dataset; safe for unbounded key spaces — size n_buckets to the
-    cluster, every bucket holds only its hash slice of the keys.
-    combine="driver": small final pandas combine — returns a DataFrame;
-    ONLY for provably bounded key spaces (see module docstring).
+    combine="shuffle" (default): the partials go through
+    `bucketed_group_apply` and each bucket sums its keys with one Arrow
+    (Acero) `group_by().aggregate`.  Returns a Dataset.
+    combine="driver": one pandas groupby-sum on the driver — returns a
+    DataFrame (with the `keys + sums` columns, also when empty); ONLY
+    for provably bounded key spaces (see module docstring).
     """
     partials = ds.map_batches(partial_fn, batch_format="pandas")
     if combine == "shuffle":
-        def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-            if len(b) == 0:
-                return b.assign(_bucket=pd.Series([], dtype="uint64"))
-            h = pd.util.hash_pandas_object(b[list(keys)], index=False)
-            return b.assign(_bucket=h.to_numpy() % n_buckets)
-
         def combine_bucket(g):
-            # pyarrow-native combine: Acero's C++ hash aggregation,
-            # no pandas round-trip on the post-shuffle path
             import pyarrow as pa
 
             out = g.group_by(list(keys)).aggregate(
@@ -57,14 +55,11 @@ def two_phase_agg(ds, partial_fn, keys, sums, combine: str = "shuffle",
                 cols[s] = out[f"{s}_sum"]
             return pa.table(cols)
 
-        return (
-            partials.map_batches(add_bucket, batch_format="pandas")
-            .groupby("_bucket")
-            .map_groups(combine_bucket, batch_format="pyarrow")
-        )
+        return bucketed_group_apply(partials, keys, combine_bucket,
+                                    batch_format="pyarrow")
     pdf = partials.to_pandas()
     if len(pdf) == 0:
-        return pdf
+        return pdf.reindex(columns=[*keys, *sums])
     out = pdf.groupby(keys, sort=True, as_index=False)[list(sums)].sum()
     return out
 
@@ -190,32 +185,33 @@ def join_input(ds, n_blocks: int | None = None):
     return mat.repartition(max(1, min(n_blocks, n))), n
 
 
-def bucketed_group_apply(ds, keys, bucket_fn, n_buckets: int = 64):
+def bucketed_group_apply(ds, keys, bucket_fn, batch_format: str = "pandas"):
     """Keyed-group work at UNBOUNDED group counts: co-locate rows by
-    hash(keys) % n_buckets (cheap 64-group sort shuffle — every row of
-    a key lands in exactly one bucket) and run `bucket_fn` ONCE PER
-    BUCKET over all its groups, vectorized pandas style.  This replaces
-    groupby(keys).map_groups(per_group_fn), whose sort degrades with
-    group count in this Ray version (~25 s at 100k groups) and whose
-    per-group Python dispatch dominates for tiny groups.
+    hash(keys) % N_BUCKETS (every row of a key lands in exactly one
+    bucket) and run `bucket_fn` ONCE PER BUCKET over all its groups.
 
-    bucket_fn: DataFrame (bucket rows, no bucket column) -> DataFrame.
-    It must implement the per-group semantics itself with vectorized
-    groupby/drop_duplicates/agg calls."""
+    bucket_fn: the bucket's rows WITHOUT the `_bucket` column -> rows,
+    as a pandas DataFrame or a pyarrow Table (`batch_format`).  It
+    implements the per-group semantics itself (vectorized groupby /
+    drop_duplicates / agg calls, or a loop over the bucket's groups)."""
 
     def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:
             return b.assign(_bucket=pd.Series([], dtype="uint64"))
         h = pd.util.hash_pandas_object(b[list(keys)], index=False)
-        return b.assign(_bucket=h.to_numpy() % n_buckets)
+        return b.assign(_bucket=h.to_numpy() % N_BUCKETS)
 
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        return bucket_fn(g.drop(columns=["_bucket"]))
+    if batch_format == "pandas":
+        def run(g):
+            return bucket_fn(g.drop(columns=["_bucket"]))
+    else:
+        def run(g):
+            return bucket_fn(g.drop_columns(["_bucket"]))
 
     return (
         ds.map_batches(add_bucket, batch_format="pandas")
         .groupby("_bucket")
-        .map_groups(run, batch_format="pandas")
+        .map_groups(run, batch_format=batch_format)
     )
 
 
@@ -371,7 +367,7 @@ def _interval_join_broadcast(points_ds, intervals_mat, ts_col,
 
 
 def asof_join_tagged(ds, key, ts_col, side_col, left_val, right_val,
-                     right_cols, n_buckets: int = 64, rsuffix: str = "_r"):
+                     right_cols, rsuffix: str = "_r"):
     """Keyed backward AS-OF join over ONE tagged stream: each left-side
     row (side_col == left_val) is matched to the right-side row
     (side_col == right_val) with the greatest ts_col <= its own, per
@@ -381,24 +377,21 @@ def asof_join_tagged(ds, key, ts_col, side_col, left_val, right_val,
     events-table shape) sidesteps two-dataset schema alignment and is
     how temporal logs arrive at scale anyway.
 
-    Scale shape: keys are UNBOUNDED, so this is a bucket-hash shuffle
-    (hash(key) % n_buckets) + ONE vectorized `pd.merge_asof(by=key)`
-    per bucket over all its keys — no per-key task, no global sort.
-    Matched right columns are emitted with `rsuffix`.
+    Scale shape: keys are UNBOUNDED, so this is the bucket shuffle on
+    the key (`bucketed_group_apply`) + ONE vectorized
+    `pd.merge_asof(by=key)` per bucket over all its keys — no per-key
+    task, no global sort.  Matched right columns are emitted with
+    `rsuffix`.
     """
-    import numpy as np
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b[side_col].isin([left_val, right_val])]
-        h = pd.util.hash_pandas_object(b[key], index=False)
-        return b.assign(_bucket=h.to_numpy() % n_buckets)
+    def sides(b: pd.DataFrame) -> pd.DataFrame:
+        return b[b[side_col].isin([left_val, right_val])]
 
     out_r = [f"{c}{rsuffix}" for c in right_cols]
 
     payload = [c for c in right_cols if c != ts_col]
 
     def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_bucket"])
         l = g[g[side_col] == left_val].drop(columns=[side_col])
         r = g[g[side_col] == right_val][[key, ts_col, *payload]]
         r = r.rename(columns={c: f"{c}{rsuffix}" for c in payload})
@@ -420,15 +413,12 @@ def asof_join_tagged(ds, key, ts_col, side_col, left_val, right_val,
         # inner semantics: drop lefts with no predecessor
         return m[m[out_r[0]].notna()]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("_bucket")
-        .map_groups(join_bucket, batch_format="pandas")
-    )
+    return bucketed_group_apply(
+        ds.map_batches(sides, batch_format="pandas"), [key], join_bucket)
 
 
 def funnel_steps(ds, key: str, ts_col: str, type_col: str,
-                 steps: list[str], horizon_us: int, n_buckets: int = 64):
+                 steps: list[str], horizon_us: int):
     """FUNNEL analysis with earliest-anchor greedy matching (the
     classic product-analytics semantics): per key, t1 = earliest
     steps[0] event; t_{i+1} = earliest steps[i+1] event in
@@ -461,8 +451,7 @@ def funnel_steps(ds, key: str, ts_col: str, type_col: str,
         return pd.DataFrame({key: reached.index.to_numpy(np.int64),
                              "steps_completed": reached.to_numpy(np.int64)})
 
-    return bucketed_group_apply(ds, [key], funnel_bucket,
-                                n_buckets=n_buckets)
+    return bucketed_group_apply(ds, [key], funnel_bucket)
 
 
 def dictionary_encode(ds, col: str, out_col: str | None = None,
@@ -500,8 +489,7 @@ def dictionary_encode(ds, col: str, out_col: str | None = None,
 
 
 def watermark_late(ds, seq_col: str, ts_col: str, lateness_us: int,
-                   range_size: int = 4096, keep_cols: list[str] | None = None,
-                   n_buckets: int = 64):
+                   range_size: int = 4096, keep_cols: list[str] | None = None):
     """LATE-DATA DETECTION under a max-event-time watermark (the
     streaming-ingestion gate the reference's per-event geofence flow
     implies but never needed single-process, fence_index.go:50-73): an
@@ -519,14 +507,18 @@ def watermark_late(ds, seq_col: str, ts_col: str, lateness_us: int,
               even at 1e9 events, a few MB);
       carry   exclusive running max across sorted range ids (tiny
               driver numpy scan) -> broadcast dict;
-      pass 2  bucket-hash on range id (bucketed_group_apply — range
-              count grows with data, so no groupby(range).map_groups),
-              within a bucket ONE vectorized sort + per-range
-              cythonized cummax/shift gives the in-range exclusive
-              prefix; watermark = max(carry-in, in-range prefix).
+      pass 2  the range id becomes a `_range` column and
+              `bucketed_group_apply` shuffles on it (range count grows
+              with data, so no groupby(range).map_groups); within a
+              bucket ONE vectorized sort + per-range cythonized
+              cummax/shift gives the in-range exclusive prefix;
+              watermark = max(carry-in, in-range prefix).
 
-    Returns the late rows only: keep_cols + ts + wm_ts + late_us."""
+    Returns a Dataset of the late rows only: keep_cols + ts + wm_ts
+    (datetime64[us]) + late_us (int64), typed also when empty."""
     import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
 
     keep_cols = list(keep_cols or [seq_col])
 
@@ -538,7 +530,15 @@ def watermark_late(ds, seq_col: str, ts_col: str, lateness_us: int,
 
     parts = ds.map_batches(range_partial, batch_format="pandas").to_pandas()
     if len(parts) == 0:
-        return pd.DataFrame(columns=keep_cols + [ts_col, "wm_ts", "late_us"])
+        # no events: the late-row schema, input types where the stream
+        # still has a schema (int64 ids and us timestamps otherwise)
+        sch = ds.schema()
+        known = dict(zip(sch.names, sch.types)) if sch is not None else {}
+        return rd.from_arrow(pa.schema(
+            [(c, known.get(c, pa.int64())) for c in keep_cols]
+            + [(ts_col, known.get(ts_col, pa.timestamp("us"))),
+               ("wm_ts", pa.timestamp("us")), ("late_us", pa.int64())]
+        ).empty_table())
     rng_max = parts.groupby("_range", sort=True)["_mx"].max()
     ids = rng_max.index.to_numpy(np.int64)
     mx = rng_max.to_numpy(np.int64)
@@ -548,10 +548,11 @@ def watermark_late(ds, seq_col: str, ts_col: str, lateness_us: int,
     excl[1:] = mx[:-1]
     carry = {int(i): int(v) for i, v in zip(ids, excl)}
 
+    def add_range(b: pd.DataFrame) -> pd.DataFrame:
+        return b.assign(_range=b[seq_col].to_numpy(np.int64) // range_size)
+
     def late_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.copy()
-        g["_range"] = g[seq_col].to_numpy(np.int64) // range_size
-        g["_us"] = _col_us(g[ts_col])
+        g = g.assign(_us=_col_us(g[ts_col]))
         g = g.sort_values(["_range", seq_col], kind="mergesort")
         grp = g.groupby("_range", sort=False)
         in_range = grp["_us"].cummax().groupby(
@@ -573,31 +574,13 @@ def watermark_late(ds, seq_col: str, ts_col: str, lateness_us: int,
         out["late_us"] = diff[late]
         return out
 
-    return _late_apply(ds, seq_col, range_size, late_bucket, n_buckets)
-
-
-def _late_apply(ds, seq_col, range_size, late_bucket, n_buckets):
-    """bucketed_group_apply on the derived range id (not a stored
-    column): add the bucket key from seq//range_size, then reuse the
-    bucket-hash shuffle."""
-    import numpy as np
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0:
-            return b.assign(_bucket=pd.Series([], dtype="uint64"))
-        r = b[seq_col].to_numpy(np.int64) // range_size
-        h = r.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return b.assign(_bucket=h % np.uint64(n_buckets))
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        return late_bucket(g.drop(columns=["_bucket"]))
-
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("_bucket").map_groups(run, batch_format="pandas"))
+    return bucketed_group_apply(
+        ds.map_batches(add_range, batch_format="pandas"), ["_range"],
+        late_bucket)
 
 
 def keyed_prefix_sum(ds, key: str, seq_col: str, val_col: str,
-                     range_size: int = 4096, n_buckets: int = 64):
+                     range_size: int = 4096):
     """Per-key EXCLUSIVE running sum of `val_col` over `seq_col` order
     — the distributed window-function SUM() OVER (PARTITION BY key
     ORDER BY seq), with no global sort: the watermark_late two-pass
@@ -659,4 +642,4 @@ def keyed_prefix_sum(ds, key: str, seq_col: str, val_col: str,
         g["prefix_excl"] = within + cin
         return g.drop(columns=["_range"])
 
-    return bucketed_group_apply(ds, [key], bucket_fn, n_buckets=n_buckets)
+    return bucketed_group_apply(ds, [key], bucket_fn)

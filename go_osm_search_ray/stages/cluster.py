@@ -32,8 +32,7 @@ import pandas as pd
 
 def dbscan(pts, eps_km: float, minpts: int, res: int = 7,
            id_col: str = "point_id", lat_col: str = "lat",
-           lon_col: str = "lon", num_partitions: int | None = None,
-           n_buckets: int = 64):
+           lon_col: str = "lon", num_partitions: int | None = None):
     """Grid DBSCAN over a (id, lat, lon) Dataset.  minpts counts the
     point itself (|N_eps(p)| >= minpts including p), matching the
     textbook definition."""
@@ -63,7 +62,7 @@ def dbscan(pts, eps_km: float, minpts: int, res: int = 7,
     pairs, n_pairs = join_input(
         ensure_schema(knn.distance_self_join(
             pts, radius_km=eps_km, res=res, id_col=id_col,
-            lat_col=lat_col, lon_col=lon_col, n_buckets=n_buckets,
+            lat_col=lat_col, lon_col=lon_col,
         ), pair_dt), n_part)
     if n_pairs == 0:
         return empty_result()
@@ -127,8 +126,7 @@ def dbscan(pts, eps_km: float, minpts: int, res: int = 7,
     lab_in = labels.union(selfrows) if labels is not None else selfrows
     lab_dt = {"node": "int64", "label": "int64"}
     core_lab, n_core = join_input(ensure_schema(
-        bucketed_group_apply(lab_in, ["node"], min_label_bucket,
-                             n_buckets=n_buckets),
+        bucketed_group_apply(lab_in, ["node"], min_label_bucket),
         lab_dt), n_part)
     if n_core == 0:  # no dense region anywhere: all noise
         return empty_result()
@@ -170,8 +168,7 @@ def dbscan(pts, eps_km: float, minpts: int, res: int = 7,
         return out.rename(columns={"border_id": "node"})
 
     border_lab = bucketed_group_apply(bj, ["border_id"],
-                                      min_cluster_bucket,
-                                      n_buckets=n_buckets)
+                                      min_cluster_bucket)
 
     return (core_lab.map_batches(finish_core, batch_format="pandas")
             .union(border_lab.map_batches(finish(0),

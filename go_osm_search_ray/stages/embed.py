@@ -662,7 +662,7 @@ def ivfpq_topk(ds, centroids: np.ndarray, codebooks: np.ndarray,
 
 
 def semantic_dedup(ds, centroids: np.ndarray, threshold: float = 0.4,
-                   id_col: str = "vec_id", n_buckets: int = 64):
+                   id_col: str = "vec_id"):
     """SEMANTIC DEDUPLICATION (SemDeDup, Abbas et al. 2023): k-means
     cluster the embedding space, compute exact cosine pairs ONLY
     within a cluster, connect the >= threshold pairs, and keep one
@@ -728,8 +728,7 @@ def semantic_dedup(ds, centroids: np.ndarray, threshold: float = 0.4,
         return pd.DataFrame({id_col: np.concatenate(out_ids),
                              "cluster": np.concatenate(out_cl)})
 
-    return bucketed_group_apply(assigned, ["ivf_bucket"], kept_bucket,
-                                n_buckets=n_buckets)
+    return bucketed_group_apply(assigned, ["ivf_bucket"], kept_bucket)
 
 
 KMEANS_FP_SCALE = 1 << 20  # fixed-point quantum for deterministic sums

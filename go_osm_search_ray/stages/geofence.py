@@ -44,8 +44,7 @@ SENTINEL = -999.0
 _STATE_SEQ = np.int64(-(1 << 62))
 
 
-def with_prev_position(events_ds, state: pa.Table | None = None,
-                       n_buckets: int = 64):
+def with_prev_position(events_ds, state: pa.Table | None = None):
     """Add (old_lat, old_lon) per event via per-point ordered lag.
 
     ``state`` is an optional previous-epoch checkpoint
@@ -53,7 +52,7 @@ def with_prev_position(events_ds, state: pa.Table | None = None,
     checkpointed position instead of the sentinel.
 
     Scale shape: point_ids are UNBOUNDED (one per tracked entity), so
-    the lag is a bucket-hash shuffle (hash(point_id) % n_buckets) plus
+    the lag is the bucket shuffle on point_id (`bucketed_group_apply`) plus
     ONE vectorized sort+shift per bucket over ALL its points — never a
     ``groupby(point_id)`` sort over millions of groups or a per-point
     Python task (the sessionize pattern, stages/agg.py).  The
@@ -87,7 +86,7 @@ def with_prev_position(events_ds, state: pa.Table | None = None,
         g = g[g["_st"] == 0]
         return g.drop(columns=["_st"])
 
-    return bucketed_group_apply(ds, ["point_id"], lag_bucket, n_buckets)
+    return bucketed_group_apply(ds, ["point_id"], lag_bucket)
 
 
 # transition statuses in emit order (geofence.go:97-116)
@@ -308,7 +307,7 @@ class FenceIndex:
         return idx
 
 
-def last_positions(events_ds, n_buckets: int = 64):
+def last_positions(events_ds):
     """End-of-epoch state checkpoint: latest (lat, lon) per point_id.
 
     Same bucket-hash shape as `with_prev_position`: one vectorized
@@ -325,5 +324,5 @@ def last_positions(events_ds, n_buckets: int = 64):
             lambda b: b[["point_id", "seq", "lat", "lon"]],
             batch_format="pandas",
         ),
-        ["point_id"], last_bucket, n_buckets,
+        ["point_id"], last_bucket,
     )

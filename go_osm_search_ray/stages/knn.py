@@ -255,10 +255,10 @@ def knn_cell_join(points_ds, queries_ds, radius_km: float | None, k: int,
       1. queries explode to (cell, ...) over their radius ring
          (`geo.tile_ring`; ring radius from `cells_for_radius_km`)
       2. points keyed by their own cell
-      3. groupby(cell) joins the two sides per cell bucket; each bucket
-         runs a local brute top-k
-      4. groupby(query_id) merges bucket partials -> exact top-k within
-         `radius_km`
+      3. the bucket shuffle on (cell, salt) co-locates both sides of
+         every cell; each cell of a bucket runs a local brute top-k
+      4. the bucket shuffle on query_id merges cell partials -> exact
+         top-k within `radius_km`
 
     Semantics = kNN with a radius bound (rtree.go:656-682); for
     UNBOUNDED kNN use `knn_cell_join_unbounded` (iterative ring
@@ -270,8 +270,8 @@ def knn_cell_join(points_ds, queries_ds, radius_km: float | None, k: int,
     radius path finalizes (ring rounds finalize in the caller).
 
     HOT-CELL SKEW: geodata clusters (a dense urban cell can hold a
-    large fraction of the corpus), and the groupby(cell) would hand one
-    task that whole cell.  n_salt > 1 splits every cell's POINT side
+    large fraction of the corpus), and the shuffle on cell would hand
+    one task that whole cell.  n_salt > 1 splits every cell's POINT side
     into hash(point_id) % n_salt shards and replicates each query row
     to all shards of its ring cells — the group key becomes
     (cell, salt), per-group work is bounded by the shard, and the
@@ -337,14 +337,15 @@ def knn_cell_join(points_ds, queries_ds, radius_km: float | None, k: int,
     q_tag = q_cells.map_batches(q_tag_fn, batch_format="pandas")
     p_tag = p_cells.map_batches(p_tag_fn, batch_format="pandas")
 
+    meta_cols = (["q_lat", "q_lon"] if with_meta else [])
+    empty = pd.DataFrame({"query_id": [], point_id_col: [], "dist_km": [],
+                          **{c: [] for c in meta_cols}})
+
     def local_topk(g: pd.DataFrame) -> pd.DataFrame:
         qs = g[g["side"] == "q"]
         ps = g[g["side"] == "p"]
-        meta_cols = (["q_lat", "q_lon"] if with_meta else [])
-        empty = {"query_id": [], point_id_col: [], "dist_km": [],
-                 **{c: [] for c in meta_cols}}
         if len(qs) == 0 or len(ps) == 0:
-            return pd.DataFrame(empty)
+            return empty
         d = geo.haversine_km(
             qs["q_lat"].to_numpy()[:, None], qs["q_lon"].to_numpy()[:, None],
             ps["lat"].to_numpy()[None, :], ps["lon"].to_numpy()[None, :],
@@ -371,11 +372,16 @@ def knn_cell_join(points_ds, queries_ds, radius_km: float | None, k: int,
             out["q_lon"] = qs["q_lon"].to_numpy()[rows]
         return pd.DataFrame(out)
 
-    partials = (
-        q_tag.union(p_tag)
-        .groupby(["cell", "salt"])
-        .map_groups(local_topk, batch_format="pandas")
-    )
+    from .agg import bucketed_group_apply
+
+    def topk_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        frames = [local_topk(grp)
+                  for _, grp in g.groupby(["cell", "salt"], sort=False)]
+        frames = [f for f in frames if len(f)]
+        return pd.concat(frames, ignore_index=True) if frames else empty
+
+    partials = bucketed_group_apply(q_tag.union(p_tag), ["cell", "salt"],
+                                    topk_bucket)
     if with_meta:
         # ring mode: the expansion loop finalizes (it needs candidate
         # counts + the guarantee test before ranking)
@@ -386,8 +392,6 @@ def knn_cell_join(points_ds, queries_ds, radius_km: float | None, k: int,
     # vectorized dedup/sort/cumcount per bucket — never a
     # groupby(query_id) sort with per-query dispatch (the top_k_multi
     # pattern, stages/text.py)
-    from .agg import bucketed_group_apply
-
     def finalize_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(subset=["query_id", point_id_col])
         g = g.sort_values(["query_id", "dist_km", point_id_col],
@@ -400,23 +404,6 @@ def knn_cell_join(points_ds, queries_ds, radius_km: float | None, k: int,
     return bucketed_group_apply(partials, ["query_id"], finalize_bucket)
 
 
-def _ring_guarantee_km(lat: np.ndarray, res: int, r: int) -> np.ndarray:
-    """Largest distance D such that EVERY point within D of a query at
-    `lat` is guaranteed inside the Chebyshev ring of radius r around the
-    query's cell.  Lat direction: a point (r-1) full cell-heights away
-    can never leave the ring; lon direction uses the worst (most
-    compressed) latitude the ring itself reaches — conservative, and it
-    degrades to 0 near the poles, where only a full-grid ring (r >= n)
-    terminates the expansion."""
-    n = 1 << res
-    km = 111.19492664455873
-    dlat_deg = 180.0 / n
-    lat_worst = np.minimum(89.999, np.abs(lat) + (r + 1) * dlat_deg)
-    dlon_km = 360.0 / n * km * np.maximum(np.cos(np.radians(lat_worst)), 0.0)
-    dlat_km = dlat_deg * km
-    return np.maximum(0.0, r - 1) * np.minimum(dlat_km, dlon_km)
-
-
 def knn_cell_join_unbounded(points_ds, queries_ds, k: int, res: int = 6,
                             point_id_col: str = "point_id",
                             max_rounds: int = 32):
@@ -425,10 +412,11 @@ def knn_cell_join_unbounded(points_ds, queries_ds, k: int, res: int = 6,
 
       round r: gather candidates from the Chebyshev ring of radius r
       around each pending query's cell; a query FINISHES when it has k
-      candidates whose k-th distance is within the ring's guarantee
-      radius (no point outside the ring can beat the current k-th), or
-      when the ring covers the whole grid.  Unfinished queries double r
-      and re-join; finished ones exit the loop.
+      candidates whose k-th distance is strictly below
+      `geo.ring_bound_km` (no point outside the ring can reach the
+      current k-th, ties included), or when the ring covers the whole
+      grid.  Unfinished queries grow r x4 and re-join; finished ones
+      exit the loop.
 
     Per round the shuffle moves only pending queries x ring cells +
     their candidate partials; pending sets are materialized between
@@ -458,11 +446,10 @@ def knn_cell_join_unbounded(points_ds, queries_ds, k: int, res: int = 6,
     p_keyed = points_ds.map_batches(key_points,
                                     batch_format="pandas").materialize()
 
-    # r=1's guarantee radius is 0 (a (r-1)-cell bound) — it could never
-    # finish a query, so start at 2; grow x4 per round (each ring is a
+    # start at the 3x3 block; grow x4 per round (each ring is a
     # superset, so overshooting a round only adds candidates, never
     # wrongness)
-    r = 2
+    r = 1
     for _ in range(max_rounds):
         full_grid = r >= n_axis
         joined = knn_cell_join(
@@ -483,9 +470,11 @@ def knn_cell_join_unbounded(points_ds, queries_ds, k: int, res: int = 6,
             grp = top.groupby("query_id", sort=False)["dist_km"]
             cnt = grp.transform("size").to_numpy()
             dk = grp.transform("max").to_numpy()
-            guar = _ring_guarantee_km(top["q_lat"].to_numpy(), res, _r)
+            q_lat, q_lon = top["q_lat"].to_numpy(), top["q_lon"].to_numpy()
+            cx, cy = geo.tile_xy(q_lat, q_lon, res)
+            bound = geo.ring_bound_km(q_lat, q_lon, cx, cy, _r, res)
             top["rank"] = (rn[rn < k] + 1).astype(np.int64)
-            top["final"] = _full | ((cnt >= k) & (dk <= guar))
+            top["final"] = _full | ((cnt >= k) & (dk < bound))
             return top
 
         round_out = bucketed_group_apply(
@@ -653,7 +642,7 @@ def _tile_rect(tile: np.ndarray, res: int, slat: int, slon: int) -> np.ndarray:
 
 def distance_self_join(ds, radius_km: float, res: int = 7,
                        id_col: str = "point_id", lat_col: str = "lat",
-                       lon_col: str = "lon", n_buckets: int = 64):
+                       lon_col: str = "lon"):
     """All (id_a < id_b) pairs with haversine(a, b) <= radius_km.
 
     Scale shape — the classic cell-partitioned spatial self-join:
@@ -721,5 +710,4 @@ def distance_self_join(ds, radius_km: float, res: int = 7,
         })
 
     rep = ds.map_batches(replicate, batch_format="pandas")
-    return bucketed_group_apply(rep, ["cell"], pairs_bucket,
-                                n_buckets=n_buckets)
+    return bucketed_group_apply(rep, ["cell"], pairs_bucket)

@@ -79,11 +79,11 @@ def doc_lengths(batch: pd.DataFrame, id_col="doc_id", text_col="text") -> pd.Dat
     )
 
 
-def term_df(ds, id_col="doc_id", text_col="text", combine="shuffle"):
+def term_df(ds, id_col="doc_id", text_col="text"):
     """term -> document frequency.  Partial = per-batch distinct-doc
     counts per term (each doc lives in exactly one batch, so partial DFs
-    sum exactly); the combine over partials is a distributed groupby by
-    default — a web corpus's vocab is NOT driver-sized."""
+    sum exactly); the combine over partials is the bucket shuffle — a
+    web corpus's vocab is NOT driver-sized.  Returns a Dataset."""
     from .agg import two_phase_agg
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -91,7 +91,7 @@ def term_df(ds, id_col="doc_id", text_col="text", combine="shuffle"):
         vc = p["term"].value_counts()
         return pd.DataFrame({"term": vc.index, "df": vc.to_numpy(np.int64)})
 
-    return two_phase_agg(ds, partial, ["term"], ["df"], combine=combine)
+    return two_phase_agg(ds, partial, ["term"], ["df"])
 
 
 def postings_lists(ds, id_col="doc_id", text_col="text",
@@ -474,22 +474,20 @@ def ngram_pairs(batch: pd.DataFrame, n: int, id_col="doc_id", text_col="text",
     )
 
 
-def ngram_counts(ds, n: int, id_col="doc_id", text_col="text", pad: bool = True,
-                 combine="shuffle"):
-    """Distributed n-gram counting: per-batch partial dict -> distributed
-    sum over partials (n-gram keyspaces are unbounded at corpus scale;
-    see stages/agg.py for the combine modes)."""
+def ngram_counts(ds, n: int, id_col="doc_id", text_col="text", pad: bool = True):
+    """Distributed n-gram counting: per-batch partial dict -> bucket
+    shuffle sum over partials (n-gram keyspaces are unbounded at corpus
+    scale).  Returns a Dataset."""
     from .agg import two_phase_agg
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         p = ngram_pairs(batch, n, id_col, text_col, pad)
         return p.rename(columns={"partial": "n"})
 
-    return two_phase_agg(ds, partial, ["ngram"], ["n"], combine=combine)
+    return two_phase_agg(ds, partial, ["ngram"], ["n"])
 
 
-def ngram_counts_multi(ds, n_max: int = 4, text_col="text", pad: bool = True,
-                       combine="shuffle"):
+def ngram_counts_multi(ds, n_max: int = 4, text_col="text", pad: bool = True):
     """All n-gram orders 1..n_max in ONE scan (the reference runs 4
     parallel goroutines over the same data, ngram_lm.go:345-370; one
     pass emitting (n, ngram) partials is strictly cheaper).  Returns
@@ -512,10 +510,7 @@ def ngram_counts_multi(ds, n_max: int = 4, text_col="text", pad: bool = True,
              "cnt": np.fromiter(rows.values(), dtype=np.int64, count=len(rows))}
         )
 
-    out = two_phase_agg(ds, partial, ["n_order", "ngram"], ["cnt"],
-                        combine=combine)
-    if combine == "shuffle":
-        out = out.to_pandas()
+    out = two_phase_agg(ds, partial, ["n_order", "ngram"], ["cnt"]).to_pandas()
     if len(out) == 0:  # an empty corpus: typed empty counts
         return pa.table({"n_order": pa.array([], pa.int64()),
                          "ngram": pa.array([], pa.string()),
@@ -524,9 +519,9 @@ def ngram_counts_multi(ds, n_max: int = 4, text_col="text", pad: bool = True,
                                 preserve_index=False)
 
 
-def vocab_with_min_freq(ds, min_freq: int = 2, id_col="doc_id", text_col="text",
-                        combine="shuffle"):
-    """A6: terms with collection frequency >= min_freq (others -> <UNK>)."""
+def vocab_with_min_freq(ds, min_freq: int = 2, id_col="doc_id", text_col="text"):
+    """A6: terms with collection frequency >= min_freq (others -> <UNK>),
+    as a Dataset (term, freq)."""
     from .agg import two_phase_agg
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -534,10 +529,8 @@ def vocab_with_min_freq(ds, min_freq: int = 2, id_col="doc_id", text_col="text",
         vc = e.value_counts()
         return pd.DataFrame({"term": vc.index, "freq": vc.to_numpy(np.int64)})
 
-    counts = two_phase_agg(ds, partial, ["term"], ["freq"], combine=combine)
-    if combine == "shuffle":
-        return counts.filter(expr=f"freq >= {min_freq}")
-    return counts[counts["freq"] >= min_freq].reset_index(drop=True)
+    counts = two_phase_agg(ds, partial, ["term"], ["freq"])
+    return counts.filter(expr=f"freq >= {min_freq}")
 
 
 def winnow_fingerprints(ds, id_col="doc_id", text_col="text",

@@ -85,14 +85,14 @@ def hash_str(s: str) -> int:
     return h
 
 
-def salted_tile_counts(ds, key_col: str = "tile_id", combine="driver"):
+def salted_tile_counts(ds, key_col: str = "tile_id"):
     """Skew-safe exact per-tile counts: partial per-batch combine (which
-    collapses hot cells inside each block) -> small final combine.
+    collapses hot cells inside each block) -> small final combine,
+    returned as a DataFrame (key_col, n).
 
-    combine="driver" is deliberate here — the key space is PROVABLY
-    bounded by the grid (4^res cells, 16k at res 7), the one case the
-    driver combine is for (see stages/agg.py).  Pass "shuffle" for
-    resolutions where 4^res stops being driver-sized (res >= ~12)."""
+    The driver combine is deliberate here — the key space is PROVABLY
+    bounded by the grid (4^res cells, 16k at res 7), the one case it
+    is for (see stages/agg.py)."""
     from .agg import two_phase_agg
 
     def partial(b):
@@ -102,7 +102,7 @@ def salted_tile_counts(ds, key_col: str = "tile_id", combine="driver"):
         return pd.DataFrame({key_col: vc.index.to_numpy(),
                              "n": vc.to_numpy().astype(np.int64)})
 
-    return two_phase_agg(ds, partial, [key_col], ["n"], combine=combine)
+    return two_phase_agg(ds, partial, [key_col], ["n"], combine="driver")
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +163,14 @@ def rasterize_rects(rects_ds, res: int = geo.DEFAULT_TILE_RES):
 
 
 def vectorize_tiles(points_ds, res: int = geo.DEFAULT_TILE_RES,
-                    min_count: int = 1, lat_col="lat", lon_col="lon",
-                    combine: str = "driver"):
+                    min_count: int = 1, lat_col="lat", lon_col="lon"):
     """RASTER -> VECTOR: per-cell point counts (the raster), thresholded
     and emitted as cell rectangle geometries (tile_id, n, lat0, lat1,
     lon0, lon1) — occupied-region extraction at cell granularity.
 
     Counts are the skew-safe two-phase combine (`salted_tile_counts`
     pattern); the geometry derivation is pure per-row math.  The key
-    space is the grid (4^res) — driver combine by default, pass
-    combine="shuffle" for res >= ~12.
+    space is the grid (4^res), so the counts combine on the driver.
     """
     import pandas as pd
 
@@ -184,9 +182,7 @@ def vectorize_tiles(points_ds, res: int = geo.DEFAULT_TILE_RES,
     keyed = points_ds.map_batches(
         assign_tiles(res, lat_col, lon_col), batch_format="pyarrow"
     )
-    counts = salted_tile_counts(keyed, combine=combine)
-    if isinstance(counts, pd.DataFrame):
-        counts = rd.from_pandas(counts)
+    counts = rd.from_pandas(salted_tile_counts(keyed))
 
     def geom(b: pd.DataFrame) -> pd.DataFrame:
         b = b[b["n"] >= min_count].copy()

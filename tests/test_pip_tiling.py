@@ -341,18 +341,36 @@ class TestSkewHandling:
         hot = tiles[np.argmax(counts)]
         assert (salted["tile_id"] == hot).sum() > 1
 
+    def test_salted_tile_counts_empty(self):
+        import ray.data as rd
+
+        # an empty tile stream still returns the (tile_id, n) frame
+        ds = rd.from_pandas(pd.DataFrame(
+            {"tile_id": pd.Series([], dtype=np.int64)}))
+        got = tiling.salted_tile_counts(ds).sort_values("tile_id")
+        assert len(got) == 0
+        assert list(got.columns) == ["tile_id", "n"]
+
     def test_two_phase_shuffle_mode_matches_driver_mode(self):
         import ray.data as rd
-        from go_osm_search_ray.stages import text
+        from go_osm_search_ray.stages import agg, text
+
+        def partial(b: pd.DataFrame) -> pd.DataFrame:
+            vc = text.postings_pairs(b)["term"].value_counts()
+            return pd.DataFrame({"term": vc.index,
+                                 "df": vc.to_numpy(np.int64)})
 
         ds1 = rd.read_parquet("/root/testdata/sf0.001/documents.parquet")
         ds2 = rd.read_parquet("/root/testdata/sf0.001/documents.parquet")
-        drv = text.term_df(ds1, combine="driver").set_index("term")["df"]
+        drv = agg.two_phase_agg(ds1, partial, ["term"], ["df"],
+                                combine="driver").set_index("term")["df"]
         shf = (
-            text.term_df(ds2, combine="shuffle")
+            agg.two_phase_agg(ds2, partial, ["term"], ["df"],
+                              combine="shuffle")
             .to_pandas()
             .set_index("term")["df"]
         )
+        assert len(drv) > 10
         assert drv.to_dict() == shf.to_dict()
 
 

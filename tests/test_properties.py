@@ -1,14 +1,18 @@
-"""Property-based tests (hypothesis) over the pure kernels — no Ray.
+"""Property-based tests (hypothesis) over the pure kernels, and over
+the one keyed shuffle.
 
 These pin the algebraic contracts the distributed operators rely on:
 distance symmetry, tile containment, exact top-k cut semantics, codec
-round-trips, bag-invariance of signatures.
+round-trips, bag-invariance of signatures, and `bucketed_group_apply`
+handing every group whole to one bucket (the only class that needs a
+Ray session).
 """
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from go_osm_search_ray import codecs, geo
@@ -456,3 +460,57 @@ class TestIndexedProbeProperties:
         polar = np.abs(plat) > 90 - 1e-6  # longitude is arbitrary at a pole
         assert (in_lat | ~ok).all()
         assert (in_lon | polar | ~ok).all()
+
+
+_GROUP_KEYS = {"int": ["k_int"], "str": ["k_str"], "pair": ["k_int", "k_str"]}
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestBucketedGroupApply:
+    @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+    @pytest.mark.parametrize("key_kind", sorted(_GROUP_KEYS))
+    @settings(max_examples=4, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=400),
+           n_blocks=st.sampled_from([1, 16]),
+           seed=st.integers(min_value=0, max_value=10**6))
+    @example(n=0, n_blocks=16, seed=0)
+    @example(n=0, n_blocks=1, seed=0)
+    def test_equals_pandas_groupby(self, key_kind, batch_format, n,
+                                   n_blocks, seed):
+        import ray.data as rd
+
+        from go_osm_search_ray.stages.agg import bucketed_group_apply
+
+        keys = _GROUP_KEYS[key_kind]
+        rng = np.random.default_rng(seed)
+        df = pd.DataFrame({
+            "k_int": rng.integers(-5, 40, n).astype(np.int64),
+            "k_str": rng.choice(["a", "bb", "ccc", "", "é"], n),
+            "v": rng.integers(-1000, 1000, n).astype(np.int64),
+        })
+
+        # per-group semantics owned by the function: count, sum, min, max
+        def bucket_fn(g):
+            if batch_format == "pandas":
+                assert "_bucket" not in g.columns
+                return (g.groupby(keys, as_index=False)["v"]
+                        .agg(["size", "sum", "min", "max"]))
+            assert "_bucket" not in g.column_names
+            out = g.group_by(keys).aggregate(
+                [("v", "count"), ("v", "sum"), ("v", "min"), ("v", "max")])
+            return out.rename_columns(
+                [{"v_count": "size", "v_sum": "sum", "v_min": "min",
+                  "v_max": "max"}.get(c, c) for c in out.column_names])
+
+        blocks = [df.iloc[i::n_blocks] for i in range(n_blocks)]
+        got = bucketed_group_apply(rd.from_pandas(blocks), keys, bucket_fn,
+                                   batch_format=batch_format).to_pandas()
+        want = bucket_fn(df) if batch_format == "pandas" else \
+            bucket_fn(pa.Table.from_pandas(df, preserve_index=False)).to_pandas()
+        if not len(want):
+            assert len(got) == 0
+            return
+        cols = keys + ["size", "sum", "min", "max"]
+        got = got[cols].sort_values(keys).reset_index(drop=True)
+        want = want[cols].sort_values(keys).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)

@@ -70,6 +70,25 @@ def test_watermark_first_event_never_late(ray_session):
     assert set(got["event_id"]) == {2, 3}  # 1 has no watermark
 
 
+def test_watermark_empty_stream_is_typed_dataset(ray_session):
+    import ray
+
+    from go_osm_search_ray.stages.agg import watermark_late
+
+    # an empty stream returns the same kind of result as a non-empty
+    # one: a Dataset with the typed late-row schema
+    import pyarrow as pa
+
+    df = _events().iloc[0:0]
+    got = watermark_late(ray.data.from_pandas(df), "event_id", "ts", 0,
+                         keep_cols=["event_id"])
+    assert len(got.to_pandas()) == 0
+    sch = got.schema()
+    assert sch.names == ["event_id", "ts", "wm_ts", "late_us"]
+    assert sch.types == [pa.int64(), pa.timestamp("us"), pa.timestamp("us"),
+                         pa.int64()]
+
+
 def test_cdc_upsert_last_writer(ray_session):
     from go_osm_search_ray.pipelines import queries as q
 
