@@ -19,9 +19,31 @@ import pyarrow as pa
 
 
 def _to_matrix(col) -> np.ndarray:
-    """list<float> column -> (n, d) float64 matrix."""
-    arr = col.to_pylist() if hasattr(col, "to_pylist") else list(col)
-    return np.asarray(arr, dtype=np.float64)
+    """list<float> column -> (n, d) float64 matrix.  An Arrow list column
+    (or Ray's tensor column, stored as one) is read from its flat child
+    values (no Python lists); its rows must be non-null and of one
+    length."""
+    if not isinstance(col, (pa.Array, pa.ChunkedArray)):
+        return np.asarray(list(col), dtype=np.float64)
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if len(arr) == 0:
+        return np.empty((0, 0), dtype=np.float64)
+    base = arr.storage if isinstance(arr, pa.ExtensionArray) else arr
+    if not isinstance(base, (pa.ListArray, pa.LargeListArray,
+                             pa.FixedSizeListArray)):
+        return np.asarray(arr.to_pylist(), dtype=np.float64)
+    arr = base
+    if isinstance(arr, pa.FixedSizeListArray):
+        dim = arr.type.list_size
+        ok = arr.null_count == 0
+    else:
+        lens = np.diff(np.asarray(arr.offsets))
+        dim = int(lens[0])
+        ok = arr.null_count == 0 and bool((lens == dim).all())
+    if not ok:
+        raise ValueError("embedding rows must be non-null lists of one length")
+    vals = arr.flatten().to_numpy(zero_copy_only=False)
+    return vals.astype(np.float64, copy=False).reshape(len(arr), dim)
 
 
 class CosineTopKPartial:
@@ -124,8 +146,8 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     method="auto" (default): count the corpus (one materialize —
     both plans consume it whole anyway) and pick "block" below
     `auto_lsh_min` vectors (exact, cheap at that size) or "lsh" above
-    it (the 100-TB path; exact block-cross at 10^9 vectors is the
-    O(n^2) plan a naive caller must NOT get by default).
+    it (exact block-cross at 10^9 vectors is the O(n^2) plan a naive
+    caller must NOT get by default).
 
     method="block" (EXACT, opt-in at scale): 2-D block decomposition.
     Each vector (block g = id % n_blocks) is replicated to the n_blocks
@@ -138,12 +160,20 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     (the old plan's full-matrix `to_pandas` + broadcast was a driver OOM
     at 10^9 vectors).  Size n_blocks ~ sqrt(n / rows-per-task).
 
-    method="lsh" (approximate, the 100-TB path): random-hyperplane sign
-    bits banded like simhash -> groupby(band, bucket) -> exact-cosine
-    verify inside buckets -> pair dedup.  O(n^2 / buckets) compute;
-    recall for a pair at cosine c is 1-(1-p^r)^bands with
-    p = 1 - arccos(c)/pi — near 1 for true near-dups (c >= 0.9), NOT 1
-    for mid-similarity thresholds; use "block" when exactness matters.
+    method="lsh" (approximate, sub-quadratic): random-hyperplane sign
+    bits banded like simhash -> shuffle of `(band, bucket, id)` rows
+    only -> exact float64 cosine verify (`>= threshold`) inside each
+    (band, bucket) group -> pair dedup.  The verify reads the vectors
+    from one normalized corpus matrix, rows sorted by id, that a single
+    task builds and every verify task maps zero-copy from the object
+    store.  Bound: the matrix is ONE object of n * dim * 8 bytes
+    (256 MB at 10^6 x 32), so the corpus must fit in one node's object
+    store; the shuffle moves 24 B per (vector, band).  `id_col` must be
+    unique (ValueError otherwise); an empty corpus gives an empty typed
+    result.  O(n^2 / buckets) compute; recall for a pair at cosine c is
+    1-(1-p^r)^bands with p = 1 - arccos(c)/pi — near 1 for true
+    near-dups (c >= 0.9), NOT 1 for mid-similarity thresholds; use
+    "block" when exactness matters.
     """
     if method == "auto":
         ds = ds.materialize()
@@ -215,10 +245,44 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
 
 def _dup_pairs_lsh(ds, threshold: float, id_col: str, n_planes: int,
                    bands: int, seed: int):
-    """Random-hyperplane LSH near-dup pairs (see embedding_dup_pairs)."""
-    import ray
+    """Random-hyperplane LSH near-dup pairs (see embedding_dup_pairs).
 
-    dim = len(ds.take(1)[0]["embedding"])  # schema probe: one tiny row
+    Keys-only plan: the band shuffle carries `(band, bucket, id)` rows
+    (24 B each), never an embedding.  One task builds the normalized
+    float64 corpus matrix, rows sorted by id, from the materialized
+    blocks; each verify call maps it zero-copy from the object store
+    and gathers a group's rows by `searchsorted` on the sorted ids.
+    Ids must be unique (ValueError otherwise)."""
+    import ray
+    import ray.data as rd
+
+    from .agg import bucketed_group_apply
+    from .knn import map_with_state
+
+    @ray.remote(num_returns=2)
+    def corpus_matrix(*blocks):
+        blocks = [b for b in blocks if b.num_rows]
+        if not blocks:
+            return (0, 0, 0), None
+        ids = np.concatenate([b[id_col].to_numpy() for b in blocks])
+        m = np.concatenate([_to_matrix(b["embedding"]) for b in blocks])
+        order = np.argsort(ids, kind="stable")
+        ids, m = ids[order], m[order]
+        norms = np.linalg.norm(m, axis=1, keepdims=True)
+        m /= np.where(norms > 0, norms, 1.0)
+        n_dup = int((ids[1:] == ids[:-1]).sum())
+        return (len(ids), m.shape[1], n_dup), (ids, m)
+
+    ds = ds.materialize()
+    meta_ref, mat_ref = corpus_matrix.remote(*ds.to_arrow_refs())
+    n, dim, n_dup = ray.get(meta_ref)
+    if n_dup:
+        raise ValueError(f"embedding_dup_pairs(method='lsh') needs unique "
+                         f"{id_col!r} values; {n_dup} rows repeat an id")
+    if n == 0:  # the shuffle below has no schema on empty input
+        return rd.from_arrow(pa.table({
+            "id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
+            "cosine": pa.array([], pa.float64())}))
     planes = np.random.default_rng(seed).standard_normal((n_planes, dim))
     ref = ray.put(planes)
     r = n_planes // bands
@@ -228,38 +292,37 @@ def _dup_pairs_lsh(ds, threshold: float, id_col: str, n_planes: int,
         def __init__(self):
             self.planes = ray.get(ref)
 
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            m = np.asarray(b["embedding"].tolist(), dtype=np.float64)
+        def __call__(self, b: pa.Table) -> pa.Table:
+            m = _to_matrix(b["embedding"])
             norms = np.linalg.norm(m, axis=1, keepdims=True)
             m = m / np.where(norms > 0, norms, 1.0)
-            bits = (m @ self.planes.T) > 0
-            frames = []
-            for bi in range(bands):
-                chunk = bits[:, bi * r : (bi + 1) * r]
-                bucket = (chunk.astype(np.int64) * pw[None, :]).sum(axis=1)
-                frames.append(pd.DataFrame({
-                    "band": bi, "bucket": bucket,
-                    id_col: b[id_col], "embedding": b["embedding"],
-                }))
-            return pd.concat(frames, ignore_index=True)
-
-    from .agg import bucketed_group_apply
+            # an empty batch gives a (0, 0) matrix
+            bits = (m.reshape(len(b), dim) @ self.planes.T) > 0
+            ids = b[id_col].to_numpy()
+            buckets = [(bits[:, bi * r : (bi + 1) * r].astype(np.int64)
+                        * pw[None, :]).sum(axis=1) for bi in range(bands)]
+            return pa.table({
+                "band": np.repeat(np.arange(bands, dtype=np.int64), len(b)),
+                "bucket": np.concatenate(buckets),
+                id_col: np.tile(ids, bands),
+            })
 
     def pairs_hash_bucket(g: pd.DataFrame) -> pd.DataFrame:
         """Exact-cosine verify over every (band, bucket) group in this
-        hash bucket: ONE normalize for the whole bucket, then
-        numpy-sliced per-group matmuls over sort boundaries — no
-        pandas groupby dispatch (group count is ~bands * 2^r, so
-        per-group overhead would dominate the tiny matmuls)."""
+        hash bucket: numpy-sliced per-group matmuls over sort
+        boundaries — no pandas groupby dispatch (group count is
+        ~bands * 2^r, so per-group overhead would dominate the tiny
+        matmuls)."""
         empty = pd.DataFrame({"id_a": pd.Series([], dtype=np.int64),
                               "id_b": pd.Series([], dtype=np.int64),
                               "cosine": pd.Series([], dtype=np.float64)})
         if len(g) < 2:
             return empty
-        m = np.asarray(g["embedding"].tolist(), dtype=np.float64)
-        norms = np.linalg.norm(m, axis=1, keepdims=True)
-        m = m / np.where(norms > 0, norms, 1.0)
+        # a plain zero-copy get per call: a per-process cache would keep
+        # the n x dim matrix pinned in the object store after the stage
+        sorted_ids, mat = ray.get(mat_ref)
         ids = g[id_col].to_numpy()
+        pos = np.searchsorted(sorted_ids, ids)
         key = (g["band"].to_numpy(np.int64) << np.int64(40)) \
             | g["bucket"].to_numpy(np.int64)
         order = np.argsort(key, kind="stable")
@@ -270,7 +333,7 @@ def _dup_pairs_lsh(ds, threshold: float, id_col: str, n_planes: int,
             if e - s < 2:
                 continue
             idx = order[s:e]
-            mm = m[idx]
+            mm = mat[pos[idx]]
             sims = mm @ mm.T
             ii, jj = np.triu_indices(e - s, 1)
             hit = sims[ii, jj] >= threshold
@@ -288,11 +351,8 @@ def _dup_pairs_lsh(ds, threshold: float, id_col: str, n_planes: int,
             "cosine": np.concatenate(out_c),
         })
 
-    from .knn import map_with_state
-
     cand = bucketed_group_apply(
-        map_with_state(ds, f"lshbands/{ref.hex()}/{bands}", BandRows, None,
-                       batch_format="pandas"),
+        map_with_state(ds, f"lshbands/{ref.hex()}/{bands}", BandRows, None),
         ["band", "bucket"], pairs_hash_bucket,
     )
     # same pair can surface from several bands -> bucketed distinct

@@ -415,6 +415,48 @@ class TestEmbeddings:
         assert key(got_auto) == want
         assert key(got_lsh) == want
 
+    def test_dup_pairs_lsh_rejects_duplicate_ids(self):
+        """The LSH verify gathers vectors by id, so a repeated id would
+        pair a row with itself (an id_a == id_b pair): it is refused."""
+        import ray.data as rd
+
+        df = pd.DataFrame({"vec_id": np.array([0, 0, 1], np.int64),
+                           "embedding": [[1.0, 0.0], [1.0, 1e-8], [0.0, 1.0]]})
+        with pytest.raises(ValueError, match="unique"):
+            embed.embedding_dup_pairs(rd.from_pandas(df), method="lsh")
+
+    def test_dup_pairs_lsh_empty_corpus(self):
+        import ray.data as rd
+
+        df = pd.DataFrame({"vec_id": pd.Series([], dtype=np.int64),
+                           "embedding": pd.Series([], dtype=object)})
+        got = embed.embedding_dup_pairs(rd.from_pandas(df), method="lsh")
+        assert got.count() == 0
+        sch = got.schema()
+        assert sch.names == ["id_a", "id_b", "cosine"]
+        assert sch.types == [pa.int64(), pa.int64(), pa.float64()]
+
+    def test_to_matrix_matches_python_lists(self):
+        """The flat-values read equals the Python-list conversion for
+        list, large_list, fixed_size_list and Ray tensor columns, sliced
+        and chunked; ragged or null rows are refused."""
+        from ray.air.util.tensor_extensions.arrow import ArrowTensorArray
+
+        m = np.random.default_rng(0).standard_normal((7, 3))
+        rows = m.tolist()
+        cols = [pa.array(rows, pa.list_(pa.float64())),
+                pa.array(rows, pa.large_list(pa.float32())),
+                pa.array(rows, pa.list_(pa.float64(), 3)),
+                ArrowTensorArray.from_numpy(m)]
+        for col in cols:
+            for c in (col, col.slice(2, 4),
+                      pa.chunked_array([col.slice(0, 3), col.slice(3)])):
+                want = np.asarray(c.to_pylist(), dtype=np.float64)
+                np.testing.assert_array_equal(embed._to_matrix(c), want)
+        for bad in ([[1.0, 2.0], [1.0]], [[1.0], None]):
+            with pytest.raises(ValueError):
+                embed._to_matrix(pa.array(bad, pa.list_(pa.float64())))
+
     def test_dup_pairs_default_path_1m_vectors_bounded(self):
         """Round-5 ask #5: 10^6 vectors through the DEFAULT path must
         auto-switch to LSH and finish in bounded wall (the exact
