@@ -34,12 +34,31 @@ from ..stages import text as text_stage
 from ..state.manifest import atomic_write_json
 
 
+POSTINGS_SCHEMA = pa.schema([("term", pa.string()),
+                             ("postings", pa.list_(pa.int64())),
+                             ("df", pa.int64())])
+DOC_STATS_SCHEMA = pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64())])
+
+
+def _write_artifact(ds, path: str, empty_schema: pa.Schema) -> None:
+    """Write a Dataset artifact.  Ray writes no file (and no
+    directory) for an empty Dataset, so an empty corpus gets one empty
+    typed file instead: the index then loads with docs_count 0."""
+    ds.write_parquet(path)
+    if not os.path.isdir(path):
+        os.makedirs(path)
+        pq.write_table(empty_schema.empty_table(),
+                       os.path.join(path, "empty.parquet"))
+
+
 def build_index(docs_ds_factory, out_dir: str,
                 spell_error_lines: list[str] | None = None,
                 id_col: str = "doc_id", text_col: str = "text",
                 resume: bool = False) -> dict:
     """docs Dataset factory -> index artifact directory.  Returns the
-    manifest.  Each artifact write is timed (throughput metrics).
+    manifest.  Each artifact write is timed (throughput metrics).  An
+    empty corpus builds an index that loads (docs_count 0, empty
+    postings).
 
     resume=True: stages whose artifact the previous run's manifest
     records as completed are SKIPPED (stage-level resume, the artifact
@@ -80,15 +99,16 @@ def build_index(docs_ds_factory, out_dir: str,
 
     if not done("postings"):
         with timed("postings"):
-            text_stage.postings_lists(docs_ds_factory(), id_col, text_col) \
-                .write_parquet(os.path.join(out_dir, "postings"))
+            _write_artifact(
+                text_stage.postings_lists(docs_ds_factory(), id_col, text_col),
+                os.path.join(out_dir, "postings"), POSTINGS_SCHEMA)
 
     if not done("doc_stats"):
         with timed("doc_stats"):
-            docs_ds_factory().map_batches(
+            _write_artifact(docs_ds_factory().map_batches(
                 lambda b: text_stage.doc_lengths(b, id_col, text_col),
                 batch_format="pandas",
-            ).write_parquet(os.path.join(out_dir, "doc_stats"))
+            ), os.path.join(out_dir, "doc_stats"), DOC_STATS_SCHEMA)
 
     # vocab and ngrams come from ONE count scan, so they are rebuilt
     # together when either is missing (both evaluated: carry timings)

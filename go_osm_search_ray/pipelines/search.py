@@ -59,10 +59,9 @@ def full_text_search(docs_ds_factory, queries: pd.DataFrame,
         topk = int(getattr(row, "top_k", k) or k)
         offset = int(getattr(row, "offset", 0) or 0)
         k_by_query[row.query_id] = (topk, offset)
+    cols = ["query_id", "corrected", "rank", "doc_id", "score"]
     if not corrected_terms:
-        return pd.DataFrame(
-            columns=["query_id", "corrected", "rank", "doc_id", "score"]
-        )
+        return text_stage.empty_page(["corrected"])[cols]
     from ..stage import get_custom_scorer, resolve_scoring
 
     custom = get_custom_scorer(resolve_scoring(scoring))
@@ -75,7 +74,7 @@ def full_text_search(docs_ds_factory, queries: pd.DataFrame,
                                         scoring=scoring)
     page = text_stage.top_k_multi(scored, k_by_query)
     page["corrected"] = page["query_id"].map(corrected_str)
-    page = page[["query_id", "corrected", "rank", "doc_id", "score"]]
+    page = page[cols]
     if hydrate_results and len(page):
         # J6: one id-filtered scan hydrates every page at once
         docs = hydrate(page["doc_id"].unique().tolist(), docs_ds_factory())
@@ -88,9 +87,10 @@ def autocomplete(docs_ds_factory, queries: pd.DataFrame,
     """Q2: top-3 candidate queries per input, each BM25F-scored, fan-in
     sorted globally per query (K2).  All candidates of ALL queries score
     in the same two corpus scans (each candidate is a sub-query keyed
-    (query_id, cand_idx) through `score_multi`); the fan-in then merges
-    per original query.  Returns
-    (query_id, candidate_query, rank, doc_id, score)."""
+    (query_id, cand_idx) through `score_multi`); each scored row then
+    maps to its owner query and candidate string, and `top_k_multi`
+    pages per owner query.  Ties on (score, doc_id) keep candidate
+    order.  Returns (query_id, candidate_query, rank, doc_id, score)."""
     sub_terms: dict = {}
     cand_str: dict = {}
     owner: dict = {}
@@ -103,24 +103,22 @@ def autocomplete(docs_ds_factory, queries: pd.DataFrame,
             sub_terms[key] = cand
             cand_str[key] = " ".join(cand)
             owner[key] = row.query_id
+    cols = ["query_id", "candidate_query", "rank", "doc_id", "score"]
     if not sub_terms:
-        return pd.DataFrame(
-            columns=["query_id", "candidate_query", "rank", "doc_id", "score"]
-        )
+        return text_stage.empty_page(["candidate_query"])[cols]
+
+    def to_owner(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"query_id": b["query_id"].map(owner),
+                             "candidate_query": b["query_id"].map(cand_str),
+                             "doc_id": b["doc_id"], "score": b["score"]})
+
     scored = text_stage.score_multi(docs_ds_factory(), sub_terms,
-                                    scoring="bm25f").to_pandas()
-    scored["candidate_query"] = scored["query_id"].map(cand_str)
-    scored["query_id"] = scored["query_id"].map(owner)
-    out = []
-    for qid, g in scored.groupby("query_id", sort=True):
-        fan_in = g.sort_values(["score", "doc_id"],
-                               ascending=[False, True], kind="mergesort").head(k)
-        fan_in = fan_in.assign(
-            rank=np.arange(1, len(fan_in) + 1, dtype=np.int64),
-        )
-        out.append(fan_in[["query_id", "candidate_query", "rank", "doc_id",
-                           "score"]])
-    return pd.concat(out, ignore_index=True)
+                                    scoring="bm25f") \
+        .map_batches(to_owner, batch_format="pandas")
+    page = text_stage.top_k_multi(scored, {q: (k, 0) for q in owner.values()})
+    if "candidate_query" not in page:  # an empty corpus maps no block
+        page = text_stage.empty_page(["candidate_query"])
+    return page[cols]
 
 
 def boolean_and(docs_ds, terms: list[str], id_col="doc_id", text_col="text"):

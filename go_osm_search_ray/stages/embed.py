@@ -147,7 +147,8 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     both plans consume it whole anyway) and pick "block" below
     `auto_lsh_min` vectors (exact, cheap at that size) or "lsh" above
     it (exact block-cross at 10^9 vectors is the O(n^2) plan a naive
-    caller must NOT get by default).
+    caller must NOT get by default).  An empty corpus gives the typed
+    empty (id_a, id_b, cosine) result.
 
     method="block" (EXACT, opt-in at scale): 2-D block decomposition.
     Each vector (block g = id % n_blocks) is replicated to the n_blocks
@@ -178,6 +179,8 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     if method == "auto":
         ds = ds.materialize()
         n = ds.count()
+        if n == 0:  # the block plan's groupby has no schema on empty input
+            return _empty_pairs()
         if n > auto_lsh_min:
             # size the band width r so expected bucket occupancy stays
             # ~64 rows (in-bucket verify is O(bucket^2)): r bits give
@@ -243,6 +246,15 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     )
 
 
+def _empty_pairs():
+    """The typed empty (id_a, id_b, cosine) result of an empty corpus."""
+    import ray.data as rd
+
+    return rd.from_arrow(pa.table({
+        "id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
+        "cosine": pa.array([], pa.float64())}))
+
+
 def _dup_pairs_lsh(ds, threshold: float, id_col: str, n_planes: int,
                    bands: int, seed: int):
     """Random-hyperplane LSH near-dup pairs (see embedding_dup_pairs).
@@ -254,7 +266,6 @@ def _dup_pairs_lsh(ds, threshold: float, id_col: str, n_planes: int,
     and gathers a group's rows by `searchsorted` on the sorted ids.
     Ids must be unique (ValueError otherwise)."""
     import ray
-    import ray.data as rd
 
     from .agg import bucketed_group_apply
     from .knn import map_with_state
@@ -280,9 +291,7 @@ def _dup_pairs_lsh(ds, threshold: float, id_col: str, n_planes: int,
         raise ValueError(f"embedding_dup_pairs(method='lsh') needs unique "
                          f"{id_col!r} values; {n_dup} rows repeat an id")
     if n == 0:  # the shuffle below has no schema on empty input
-        return rd.from_arrow(pa.table({
-            "id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
-            "cosine": pa.array([], pa.float64())}))
+        return _empty_pairs()
     planes = np.random.default_rng(seed).standard_normal((n_planes, dim))
     ref = ray.put(planes)
     r = n_planes // bands

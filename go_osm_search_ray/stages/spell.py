@@ -29,7 +29,8 @@ Reference semantics mirrored exactly:
   ALPHA_NO_EDIT_PROB=0.9 for exact matches (spell_corrector.go:195-213)
 - candidate terms within edit distance 2 of each query term
   (EDIT_DISTANCE constant.go:5; Levenshtein-DFA x FST in the reference,
-  banded Levenshtein over the sorted vocab here)
+  a SymSpell delete index here: lookup cost depends on the query term,
+  not on the vocabulary size)
 - correction = argmax over the cartesian candidate queries of
   LM log-prob + edit log-prob (spell_corrector.go:323-356)
 - autocomplete: last term by prefix match, top kAutoComplete=3
@@ -257,41 +258,29 @@ def _deletes(word: str, max_d: int) -> set[str]:
 
 
 class SpellCorrector:
-    def __init__(self, vocab: list[str], lm: NGramLM, noisy: NoisyChannel,
-                 delete_index_threshold: int = 2000):
+    def __init__(self, vocab: list[str], lm: NGramLM, noisy: NoisyChannel):
         self.vocab = sorted(set(vocab))
-        self.by_len: dict[int, list[str]] = {}
-        for w in self.vocab:
-            self.by_len.setdefault(len(w), []).append(w)
         self.vocab_set = set(self.vocab)
         self.lm = lm
         self.noisy = noisy
-        # SymSpell-style delete index (the scale path replacing the
-        # reference's Levenshtein-DFA x FST, spell_corrector.go:273-302):
-        # precompute delete variants of every vocab term; lookup time is
-        # O(deletes(query)) regardless of vocab size.  Only built past a
-        # vocab-size threshold — the banded scan wins below it.
-        self.delete_index: dict[str, list[str]] | None = None
-        if len(self.vocab) >= delete_index_threshold:
-            self.delete_index = {}
-            for w in self.vocab:
-                for d in _deletes(w, EDIT_DISTANCE):
-                    self.delete_index.setdefault(d, []).append(w)
+        # SymSpell delete index (stands in for the reference's
+        # Levenshtein-DFA x FST, spell_corrector.go:273-302): every
+        # string within EDIT_DISTANCE deletes of a vocab term -> those
+        # terms.  Two strings within edit distance 2 share a string at
+        # most 2 deletes from each, so a lookup over the query's own
+        # deletes finds every candidate in O(deletes(query)).
+        self.delete_index: dict[str, list[str]] = {}
+        for w in self.vocab:
+            for d in _deletes(w, EDIT_DISTANCE):
+                self.delete_index.setdefault(d, []).append(w)
 
-    def word_candidates(self, word: str, max_d: int = EDIT_DISTANCE) -> list[str]:
-        """All vocab terms within edit distance max_d (FST x Lev-DFA in
-        the reference).  Sorted (FST iteration order)."""
-        if self.delete_index is not None and max_d == EDIT_DISTANCE:
-            cands: set[str] = set()
-            for d in _deletes(word, max_d):
-                cands.update(self.delete_index.get(d, ()))
-            return sorted(w for w in cands if levenshtein(word, w, max_d) <= max_d)
-        out = []
-        for ln in range(max(1, len(word) - max_d), len(word) + max_d + 1):
-            for w in self.by_len.get(ln, ()):
-                if levenshtein(word, w, max_d) <= max_d:
-                    out.append(w)
-        return sorted(out)
+    def word_candidates(self, word: str) -> list[str]:
+        """All vocab terms within edit distance EDIT_DISTANCE (FST x
+        Lev-DFA in the reference).  Sorted (FST iteration order)."""
+        cands: set[str] = set()
+        for d in _deletes(word, EDIT_DISTANCE):
+            cands.update(self.delete_index.get(d, ()))
+        return sorted(w for w in cands if levenshtein(word, w) <= EDIT_DISTANCE)
 
     def prefix_candidates(self, prefix: str) -> list[str]:
         """Prefix range on the sorted vocab via two bisects —

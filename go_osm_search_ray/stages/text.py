@@ -197,7 +197,10 @@ def _global_stats(ds, query_terms, id_col, text_col, name_len):
         return pd.DataFrame(rows)
 
     parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    stats = parts.sum()
+    # an empty corpus gives no partial rows (and no columns): all zero
+    stats = parts.sum().reindex(
+        ["n_docs", "sum_name_len", "sum_addr_len",
+         *(f"df__{t}" for t in qset)], fill_value=0)
     n = float(stats["n_docs"])
     return {
         "N": n,
@@ -427,12 +430,26 @@ def score_multi(ds, query_terms: dict, scoring: str = "bm25f",
     return ds.map_batches(score, batch_format="pandas")
 
 
+def empty_page(extra=()) -> pd.DataFrame:
+    """A page with no rows: (query_id, rank int64, doc_id int64,
+    score float64, *extra object columns)."""
+    return pd.DataFrame({
+        "query_id": pd.Series([], dtype=object),
+        "rank": pd.Series([], dtype=np.int64),
+        "doc_id": pd.Series([], dtype=np.int64),
+        "score": pd.Series([], dtype=np.float64),
+        **{c: pd.Series([], dtype=object) for c in extra}})
+
+
 def top_k_multi(score_ds, k_by_query: dict):
-    """Per-query page slice over a (query_id, doc_id, score) Dataset.
-    `k_by_query`: {query_id: (k, offset)}.  Per-block partial
-    top-(k+offset) per query -> driver merge of O(blocks * Q * kmax)
-    rows -> vectorized cumcount slice.  Returns a DataFrame
-    (query_id, rank, doc_id, score)."""
+    """Per-query page slice over a (query_id, doc_id, score [, extra
+    columns]) Dataset.  `k_by_query`: {query_id: (k, offset)}.
+    Per-block partial top-(k+offset) per query -> driver merge of
+    O(blocks * Q * kmax) rows -> vectorized cumcount slice.  Ties on
+    (score, doc_id) keep the row order of each block (stable sorts).
+    Returns a DataFrame (query_id, rank, doc_id, score, *extra columns);
+    with no scored row it is empty, with int64 rank / doc_id and
+    float64 score."""
     kmax = max((k + off) for k, off in k_by_query.values()) if k_by_query else 0
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -441,9 +458,10 @@ def top_k_multi(score_ds, k_by_query: dict):
         return b.groupby("query_id", sort=False).head(kmax)
 
     parts = score_ds.map_batches(partial, batch_format="pandas").to_pandas()
+    base = ["query_id", "rank", "doc_id", "score"]
+    extra = [c for c in parts.columns if c not in base]
     if len(parts) == 0:
-        return pd.DataFrame({"query_id": [], "rank": [], "doc_id": [],
-                             "score": []})
+        return empty_page(extra)
     parts = parts.sort_values(["query_id", "score", "doc_id"],
                               ascending=[True, False, True], kind="mergesort")
     rn = parts.groupby("query_id", sort=False).cumcount()
@@ -451,9 +469,9 @@ def top_k_multi(score_ds, k_by_query: dict):
     off = ko.map(lambda p: p[1]).to_numpy()
     kk = ko.map(lambda p: p[0]).to_numpy()
     keep = (rn.to_numpy() >= off) & (rn.to_numpy() < off + kk)
-    out = parts.loc[keep, ["query_id", "doc_id", "score"]].copy()
+    out = parts.loc[keep].copy()
     out["rank"] = (rn.to_numpy()[keep] - off[keep] + 1).astype(np.int64)
-    return out[["query_id", "rank", "doc_id", "score"]].reset_index(drop=True)
+    return out[base + extra].reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------------

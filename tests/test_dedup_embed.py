@@ -436,6 +436,17 @@ class TestEmbeddings:
         assert sch.names == ["id_a", "id_b", "cosine"]
         assert sch.types == [pa.int64(), pa.int64(), pa.float64()]
 
+    def test_dup_pairs_auto_empty_corpus(self):
+        import ray.data as rd
+
+        df = pd.DataFrame({"vec_id": pd.Series([], dtype=np.int64),
+                           "embedding": pd.Series([], dtype=object)})
+        got = embed.embedding_dup_pairs(rd.from_pandas(df))
+        assert got.count() == 0
+        sch = got.schema()
+        assert sch.names == ["id_a", "id_b", "cosine"]
+        assert sch.types == [pa.int64(), pa.int64(), pa.float64()]
+
     def test_to_matrix_matches_python_lists(self):
         """The flat-values read equals the Python-list conversion for
         list, large_list, fixed_size_list and Ray tensor columns, sliced

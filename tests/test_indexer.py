@@ -125,6 +125,31 @@ class TestIndexer:
         assert abs(idx.meta["avg_doc_len"] - toks.str.len().mean()) < 1e-9
 
 
+    def test_empty_corpus_builds_loadable_index(self, tmp_path):
+        """Ray writes no file for an empty Dataset: the index still
+        loads, with docs_count 0, empty typed postings and a corrector
+        that search can use."""
+        import ray.data as rd
+
+        from go_osm_search_ray.pipelines import search
+
+        out = str(tmp_path / "idx_empty")
+        empty = pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
+                              "text": pd.Series([], dtype=object)})
+        factory = lambda: rd.from_pandas(empty)
+        m = indexer.build_index(factory, out)
+        assert set(m["stages"]) == {"postings", "doc_stats", "vocab", "ngrams",
+                                    "meta"}
+        idx = indexer.LoadedIndex(out)
+        assert idx.meta["docs_count"] == 0
+        assert idx.meta["avg_doc_len"] == 0.0
+        p = idx.postings(["jalan"])
+        assert len(p) == 0 and list(p.columns) == ["term", "postings", "df"]
+        qs = pd.DataFrame({"query_id": [0], "query": ["jalan"]})
+        page = search.full_text_search(factory, qs, idx.corrector)
+        assert len(page) == 0
+
+
 def test_merge_postings_incremental_equals_batch(ray_session):
     import numpy as np
     import pandas as pd

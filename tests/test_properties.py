@@ -159,7 +159,7 @@ class TestTextProperties:
     @given(st.text(alphabet="abcde", min_size=0, max_size=8),
            st.text(alphabet="abcde", min_size=0, max_size=8))
     def test_levenshtein_exact_within_band(self, a, b):
-        """Contract of the banded scan: distances <= max_d are EXACT
+        """Contract of the early-exit DP: distances <= max_d are EXACT
         (vs a full DP reference); anything above max_d only promises
         'too far' — callers compare with <= max_d, never read the
         overflow value."""
@@ -183,6 +183,46 @@ class TestTextProperties:
             assert d > 3
         # decision symmetry
         assert (levenshtein(b, a, max_d=3) <= 3) == (d <= 3)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.text(alphabet="abcd", min_size=1, max_size=7),
+                    min_size=1, max_size=40),
+           st.data())
+    def test_word_candidates_equal_brute_force(self, vocab, data):
+        """The delete-index lookup returns exactly the vocab terms within
+        edit distance 2: one- and two-edit typos of vocab terms,
+        1-character words, and words longer than every vocab term."""
+        from go_osm_search_ray.stages import spell
+
+        sc = spell.SpellCorrector(vocab, spell.NGramLM(
+            {1: {}, 2: {}, 3: {}, 4: {}}, 0), spell.NoisyChannel([]))
+
+        def typo(w):
+            for _ in range(data.draw(st.integers(1, 2))):
+                op = data.draw(st.sampled_from(["ins", "del", "sub", "swap"]))
+                i = data.draw(st.integers(0, len(w) - 1))
+                c = data.draw(st.sampled_from("abcde"))
+                if op == "ins":
+                    w = w[:i] + c + w[i:]
+                elif op == "del" and len(w) > 1:
+                    w = w[:i] + w[i + 1:]
+                elif op == "sub":
+                    w = w[:i] + c + w[i + 1:]
+                elif op == "swap" and i + 1 < len(w):
+                    w = w[:i] + w[i + 1] + w[i] + w[i + 2:]
+            return w
+
+        longest = max(map(len, vocab))
+        queries = [typo(data.draw(st.sampled_from(vocab))),
+                   data.draw(st.text(alphabet="abcde", min_size=1,
+                                     max_size=1)),
+                   data.draw(st.text(alphabet="abcde", min_size=longest + 1,
+                                     max_size=longest + 3))]
+        for q in queries:
+            want = sorted(v for v in set(vocab)
+                          if spell.levenshtein(q, v) <= 2)
+            assert sc.word_candidates(q) == want
 
 
 class TestQuantileHistogram:

@@ -58,6 +58,91 @@ class TestFullTextSearch:
         # fan-in is globally rank-ordered
         assert out["rank"].tolist() == list(range(1, len(out) + 1))
 
+    def test_autocomplete_page_matches_pandas_fan_in(self):
+        """The `top_k_multi` page equals the per-query fan-in rebuilt in
+        plain pandas: every candidate's scored rows, sorted by score
+        desc, doc_id asc, candidate order on ties, first k per query.
+        Docs holding only `kebun` score the same under all three
+        `kebun bin*` candidates, so ties fall inside the page."""
+        import ray.data as rd
+
+        words = ["kebun", "binatang", "bintaro", "binjai", "jalan", "taman"]
+        docs = pd.DataFrame({"doc_id": range(8), "text": [
+            "kebun binatang", "kebun", "jalan kebun", "bintaro taman",
+            "kebun binjai jalan", "taman", "kebun", "binatang binatang"]})
+        factory = lambda: rd.from_pandas(docs)
+        corrector = spell.build_spell_corrector(
+            factory(), synth.spell_errors_lines(words), min_freq=1)
+        qs = pd.DataFrame({"query_id": [3, 5, 9],
+                           "query": ["kebun bin", "tamn", "zzzzzz qqqqqq"]})
+        k = 8
+        got = search.autocomplete(factory, qs, corrector, k=k)
+
+        sub_terms, rows = {}, []
+        for q in qs.itertuples():
+            toks = list(text.tokenize_series(pd.Series([q.query]))[0])
+            for ci, cand in enumerate(corrector.autocomplete(toks)):
+                sub_terms[f"{q.query_id}#{ci}"] = cand
+                rows.append((f"{q.query_id}#{ci}", q.query_id, ci,
+                             " ".join(cand)))
+        assert len([r for r in rows if r[1] == 3]) == 3
+        keys = pd.DataFrame(rows, columns=["key", "owner", "ci",
+                                           "candidate_query"])
+        scored = text.score_multi(factory(), sub_terms).to_pandas() \
+            .merge(keys, left_on="query_id", right_on="key")
+        want = []
+        for qid, g in scored.groupby("owner", sort=True):
+            g = g.sort_values(["score", "doc_id", "ci"],
+                              ascending=[False, True, True]).head(k)
+            want.append(pd.DataFrame({
+                "query_id": qid, "candidate_query": g["candidate_query"],
+                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
+                "doc_id": g["doc_id"], "score": g["score"]}))
+        want = pd.concat(want, ignore_index=True)
+        assert set(want["query_id"]) == {3, 5}  # 9 has no hit
+        tied = want[want["query_id"] == 3].duplicated(["score", "doc_id"])
+        assert tied.any()
+        pd.testing.assert_frame_equal(got, want)
+
+    def test_autocomplete_no_hit_batch(self):
+        """No candidate of any query hits a document: a typed empty
+        page, not a KeyError."""
+        factory, corrector, docs = self.corpus()
+        qs = pd.DataFrame({"query_id": [0], "query": ["zzzzzz qqqqqq"]})
+        out = search.autocomplete(factory, qs, corrector)
+        assert len(out) == 0
+        assert list(out.columns) == ["query_id", "candidate_query", "rank",
+                                     "doc_id", "score"]
+        assert out["rank"].dtype == np.int64
+        assert out["doc_id"].dtype == np.int64
+        assert out["score"].dtype == np.float64
+
+    def test_empty_corpus_and_no_hit_pages_are_typed(self):
+        import ray.data as rd
+
+        _, corrector, _ = self.corpus()
+        empty = pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
+                              "text": pd.Series([], dtype=object)})
+        qs = pd.DataFrame({"query_id": [0, 1],
+                           "query": ["jalan kebun", "zzzzzz"]})
+        factory = lambda: rd.from_pandas(empty)
+        no_tokens = pd.DataFrame({"query_id": [0], "query": [" ... "]})
+        pages = [search.full_text_search(factory, qs, corrector),
+                 search.autocomplete(factory, qs, corrector),
+                 search.full_text_search(self.corpus()[0], qs.iloc[1:],
+                                         corrector),
+                 search.full_text_search(factory, qs.iloc[:0], corrector),
+                 search.autocomplete(factory, no_tokens, corrector)]
+        for page in pages:
+            assert len(page) == 0
+            assert page["rank"].dtype == np.int64
+            assert page["doc_id"].dtype == np.int64
+            assert page["score"].dtype == np.float64
+        assert list(pages[0].columns) == ["query_id", "corrected", "rank",
+                                          "doc_id", "score"]
+        assert list(pages[1].columns) == ["query_id", "candidate_query",
+                                          "rank", "doc_id", "score"]
+
     def test_boolean_and_matches_brute(self):
         import ray.data as rd
 
