@@ -1628,10 +1628,8 @@ def q_corpus_prep(sf_dir: str):
     lengths)), one signal+gate map pass, the dedup keep-set as an
     adaptive broadcast/keyed semi-join — the corpus text streams
     twice and never shuffles."""
-    from ..stages.agg import (default_join_partitions, join_input,
-                              join_safe, membership_filter,
-                              quantile_disc_from_histogram,
-                              two_phase_agg)
+    from ..stages.agg import (membership_filter,
+                              quantile_disc_from_histogram, two_phase_agg)
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1665,14 +1663,8 @@ def q_corpus_prep(sf_dir: str):
 
     gated = ds.map_batches(gate, batch_format="pyarrow")
     reps = dedup.exact_dedup(ds).map_batches(
-        lambda b: b[["doc_id"]], batch_format="pandas").materialize()
-    if reps.count() <= 4_000_000:
-        return membership_filter(gated, reps, "doc_id", "doc_id",
-                                 keep=True)
-    n_parts = default_join_partitions()
-    r_in, _ = join_input(reps, n_parts)
-    return join_safe(gated, n_parts).join(r_in, "inner", n_parts,
-                                          on=("doc_id",))
+        lambda b: b[["doc_id"]], batch_format="pandas")
+    return membership_filter(gated, reps, "doc_id", "doc_id", keep=True)
 
 
 SQL_CORPUS_PREP = f"""
@@ -3422,7 +3414,8 @@ def q_phash_dedup_keep(sf_dir: str):
     Output: keep_id (int64 image key), one row per surviving image."""
     from ..stages import dedup, images
     from ..stages.agg import (bucketed_group_apply,
-                              default_join_partitions, join_safe)
+                              default_join_partitions, join_safe,
+                              membership_filter)
 
     ah = knn.map_with_state(
         _key_images(sf_dir, "part", "p_partkey"), "q/ahashint",
@@ -3443,25 +3436,16 @@ def q_phash_dedup_keep(sf_dir: str):
                                     sig_col="ahash_int", max_hamming=7,
                                     n_bands=8, max_bucket=None)  # uncapped oracle
 
-    n_parts = default_join_partitions()
-    pairs = join_safe(pairs, n_parts).materialize()
+    pairs = join_safe(pairs, default_join_partitions()).materialize()
     reps = sigs.map_batches(
         lambda b: pd.DataFrame({"keep_id": b["rep"].astype(np.int64)}),
         batch_format="pandas")
     if pairs.count() == 0:
         return reps
-    labels = dedup.cc_labels(pairs, num_partitions=n_parts)
-    drop = labels.map_batches(
+    drop = dedup.cc_labels(pairs).map_batches(
         lambda b: b[b["node"] != b["label"]][["node"]],
-        batch_format="pandas").materialize()
-    # adaptive: small drop set -> broadcast exact anti-filter (no join
-    # pool); web-scale dup rates -> keyed anti-join
-    from ..stages.agg import membership_filter
-    if drop.count() <= 4_000_000:
-        return membership_filter(reps, drop, "keep_id", "node",
-                                 keep=False)
-    return reps.join(join_safe(drop, n_parts), "left_anti", n_parts,
-                     on=("keep_id",), right_on=("node",))
+        batch_format="pandas")
+    return membership_filter(reps, drop, "keep_id", "node", keep=False)
 
 
 SQL_PHASH_DEDUP_KEEP = f"""

@@ -31,6 +31,16 @@ import pandas as pd
 # buckets of the keyed shuffle: rows per bucket, not answers, depend on it
 N_BUCKETS = 64
 
+# Plan thresholds.  Each is read at call time by the stage that owns
+# the rule, so a test pins a branch with monkeypatch.setattr; the plans
+# on both sides of a threshold give the same answers.
+# int64 keys a stage broadcasts as one sorted array (4M = 32 MB) before
+# it falls back to a keyed join
+BROADCAST_KEYS_MAX = 4_000_000
+# rows of the small side of an interval or rect join that are broadcast
+# and scanned per probe batch before the bucket/tile-keyed join takes over
+BROADCAST_SCAN_MAX = 100_000
+
 
 def two_phase_agg(ds, partial_fn, keys, sums, combine: str = "shuffle"):
     """partial_fn: batch -> partial rows with `keys` + `sums` columns.
@@ -124,25 +134,35 @@ def ensure_schema(ds, dtypes: dict):
     return ds.map_batches(fix, batch_format="pyarrow")
 
 
-def membership_filter(probe_ds, keys_mat, probe_col: str, key_col: str,
+def membership_filter(probe_ds, keys_ds, probe_col: str, key_col: str,
                       keep: bool = True):
-    """EXACT broadcast semi- (keep=True) / anti- (keep=False) join
-    filter for a BOUNDED key side: the sorted distinct int64 key array
-    ships once per worker process (ray.put + per-process cache) and
-    each probe batch is filtered by one vectorized searchsorted — no
-    shuffle of either side, no join aggregator pool (whose startup
-    alone costs ~1-2 s per join on this Ray version).  The caller owns
-    the size policy: use only when the key side's row count is known
-    (materialized) and fits the broadcast budget (4M int64 = 32 MB),
-    else fall back to the keyed `Dataset.join`."""
+    """EXACT semi- (keep=True) / anti- (keep=False) join filter: the
+    probe rows whose int64 `probe_col` is (not) among `keys_ds`'s
+    `key_col` values, each probe row at most once.
+
+    Owns the size policy: the key side is materialized and counted.
+    Up to BROADCAST_KEYS_MAX keys, the sorted distinct key array ships
+    once per worker process (ray.put + per-process cache) and each
+    probe batch is filtered by one vectorized searchsorted — no shuffle
+    of either side, no join aggregator pool (whose startup alone costs
+    ~1-2 s per join on this Ray version).  Above it, the two sides meet
+    in a keyed `left_semi` / `left_anti` hash join."""
     import numpy as np
     import ray
 
     from .knn import cached_state
 
+    keys_ds = keys_ds.materialize()
+    if keys_ds.count() > BROADCAST_KEYS_MAX:
+        n_parts = default_join_partitions()
+        keys_in, _ = join_input(keys_ds.select_columns([key_col]), n_parts)
+        return join_safe(probe_ds, n_parts).join(
+            keys_in, "left_semi" if keep else "left_anti", n_parts,
+            on=(probe_col,), right_on=(key_col,))
+
     karr = np.sort(np.unique(np.concatenate([
         b[key_col].to_numpy(np.int64)
-        for b in keys_mat.iter_batches(batch_format="pandas")
+        for b in keys_ds.iter_batches(batch_format="pandas")
     ] or [np.array([], dtype=np.int64)])))
     ref = ray.put(karr)
 
@@ -240,8 +260,7 @@ def _col_us(series) -> "pd.Series":
 
 
 def interval_join(points_ds, intervals_ds, ts_col, t0_col, t1_col,
-                  bucket_us: int, n_partitions: int | None = None,
-                  broadcast_max: int = 100_000):
+                  bucket_us: int):
     """Distributed INTERVAL (range-containment) join: every point row
     is matched to every interval row with t0 <= ts < t1, with NO
     equi-key — the pure range predicate.  Reference analogue: the
@@ -265,7 +284,7 @@ def interval_join(points_ds, intervals_ds, ts_col, t0_col, t1_col,
     int64 microseconds.  Returns the joined Dataset with both sides'
     columns (timestamps preserved as-is; the bucket id is dropped).
 
-    Adaptive: an interval side with <= `broadcast_max` rows is
+    Adaptive: an interval side with <= BROADCAST_SCAN_MAX rows is
     broadcast whole (ray.put once, per-worker-process cache) and the
     join becomes a per-batch vectorized containment scan over the
     streaming point side — no shuffle of EITHER side, no join
@@ -275,7 +294,7 @@ def interval_join(points_ds, intervals_ds, ts_col, t0_col, t1_col,
     import numpy as np
 
     intervals_ds = intervals_ds.materialize()
-    if intervals_ds.count() <= broadcast_max:
+    if intervals_ds.count() <= BROADCAST_SCAN_MAX:
         return _interval_join_broadcast(points_ds, intervals_ds,
                                         ts_col, t0_col, t1_col)
 
@@ -299,7 +318,7 @@ def interval_join(points_ds, intervals_ds, ts_col, t0_col, t1_col,
         out["_tb"] = b0[idx] + offs
         return out
 
-    n_part = n_partitions or default_join_partitions()
+    n_part = default_join_partitions()
     pts = points_ds.map_batches(tag_points, batch_format="pandas")
     ivs = intervals_ds.map_batches(replicate, batch_format="pandas")
     joined = join_safe(pts).join(join_safe(ivs), "inner", n_part,

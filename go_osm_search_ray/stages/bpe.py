@@ -41,6 +41,9 @@ from .agg import two_phase_agg
 
 SENTINEL = "|"
 
+# unique words up to which train() runs the merge loop on the driver
+LOCAL_VOCAB_MAX = 500_000
+
 
 def symbolize_series(words: pd.Series) -> pd.Series:
     """word -> '|c| |a| |t|' (same construction as the SQL mirror:
@@ -113,23 +116,19 @@ def _top1(pc_ds) -> tuple[str, str, int] | None:
 
 
 def train(ds, n_merges: int = 12, min_count: int = 2,
-          text_col: str = "text", mode: str = "auto",
-          local_vocab_limit: int = 500_000) -> list[tuple[str, str]]:
+          text_col: str = "text") -> list[tuple[str, str]]:
     """BPE training; returns the ordered merge list.
 
-    mode="auto" (default): SIZE-ADAPTIVE, the repo's connected-
-    components pattern — the unique-word table (already reduced by the
-    distributed word-count pass) is counted; under `local_vocab_limit`
-    it is collected once and trained driver-side (each distributed
-    iteration costs ~2 s of fixed orchestration that dwarfs a small
-    vocab's compute), above it the distributed per-iteration loop
-    runs.  Both paths are exact-integer deterministic and produce
-    identical merges (pytest-pinned)."""
+    SIZE-ADAPTIVE, the repo's connected-components pattern — the
+    unique-word table (already reduced by the distributed word-count
+    pass) is counted; up to LOCAL_VOCAB_MAX words it is collected once
+    and trained driver-side (each distributed iteration costs ~2 s of
+    fixed orchestration that dwarfs a small vocab's compute), above it
+    the distributed per-iteration loop runs.  Both paths are
+    exact-integer deterministic and produce identical merges
+    (pytest-pinned)."""
     words = word_counts(ds, text_col).materialize()
-    if mode == "auto":
-        mode = "local" if words.count() <= local_vocab_limit \
-            else "distributed"
-    if mode == "local":
+    if words.count() <= LOCAL_VOCAB_MAX:
         pdf = words.to_pandas()
         return train_words(dict(zip(pdf["word"], pdf["cnt"].astype(int))),
                            n_merges=n_merges, min_count=min_count)

@@ -32,7 +32,7 @@ import pandas as pd
 
 def dbscan(pts, eps_km: float, minpts: int, res: int = 7,
            id_col: str = "point_id", lat_col: str = "lat",
-           lon_col: str = "lon", num_partitions: int | None = None):
+           lon_col: str = "lon"):
     """Grid DBSCAN over a (id, lat, lon) Dataset.  minpts counts the
     point itself (|N_eps(p)| >= minpts including p), matching the
     textbook definition."""
@@ -41,7 +41,7 @@ def dbscan(pts, eps_km: float, minpts: int, res: int = 7,
                       ensure_schema, join_input)
     from .dedup import cc_labels
 
-    n_part = num_partitions or default_join_partitions()
+    n_part = default_join_partitions()
 
     def empty_result():
         import pyarrow as pa
@@ -104,8 +104,7 @@ def dbscan(pts, eps_km: float, minpts: int, res: int = 7,
 
     ce = tagged.map_batches(core_edges,
                             batch_format="pandas").materialize()
-    labels = (cc_labels(ce, num_partitions=n_part)
-              if ce.count() > 0 else None)
+    labels = cc_labels(ce) if ce.count() > 0 else None
 
     # isolated cores (no core neighbor) form singleton clusters; CC
     # only sees edge endpoints, so union in (core, core) self-labels
@@ -178,8 +177,7 @@ def dbscan(pts, eps_km: float, minpts: int, res: int = 7,
 def pagerank_int(edges_ds, iterations: int = 3, src_col: str = "src",
                  dst_col: str = "dst", init: int = 1_000_000,
                  base: int = 150_000, damp_num: int = 85,
-                 damp_den: int = 100, num_partitions: int | None = None,
-                 broadcast_max: int = 4_000_000):
+                 damp_den: int = 100):
     """Deterministic INTEGER PageRank (power iteration with floor
     division — hash-exact across engines, no float drift):
 
@@ -199,115 +197,88 @@ def pagerank_int(edges_ds, iterations: int = 3, src_col: str = "src",
     node- or edge-shaped ever sits on the driver; rounds are bounded
     by `iterations`, not data.
 
+    Both plans start from one DISTRIBUTED (node, out-degree) table:
+    partial per-batch (unique src counts + dst-only zero rows) ->
+    bucket-hash combine, so no edge batch ever reaches the driver.
+
     Adaptive (the engine-wide small-side policy): a node set within
-    `broadcast_max` keeps the mass vector as one broadcast sorted
-    array per round — the per-edge lookup is a vectorized
+    agg.BROADCAST_KEYS_MAX keeps the mass vector as one broadcast
+    sorted array per round — the per-edge lookup is a vectorized
     searchsorted, the ONLY shuffle left is the bucket-hash
     contribution sum, and the join aggregator pools (whose startup
     dominates at benchmark scale) never spin up.  Web-scale node
     counts take the keyed-join path below."""
+    import ray
+
+    from . import agg
     from .agg import (default_join_partitions, ensure_schema,
                       join_input, join_safe, two_phase_agg)
+    from .knn import cached_state
 
-    n_parts = num_partitions or default_join_partitions()
+    n_parts = default_join_partitions()
+    edges_ds = edges_ds.materialize()
 
-    if broadcast_max:
-        import ray
+    def nd_partial(b: pd.DataFrame) -> pd.DataFrame:
+        sv = b[src_col].to_numpy(np.int64)
+        u, c = np.unique(sv, return_counts=True)
+        du = np.unique(b[dst_col].to_numpy(np.int64))
+        return pd.DataFrame({
+            "node": np.concatenate([u, du]),
+            "deg": np.concatenate(
+                [c.astype(np.int64), np.zeros(len(du), np.int64)]),
+        })
 
-        from .knn import cached_state
+    nd = two_phase_agg(edges_ds, nd_partial, ["node"], ["deg"],
+                       combine="shuffle")
+    nd = ensure_schema(nd, {"node": "int64", "deg": "int64"}).materialize()
+    if nd.count() <= agg.BROADCAST_KEYS_MAX:
+        ndf = nd.to_pandas()
+        order = np.argsort(ndf["node"].to_numpy(np.int64))
+        nodes_arr = ndf["node"].to_numpy(np.int64)[order]
+        deg_arr = ndf["deg"].to_numpy(np.int64)[order]
+        mass_arr = np.full(len(nodes_arr), np.int64(init))
+        dn, dd = np.int64(damp_num), np.int64(damp_den)
+        na_ref = ray.put(nodes_arr)
+        dg_ref = ray.put(deg_arr)
+        for _ in range(iterations):
+            ref = ray.put(mass_arr)
 
-        # DISTRIBUTED (node, out-degree) discovery: partial per-batch
-        # (unique src counts + dst-only zero rows) -> bucket-hash
-        # combine; only the COMBINED node-sized result (bounded by
-        # broadcast_max, the same budget membership_filter states)
-        # ever touches the driver.  Round-5 fix: the old path streamed
-        # every EDGE batch through a driver-side batch-iteration loop
-        # — a single-threaded bottleneck at 100-TB edge scale even
-        # when the node count is tiny.
-        e_mat = edges_ds.materialize()
+            def contrib_batch(b, _r=ref, _n=na_ref, _d=dg_ref):
+                na = cached_state(f"prn-{_n.hex()}",
+                                  lambda: ray.get(_n))
+                dg = cached_state(f"prd-{_d.hex()}",
+                                  lambda: ray.get(_d))
+                ma = cached_state(f"prm-{_r.hex()}",
+                                  lambda: ray.get(_r))
+                pos = np.searchsorted(na, b[src_col].to_numpy(np.int64))
+                return pd.DataFrame({
+                    "node": b[dst_col].to_numpy(np.int64),
+                    "s": (ma[pos] * dn) // (dd * dg[pos]),
+                })
 
-        def nd_partial(b: pd.DataFrame) -> pd.DataFrame:
-            sv = b[src_col].to_numpy(np.int64)
-            u, c = np.unique(sv, return_counts=True)
-            du = np.unique(b[dst_col].to_numpy(np.int64))
-            return pd.DataFrame({
-                "node": np.concatenate([u, du]),
-                "deg": np.concatenate(
-                    [c.astype(np.int64), np.zeros(len(du), np.int64)]),
-            })
+            sums = two_phase_agg(edges_ds, contrib_batch,
+                                 ["node"], ["s"],
+                                 combine="shuffle").to_pandas()
+            mass_arr = np.full(len(nodes_arr), np.int64(base))
+            if len(sums):
+                pos = np.searchsorted(
+                    nodes_arr, sums["node"].to_numpy(np.int64))
+                mass_arr[pos] += sums["s"].to_numpy(np.int64)
+        import ray.data as rd
 
-        nd = two_phase_agg(e_mat, nd_partial, ["node"], ["deg"],
-                           combine="shuffle")
-        nd = ensure_schema(nd, {"node": "int64", "deg": "int64"})
-        nd = nd.materialize()
-        if nd.count() <= broadcast_max:
-            ndf = nd.to_pandas()
-            order = np.argsort(ndf["node"].to_numpy(np.int64))
-            nodes_arr = ndf["node"].to_numpy(np.int64)[order]
-            deg_arr = ndf["deg"].to_numpy(np.int64)[order]
-            mass_arr = np.full(len(nodes_arr), np.int64(init))
-            dn, dd = np.int64(damp_num), np.int64(damp_den)
-            na_ref = ray.put(nodes_arr)
-            dg_ref = ray.put(deg_arr)
-            for _ in range(iterations):
-                ref = ray.put(mass_arr)
+        return rd.from_pandas(pd.DataFrame(
+            {"node": nodes_arr, "mass": mass_arr}))
 
-                def contrib_batch(b, _r=ref, _n=na_ref, _d=dg_ref):
-                    na = cached_state(f"prn-{_n.hex()}",
-                                      lambda: ray.get(_n))
-                    dg = cached_state(f"prd-{_d.hex()}",
-                                      lambda: ray.get(_d))
-                    ma = cached_state(f"prm-{_r.hex()}",
-                                      lambda: ray.get(_r))
-                    pos = np.searchsorted(na, b[src_col].to_numpy(np.int64))
-                    return pd.DataFrame({
-                        "node": b[dst_col].to_numpy(np.int64),
-                        "s": (ma[pos] * dn) // (dd * dg[pos]),
-                    })
-
-                sums = two_phase_agg(e_mat, contrib_batch,
-                                     ["node"], ["s"],
-                                     combine="shuffle").to_pandas()
-                mass_arr = np.full(len(nodes_arr), np.int64(base))
-                if len(sums):
-                    pos = np.searchsorted(
-                        nodes_arr, sums["node"].to_numpy(np.int64))
-                    mass_arr[pos] += sums["s"].to_numpy(np.int64)
-            import ray.data as rd
-
-            return rd.from_pandas(pd.DataFrame(
-                {"node": nodes_arr, "mass": mass_arr}))
-        edges_ds = e_mat
-
-    def degree_partial(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.groupby(src_col, sort=False, as_index=False).size()
-        return out.rename(columns={src_col: "node", "size": "deg"})
-
-    deg = two_phase_agg(edges_ds, degree_partial, ["node"], ["deg"],
-                        combine="shuffle")
-    deg = ensure_schema(deg, {"node": "int64", "deg": "int64"})
-
+    # keyed path: nd is the out-degree table (dst-only nodes carry 0
+    # and never match an edge's src) and the node set
     e_deg = join_safe(edges_ds, n_parts).join(
-        join_safe(deg, n_parts), "inner", n_parts,
+        join_safe(nd, n_parts), "inner", n_parts,
         on=(src_col,), right_on=("node",))
     e_in, n_edges = join_input(ensure_schema(
         e_deg.map_batches(lambda b: b[[src_col, dst_col, "deg"]],
                           batch_format="pandas"),
         {src_col: "int64", dst_col: "int64", "deg": "int64"}), n_parts)
-
-    nodes = two_phase_agg(
-        edges_ds,
-        lambda b: pd.DataFrame(
-            {"node": pd.unique(np.concatenate(
-                [b[src_col].to_numpy(np.int64),
-                 b[dst_col].to_numpy(np.int64)])),
-             "one": np.int64(1)}).groupby("node", sort=False,
-                                          as_index=False).min(),
-        ["node"], ["one"], combine="shuffle")
-    nodes, n_nodes = join_input(
-        ensure_schema(nodes.map_batches(lambda b: b[["node"]],
-                                        batch_format="pandas"),
-                      {"node": "int64"}), n_parts)
+    nodes, n_nodes = join_input(nd.select_columns(["node"]), n_parts)
 
     mass = nodes.map_batches(
         lambda b: b.assign(m=np.int64(init)), batch_format="pandas"

@@ -178,7 +178,7 @@ class MinHasher:
 
 def minhash_lsh_pairs(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
                       num_perm: int = 128, bands: int = 16, threshold: float = 0.5,
-                      output: str = "jaccard", num_partitions: int | None = None):
+                      output: str = "jaccard"):
     """Near-dup pairs: shingle -> minhash -> banded buckets -> candidate
     pairs (signature-estimated Jaccard prefilter) -> exact-Jaccard
     verify of the SURVIVING candidates only.  Returns a Dataset with
@@ -200,7 +200,7 @@ def minhash_lsh_pairs(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
       1. hash semi-join prunes the corpus to candidate docs,
       2. each candidate doc's sorted shingle-hash array (uint64 ->
          bytes; ~8 B per token, far smaller than the text) joins onto
-         its pairs by id_a then id_b (hash joins, num_partitions-way),
+         its pairs by id_a then id_b (hash joins),
       3. the exact intersection count runs vectorized per batch.
 
     Every stage is bounded by the candidate count per partition, so a
@@ -211,8 +211,7 @@ def minhash_lsh_pairs(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
 
     from .agg import default_join_partitions
 
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
+    n_parts = default_join_partitions()
     rows_per_band = num_perm // bands
     hasher = MinHasher(num_perm)
 
@@ -300,7 +299,7 @@ def minhash_lsh_pairs(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
         return pd.DataFrame({id_col: ids})
 
     cand_ids = cand.map_batches(pair_ids, batch_format="pandas")
-    cand_docs = ds.join(cand_ids, "left_semi", num_partitions, on=(id_col,))
+    cand_docs = ds.join(cand_ids, "left_semi", n_parts, on=(id_col,))
 
     # step 2: per-doc sorted shingle-hash arrays as fixed-width bytes
     # (uint64 LE) — Arrow binary survives the Acero join, a tensor
@@ -323,11 +322,11 @@ def minhash_lsh_pairs(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
                                  batch_format="pandas").materialize()
 
     # step 3: attach both shingle sets by hash join, verify per batch
-    ja = cand.join(sets, "inner", num_partitions,
+    ja = cand.join(sets, "inner", n_parts,
                    on=("id_a",), right_on=(id_col,)) \
              .rename_columns({"hashes": "hashes_a", "set_size": "size_a"}) \
              .materialize()
-    jb = ja.join(sets, "inner", num_partitions,
+    jb = ja.join(sets, "inner", n_parts,
                  on=("id_b",), right_on=(id_col,)) \
            .rename_columns({"hashes": "hashes_b", "set_size": "size_b"})
 
@@ -359,8 +358,13 @@ def minhash_lsh_pairs(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
     return jb.map_batches(verify, batch_format="pandas")
 
 
-def cc_labels(pairs_ds, num_partitions: int | None = None, max_iters: int = 25,
-              task_threshold: int = 2_000_000):
+# connected components: edge count (both directions) up to which one Ray
+# task runs union-find, and the round cap of the distributed fixpoint
+CC_TASK_EDGES_MAX = 2_000_000
+CC_MAX_ROUNDS = 25
+
+
+def cc_labels(pairs_ds):
     """Distributed connected components over an edge Dataset
     (id_a, id_b) by iterated min-label propagation: every node starts
     at label = min(node, neighbors); each round a node's label becomes
@@ -371,11 +375,13 @@ def cc_labels(pairs_ds, num_partitions: int | None = None, max_iters: int = 25,
     non-increasing, so the per-round label SUM strictly decreases until
     the fixpoint.
 
-    Size-adaptive: an edge set below `task_threshold` (after the
+    Size-adaptive: an edge set within CC_TASK_EDGES_MAX (after the
     materializing shuffle, so the count is free) runs union-find in a
     SINGLE Ray task — the fixpoint loop pays several shuffles per
     round, which only amortizes when the edge list is too big for one
-    worker.  Either path keeps all per-edge state off the driver.
+    worker.  Either path keeps all per-edge state off the driver.  The
+    fixpoint runs at most CC_MAX_ROUNDS rounds and raises RuntimeError
+    if the last one still changed a label.
 
     Returns a Dataset of (node, label) where label = the component's
     minimum node id.  Nothing touches the driver except the per-round
@@ -385,8 +391,7 @@ def cc_labels(pairs_ds, num_partitions: int | None = None, max_iters: int = 25,
     """
     from .agg import bucketed_group_apply, default_join_partitions
 
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
+    n_parts = default_join_partitions()
 
     def sym(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -397,7 +402,7 @@ def cc_labels(pairs_ds, num_partitions: int | None = None, max_iters: int = 25,
     from .agg import join_safe
 
     edges = join_safe(
-        pairs_ds.map_batches(sym, batch_format="pandas"), num_partitions
+        pairs_ds.map_batches(sym, batch_format="pandas"), n_parts
     ).materialize()
 
     if edges.count() == 0:
@@ -409,7 +414,7 @@ def cc_labels(pairs_ds, num_partitions: int | None = None, max_iters: int = 25,
             "node": pd.Series([], dtype=np.int64),
             "label": pd.Series([], dtype=np.int64)}))
 
-    if edges.count() <= task_threshold:
+    if edges.count() <= CC_TASK_EDGES_MAX:
         import ray
         import ray.data as rd
 
@@ -427,20 +432,26 @@ def cc_labels(pairs_ds, num_partitions: int | None = None, max_iters: int = 25,
 
             for blk in blocks:
                 df = blk.to_pandas() if hasattr(blk, "to_pandas") else blk
+                if len(df) == 0:  # repartition leaves column-less empties
+                    continue
                 for a, b in zip(df["node"].to_numpy(), df["nbr"].to_numpy()):
-                    ra, rb = find(int(a)), find(int(b))
+                    a, b = int(a), int(b)
+                    # every endpoint is a node, a self-loop's too
+                    parent.setdefault(a, a)
+                    parent.setdefault(b, b)
+                    ra, rb = find(a), find(b)
                     if ra != rb:  # min id becomes the root
                         if rb < ra:
                             ra, rb = rb, ra
                         parent[rb] = ra
-            nodes = list(parent.keys() | {find(x) for x in parent})
+            nodes = list(parent)
             return pd.DataFrame({
                 "node": np.array(nodes, dtype=np.int64),
                 "label": np.array([find(x) for x in nodes], dtype=np.int64),
             })
 
         out = ray.get(uf_task.remote(*edges.to_arrow_refs()))
-        return join_safe(rd.from_pandas(out), num_partitions).materialize()
+        return join_safe(rd.from_pandas(out), n_parts).materialize()
 
     def min_label(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("node", sort=False, as_index=False)["label"].min()
@@ -454,11 +465,11 @@ def cc_labels(pairs_ds, num_partitions: int | None = None, max_iters: int = 25,
     labels = join_safe(bucketed_group_apply(
         edges.map_batches(init_partial, batch_format="pandas"),
         ["node"], min_label,
-    ), num_partitions).materialize()
+    ), n_parts).materialize()
     prev_sum = labels.sum("label")
-    for _ in range(max_iters):
+    for _ in range(CC_MAX_ROUNDS):
         msgs = (
-            edges.join(labels, "inner", num_partitions, on=("node",))
+            edges.join(labels, "inner", n_parts, on=("node",))
             .map_batches(
                 lambda b: pd.DataFrame({"node": b["nbr"], "label": b["label"]}),
                 batch_format="pandas",
@@ -473,8 +484,8 @@ def cc_labels(pairs_ds, num_partitions: int | None = None, max_iters: int = 25,
             join_safe(labels.map_batches(
                 lambda b: pd.DataFrame({"orig": b["node"], "hop": b["label"]}),
                 batch_format="pandas",
-            ), num_partitions)
-            .join(labels, "inner", num_partitions,
+            ), n_parts)
+            .join(labels, "inner", n_parts,
                   on=("hop",), right_on=("node",))
             .map_batches(
                 lambda b: pd.DataFrame({"node": b["orig"], "label": b["label"]}),
@@ -483,31 +494,32 @@ def cc_labels(pairs_ds, num_partitions: int | None = None, max_iters: int = 25,
         )
         labels = join_safe(bucketed_group_apply(
             labels.union(msgs).union(hops), ["node"], min_label
-        ), num_partitions).materialize()
+        ), n_parts).materialize()
         new_sum = labels.sum("label")
         if new_sum == prev_sum:
-            break
+            return labels
         prev_sum = new_sum
-    return labels
+    raise RuntimeError(
+        f"cc_labels: labels still changing after {CC_MAX_ROUNDS} rounds")
 
 
 def near_dedup_keep(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
                     threshold: float = 0.2, max_df: int | None = None,
-                    method: str = "exact", cc: str = "distributed",
-                    num_partitions: int | None = None):
+                    method: str = "exact"):
     """Training-data near-dedup END TO END: pair generation (exact
     shingle-Jaccard, or MinHash+LSH via method="minhash") -> connected
     components -> keep the MIN-ID representative per component.
     Returns a Dataset of kept ids (docs with no near-dup survive).
 
-    cc="distributed" (default): min-label propagation over the pair
-    Dataset (`cc_labels`) + a hash ANTI-join of the corpus against the
-    non-representative nodes — no whole-dataset driver state anywhere;
-    safe when pair counts rival the corpus (web-corpus dup rates of
-    20-50% make them).  cc="driver": the small-pair-count fast path —
-    union-find on a collected pair list, broadcast drop set; only for
-    provably bounded dup rates.
+    Components come from `cc_labels` (single-task union-find for small
+    pair sets, min-label propagation above that); the corpus ids are
+    anti-filtered against the non-representative nodes by
+    `membership_filter` (broadcast or keyed by the drop-set size) — no
+    whole-dataset driver state anywhere, safe when pair counts rival
+    the corpus (web-corpus dup rates of 20-50% make them).
     """
+    from .agg import default_join_partitions, join_safe, membership_filter
+
     if method == "minhash":
         pairs_ds = minhash_lsh_pairs(ds, id_col, text_col, k_shingle,
                                      threshold=threshold)
@@ -515,55 +527,15 @@ def near_dedup_keep(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
         pairs_ds = jaccard_pairs(ds, id_col, text_col, k_shingle,
                                  threshold=threshold, max_df=max_df)
 
-    if cc == "distributed":
-        from .agg import default_join_partitions, join_safe
-
-        if num_partitions is None:
-            num_partitions = default_join_partitions()
-        pairs_ds = join_safe(pairs_ds, num_partitions).materialize()
-        if pairs_ds.count() == 0:
-            return ds.map_batches(lambda b: b[[id_col]], batch_format="pandas")
-        labels = cc_labels(pairs_ds, num_partitions=num_partitions)
-        drop = labels.map_batches(
-            lambda b: b[b["node"] != b["label"]][["node"]],
-            batch_format="pandas",
-        ).materialize()
-        ids = ds.map_batches(lambda b: b[[id_col]], batch_format="pandas")
-        # small drop set: exact broadcast anti-filter skips the join
-        # aggregator pool; web-scale dup rates take the keyed anti-join
-        if drop.count() <= 4_000_000:
-            from .agg import membership_filter
-
-            return membership_filter(ids, drop, id_col, "node",
-                                     keep=False)
-        return ids.join(join_safe(drop, num_partitions), "left_anti",
-                        num_partitions, on=(id_col,), right_on=("node",))
-
-    pairs = pairs_ds.to_pandas()  # bounded by near-dup pair count
-
-    parent: dict = {}
-
-    def find(x):
-        r = x
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(x, x) != x:
-            parent[x], x = r, parent[x]
-        return r
-
-    for a, b in zip(pairs["id_a"], pairs["id_b"]):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # min-id root => the representative is the smallest member
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-
-    drop = {x for x in parent if find(x) != x}
-
-    def keep(b: pd.DataFrame) -> pd.DataFrame:
-        return b[~b[id_col].isin(drop)][[id_col]]
-
-    return ds.map_batches(keep, batch_format="pandas")
+    pairs_ds = join_safe(pairs_ds, default_join_partitions()).materialize()
+    ids = ds.map_batches(lambda b: b[[id_col]], batch_format="pandas")
+    if pairs_ds.count() == 0:
+        return ids
+    drop = cc_labels(pairs_ds).map_batches(
+        lambda b: b[b["node"] != b["label"]][["node"]],
+        batch_format="pandas",
+    )
+    return membership_filter(ids, drop, id_col, "node", keep=False)
 
 
 # ---------------------------------------------------------------------------
@@ -966,7 +938,7 @@ def incremental_exact_dedup(state_dir: str, ds, epoch: int,
 
 
 def decontaminate(train_ds, test_ds, id_col="doc_id", text_col="text",
-                  k_shingle: int = 5, broadcast_max: int = 4_000_000):
+                  k_shingle: int = 5):
     """TRAIN/TEST DECONTAMINATION — the n-gram overlap check an LLM
     training pipeline runs before trusting its eval split: a test
     document is CONTAMINATED if ANY of its k-token shingles appears
@@ -975,17 +947,15 @@ def decontaminate(train_ds, test_ds, id_col="doc_id", text_col="text",
     same operator, bigger k).
 
     Scale shape: both splits reduce to 64-bit md5 shingle hashes
-    (per-batch-distinct; the corpus text never shuffles).  The train
-    hash set is either BROADCAST (<= `broadcast_max` rows after
-    materialization: one sorted int64 array per worker process,
-    vectorized searchsorted semi-join — no shuffle of either side) or
-    met in a keyed hash join after a bucketed exact distinct.  The
-    final per-doc distinct is bucket-hashed, never driver-side.
+    (per-batch-distinct; the corpus text never shuffles).  The test
+    (doc, hash) rows are semi-joined against the train hash set by
+    `membership_filter` (broadcast sorted array or keyed join, by the
+    train set's size).  The final per-doc distinct is bucket-hashed,
+    never driver-side.
     Output: one row per contaminated test doc_id.
     Reference analogue: cross-set membership of the dedup resolution
     scan (indexer.go:582-618), recast across splits."""
-    from .agg import (bucketed_group_apply, default_join_partitions,
-                      join_safe, membership_filter)
+    from .agg import bucketed_group_apply, membership_filter
 
     def train_hashes(b: pd.DataFrame) -> pd.DataFrame:
         hvs = _shingle_hashes_batch(tokenize_series(b[text_col]), k_shingle)
@@ -1001,17 +971,9 @@ def decontaminate(train_ds, test_ds, id_col="doc_id", text_col="text",
               else np.array([], dtype=np.int64))
         return pd.DataFrame({id_col: ids, "sh": sh})
 
-    tr = train_ds.map_batches(train_hashes,
-                              batch_format="pandas").materialize()
+    tr = train_ds.map_batches(train_hashes, batch_format="pandas")
     probe = test_ds.map_batches(test_pairs, batch_format="pandas")
-    if tr.count() <= broadcast_max:
-        hits = membership_filter(probe, tr, "sh", "sh", keep=True)
-    else:
-        n_parts = default_join_partitions()
-        tr_d = bucketed_group_apply(
-            tr, ["sh"], lambda g: g.drop_duplicates())
-        hits = join_safe(probe, n_parts).join(
-            join_safe(tr_d, n_parts), "inner", n_parts, on=("sh",))
+    hits = membership_filter(probe, tr, "sh", "sh", keep=True)
     ids = hits.map_batches(
         lambda b: b[[id_col]].drop_duplicates(), batch_format="pandas")
     return bucketed_group_apply(ids, [id_col],
@@ -1019,9 +981,7 @@ def decontaminate(train_ds, test_ds, id_col="doc_id", text_col="text",
 
 
 def dup_ngram_coverage(ds, id_col="doc_id", text_col="text",
-                       k_shingle: int = 5,
-                       broadcast_max: int = 4_000_000,
-                       n_partitions: int | None = None):
+                       k_shingle: int = 5):
     """DUPLICATE-N-GRAM COVERAGE (the remaining Gopher repetition
     metric, Rae et al. 2021: "fraction of characters in duplicate
     n-grams", token-level here): per document, the number of token
@@ -1034,14 +994,15 @@ def dup_ngram_coverage(ds, id_col="doc_id", text_col="text",
          hashes, bucket-hash two-phase count, keep df >= 2 (the
          cross-corpus duplicate set);
       2. positional membership — every (doc, pos, shingle-hash) row
-         streams against the dup set (broadcast sorted-array
-         searchsorted when <= broadcast_max, else keyed hash join),
+         streams against the dup set (`membership_filter`: broadcast
+         sorted-array searchsorted or keyed join, by the set's size),
          then per-doc interval UNION of the surviving [pos, pos+k)
          windows — all k-length intervals, so union length is
          sum(min(k, next_pos - pos)) over the sorted positions, one
          vectorized shift+clip per bucket.
     Docs shorter than k have no k-gram and count 0 covered.
     The text never shuffles — only hashes, positions, and counts."""
+    from . import agg
     from .agg import (bucketed_group_apply, default_join_partitions,
                       join_input, join_safe, membership_filter,
                       two_phase_agg)
@@ -1096,8 +1057,7 @@ def dup_ngram_coverage(ds, id_col="doc_id", text_col="text",
     df_counts = two_phase_agg(ds, doc_distinct, ["sh"], ["n"],
                               combine="shuffle")
     dup = df_counts.map_batches(
-        lambda b: b.loc[b["n"] >= 2, ["sh"]],
-        batch_format="pandas").materialize()
+        lambda b: b.loc[b["n"] >= 2, ["sh"]], batch_format="pandas")
 
     def positions(b: pd.DataFrame) -> pd.DataFrame:
         ids, hvs = _pos_hash_batch(b)
@@ -1114,13 +1074,7 @@ def dup_ngram_coverage(ds, id_col="doc_id", text_col="text",
         })
 
     probe = ds.map_batches(positions, batch_format="pandas")
-    if dup.count() <= broadcast_max:
-        hits = membership_filter(probe, dup, "sh", "sh", keep=True)
-    else:
-        n_parts = n_partitions or default_join_partitions()
-        dup_in, n_dup = join_input(dup, n_parts)
-        hits = join_safe(probe, n_parts).join(
-            dup_in, "inner", n_parts, on=("sh",))
+    hits = membership_filter(probe, dup, "sh", "sh", keep=True)
 
     def cover_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = (g[[id_col, "pos"]].drop_duplicates()
@@ -1142,13 +1096,13 @@ def dup_ngram_coverage(ds, id_col="doc_id", text_col="text",
         })
 
     base = ds.map_batches(tok_counts, batch_format="pandas")
-    n_parts = n_partitions or default_join_partitions()
+    n_parts = default_join_partitions()
     cov_in, n_cov = join_input(covered, n_parts)
     if n_cov == 0:
         return base.map_batches(
             lambda b: b.assign(covered_tokens=np.int64(0)),
             batch_format="pandas")
-    if n_cov <= broadcast_max:
+    if n_cov <= agg.BROADCAST_KEYS_MAX:
         # small covered set (<= one row per doc): broadcast sorted
         # (doc, covered) arrays, one searchsorted per batch — no
         # left-outer join pool (the engine-wide small-side policy)

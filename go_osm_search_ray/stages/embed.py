@@ -139,13 +139,12 @@ AUTO_LSH_MIN = 200_000
 
 def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
                         method: str = "auto", n_blocks: int = 8,
-                        n_planes: int = 64, bands: int = 16, seed: int = 7,
-                        auto_lsh_min: int = AUTO_LSH_MIN):
+                        n_planes: int = 64, bands: int = 16, seed: int = 7):
     """All (id_a < id_b) pairs with cosine >= threshold.
 
     method="auto" (default): count the corpus (one materialize —
-    both plans consume it whole anyway) and pick "block" below
-    `auto_lsh_min` vectors (exact, cheap at that size) or "lsh" above
+    both plans consume it whole anyway) and pick "block" up to
+    AUTO_LSH_MIN vectors (exact, cheap at that size) or "lsh" above
     it (exact block-cross at 10^9 vectors is the O(n^2) plan a naive
     caller must NOT get by default).  An empty corpus gives the typed
     empty (id_a, id_b, cosine) result.
@@ -181,7 +180,7 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
         n = ds.count()
         if n == 0:  # the block plan's groupby has no schema on empty input
             return _empty_pairs()
-        if n > auto_lsh_min:
+        if n > AUTO_LSH_MIN:
             # size the band width r so expected bucket occupancy stays
             # ~64 rows (in-bucket verify is O(bucket^2)): r bits give
             # 2^r buckets per band.  Recall for true near-dups stays

@@ -46,6 +46,10 @@ PAD = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
+# frequent n-gram hashes (all levels) that backoff_stats broadcasts as
+# sorted arrays before it falls back to three keyed left joins
+BROADCAST_GRAMS_MAX = 20_000_000
+
 
 def window_rows(ds, vocab_sorted: np.ndarray, id_col: str = "doc_id",
                 text_col: str = "text"):
@@ -143,13 +147,12 @@ def _frequent_grams(win_ds, min_count: int):
 
 
 def backoff_stats(ds, id_col: str = "doc_id", text_col: str = "text",
-                  min_vocab_freq: int = 2, min_count: int = 2,
-                  broadcast_limit: int = 20_000_000):
+                  min_vocab_freq: int = 2, min_count: int = 2):
     """Per-document backoff-level histogram (see module docstring).
     Returns a Dataset (doc_id, n_pos, l4, l3, l2, l1).
 
     Membership of a position's n-gram hash in the frequent sets is
-    ADAPTIVE (the decontaminate pattern): below `broadcast_limit`
+    ADAPTIVE (the decontaminate pattern): up to BROADCAST_GRAMS_MAX
     total frequent grams the three sorted hash arrays broadcast once
     (ray.put) and every level resolves in ONE vectorized searchsorted
     map — no join touches the corpus-scale position table; above it,
@@ -163,7 +166,7 @@ def backoff_stats(ds, id_col: str = "doc_id", text_col: str = "text",
     win = window_rows(ds, vocab_sorted, id_col, text_col).materialize()
     freq = _frequent_grams(win, min_count).materialize()
 
-    if freq.count() <= broadcast_limit:
+    if freq.count() <= BROADCAST_GRAMS_MAX:
         fpdf = freq.to_pandas()
         sets = {lvl: np.sort(fpdf.loc[fpdf["lvl"] == lvl, "h"]
                              .to_numpy(np.int64))

@@ -196,9 +196,7 @@ def bloom_build(keys_ds, key_col: str, m_bits: int, k: int,
 
 
 def bloom_semi_join(probe_ds, keys_ds, probe_key: str, build_key: str,
-                    n_keys_hint: int, fpp: float = 0.002,
-                    n_partitions: int | None = None,
-                    broadcast_verify_max: int = 4_000_000):
+                    n_keys_hint: int, fpp: float = 0.002):
     """EXACT distributed semi-join, Bloom-accelerated: the key side
     builds a Bloom filter (tree-merged, broadcast via ray.put + the
     per-worker-process state cache), the probe side drops non-members
@@ -214,7 +212,7 @@ def bloom_semi_join(probe_ds, keys_ds, probe_key: str, build_key: str,
     at 0.2%), shipped once per worker process, not per batch."""
     import ray
 
-    from .agg import default_join_partitions, join_safe
+    from . import agg
     from .knn import cached_state
 
     m_bits, k = bloom_params(n_keys_hint, fpp)
@@ -223,21 +221,14 @@ def bloom_semi_join(probe_ds, keys_ds, probe_key: str, build_key: str,
     # re-running its upstream read+filter lineage
     keys_ds = keys_ds.materialize()
 
-    # Adaptive exact path: a key side small enough to broadcast whole
-    # needs no sketch at all — ship the sorted key array once per
-    # worker process and the semi-join is ONE vectorized searchsorted
-    # filter: no bitmap, no repartition, no join aggregator pool (the
-    # pool startup alone costs ~1-2 s per join on this Ray version).
-    # The Bloom + exact-verify-join path below is the UNBOUNDED-keys
-    # design (the bitmap is the only broadcast state; membership is
-    # restored exactly by a keyed join).  4M int64 keys = 32 MB —
-    # comfortably under the per-worker broadcast budget.
-    n_keys = keys_ds.count()
-    if n_keys <= broadcast_verify_max:
-        from .agg import membership_filter
-
-        return membership_filter(probe_ds, keys_ds, probe_key,
-                                 build_key, keep=True)
+    # Adaptive exact path: a key side within agg.BROADCAST_KEYS_MAX
+    # needs no sketch at all — membership_filter's broadcast sorted-key
+    # searchsorted is the whole semi-join.  The Bloom + exact-verify-join
+    # path below is the UNBOUNDED-keys design (the bitmap is the only
+    # broadcast state; membership is restored exactly by a keyed join).
+    if keys_ds.count() <= agg.BROADCAST_KEYS_MAX:
+        return agg.membership_filter(probe_ds, keys_ds, probe_key,
+                                     build_key, keep=True)
 
     bits = bloom_build(keys_ds, build_key, m_bits, k)
     ref = ray.put(bits)
@@ -251,7 +242,7 @@ def bloom_semi_join(probe_ds, keys_ds, probe_key: str, build_key: str,
         return b[keep]
 
     survivors = probe_ds.map_batches(prefilter, batch_format="pandas")
-    n_part = n_partitions or default_join_partitions()
+    n_part = agg.default_join_partitions()
     keys_only = keys_ds.select_columns([build_key])
     if build_key != probe_key:
         # explicit map_batches rename: Dataset.rename_columns breaks
@@ -262,8 +253,8 @@ def bloom_semi_join(probe_ds, keys_ds, probe_key: str, build_key: str,
     # left_semi regardless of key names: each probe row is emitted at
     # most once even when keys_ds has duplicate keys — identical
     # semantics to the broadcast membership_filter path above.
-    return join_safe(survivors).join(
-        join_safe(keys_only), "left_semi", n_part, on=(probe_key,))
+    return agg.join_safe(survivors).join(
+        agg.join_safe(keys_only), "left_semi", n_part, on=(probe_key,))
 
 
 # ---------------------------------------------------------------------------

@@ -235,11 +235,13 @@ def bm25f_score(ds, query_terms: list[str], id_col="doc_id", text_col="text",
             tf_n = tfm_n[:, ti]
             tf_a = tfm_a[:, ti]
             w_n = NAME_WEIGHT * (tf_n / (1 + NAME_B * (ln / stats["avg_name"] - 1)))
+            s += np.where(tf_n > 0, w_n / (K1_BM25F + w_n), 0.0) * idf
+            if stats["avg_addr"] == 0:  # no doc has an address token
+                continue
             # reference uses NAME_B for the address field too (scoring.go:60)
             w_a = ADDRESS_WEIGHT * np.where(
                 la > 0, tf_a / (1 + NAME_B * (la / stats["avg_addr"] - 1)), 0.0
             )
-            s += np.where(tf_n > 0, w_n / (K1_BM25F + w_n), 0.0) * idf
             s += np.where(tf_a > 0, w_a / (K1_BM25F + w_a), 0.0) * idf
         out = pd.DataFrame({"doc_id": batch[id_col], "score": s})
         return out[out["score"] != 0.0]
@@ -372,13 +374,13 @@ def score_multi(ds, query_terms: dict, scoring: str = "bm25f",
                 w_n = NAME_WEIGHT * (
                     tf_n / (1 + NAME_B * (ln / stats["avg_name"] - 1))
                 )
+                C[:, ti] = np.where(tf_n > 0, w_n / (K1_BM25F + w_n), 0.0) * idf
+                if stats["avg_addr"] == 0:  # no doc has an address token
+                    continue
                 w_a = ADDRESS_WEIGHT * np.where(
                     la > 0, tf_a / (1 + NAME_B * (la / stats["avg_addr"] - 1)), 0.0
                 )
-                C[:, ti] = (
-                    np.where(tf_n > 0, w_n / (K1_BM25F + w_n), 0.0) * idf
-                    + np.where(tf_a > 0, w_a / (K1_BM25F + w_a), 0.0) * idf
-                )
+                C[:, ti] += np.where(tf_a > 0, w_a / (K1_BM25F + w_a), 0.0) * idf
             elif scoring == "bm25plus":
                 idf = np.log10(stats["N"] + 1) - np.log10(df)
                 tf = tfm[:, ti]

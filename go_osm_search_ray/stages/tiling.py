@@ -207,8 +207,7 @@ def vectorize_tiles(points_ds, res: int = geo.DEFAULT_TILE_RES,
 
 
 def rect_overlap_join(a_ds, b_ds, res: int = 4,
-                      a_id: str = "id_a", b_id: str = "id_b",
-                      broadcast_max: int = 100_000):
+                      a_id: str = "id_a", b_id: str = "id_b"):
     """Distributed 2-D rectangle-OVERLAP join (polygon-polygon overlay
     at bbox granularity): each rect explodes to the tiles its area
     touches at coarse `res`, the sides hash-join on tile_id, the exact
@@ -223,8 +222,8 @@ def rect_overlap_join(a_ds, b_ds, res: int = 4,
     tiles); per-tile work is a local vectorized merge — the 2-D
     analogue of the interval join's bucket replication.
 
-    Adaptive: an a-side with <= `broadcast_max` rects is broadcast
-    whole (ray.put once, per-worker-process cache) and the join
+    Adaptive: an a-side with <= agg.BROADCAST_SCAN_MAX rects is
+    broadcast whole (ray.put once, per-worker-process cache) and the join
     becomes a chunked all-pairs overlap scan over the streaming
     b-side — no shuffle of EITHER side, no join aggregator pool
     (same policy as agg.interval_join).  The tile-keyed join below
@@ -232,10 +231,11 @@ def rect_overlap_join(a_ds, b_ds, res: int = 4,
     """
     import pandas as pd
 
+    from . import agg
     from .agg import default_join_partitions, join_safe
 
     a_ds = a_ds.materialize()
-    if a_ds.count() <= broadcast_max:
+    if a_ds.count() <= agg.BROADCAST_SCAN_MAX:
         return _rect_overlap_broadcast(a_ds, b_ds, a_id, b_id)
 
     n = 1 << res

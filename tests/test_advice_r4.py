@@ -92,11 +92,12 @@ def test_compaction_temp_dirs_invisible_and_recoverable(ray_session,
     assert sum(p["row_count"] for p in m["partitions"].values()) == len(df)
 
 
-def test_bloom_semi_join_duplicate_keys_both_paths(ray_session):
+def test_bloom_semi_join_duplicate_keys_both_paths(ray_session, monkeypatch):
     """Duplicate keys on the key side: both the broadcast path and the
     Bloom+verify path must emit each probe row exactly once."""
     import ray
 
+    from go_osm_search_ray.stages import agg
     from go_osm_search_ray.stages.sketch import bloom_semi_join
 
     probe = pd.DataFrame({"pk": np.arange(2000, dtype=np.int64),
@@ -106,13 +107,13 @@ def test_bloom_semi_join_duplicate_keys_both_paths(ray_session):
         np.arange(500, dtype=np.int64), 3)})
     expected = set(range(500))
 
-    for bmax in (4_000_000, 0):  # broadcast path, then bloom path
+    for keys_max in (4_000_000, 0):  # broadcast path, then bloom path
+        monkeypatch.setattr(agg, "BROADCAST_KEYS_MAX", keys_max)
         got = bloom_semi_join(
             ray.data.from_pandas(probe).repartition(4),
             ray.data.from_pandas(keys).repartition(4),
-            "pk", "bk", n_keys_hint=1500,
-            broadcast_verify_max=bmax).to_pandas()
-        assert len(got) == 500, f"broadcast_verify_max={bmax}"
+            "pk", "bk", n_keys_hint=1500).to_pandas()
+        assert len(got) == 500, f"BROADCAST_KEYS_MAX={keys_max}"
         assert set(got["pk"]) == expected
         assert (got["val"] == got["pk"] * 3).all()
 

@@ -28,17 +28,19 @@ def _local_wc(df):
     return flat.value_counts().to_dict()
 
 
-def test_distributed_trainer_equals_local(ray_session):
+def test_distributed_trainer_equals_local(ray_session, monkeypatch):
     import ray
 
     df = _docs()
     ds = ray.data.from_pandas(df).repartition(4)
-    got = bpe.train(ds, n_merges=8, mode="distributed")
     exp = bpe.train_words(_local_wc(df), n_merges=8)
+    # the default LOCAL_VOCAB_MAX picks the driver-side loop here
+    assert bpe.train(ds, n_merges=8) == exp
+    # LOCAL_VOCAB_MAX=0 pins the distributed per-iteration loop
+    monkeypatch.setattr(bpe, "LOCAL_VOCAB_MAX", 0)
+    got = bpe.train(ds, n_merges=8)
     assert got == exp
     assert len(got) == 8
-    # and the adaptive path picks local here but agrees
-    assert bpe.train(ds, n_merges=8) == exp
 
 
 def test_merge_application_non_overlapping():

@@ -127,11 +127,16 @@ class TestDbscan:
 
 @pytest.mark.usefixtures("ray_session")
 class TestPagerankInt:
-    @pytest.mark.parametrize("broadcast_max", [0, 4_000_000])
-    def test_matches_reference_loop(self, broadcast_max):
+    @pytest.mark.parametrize("keys_max", [0, 4_000_000])
+    def test_matches_reference_loop(self, keys_max, monkeypatch):
+        """keys_max=0 pins the keyed-join path; 4M (the default) takes
+        the broadcast mass vector."""
         import ray.data as rd
 
+        from go_osm_search_ray.stages import agg
         from go_osm_search_ray.stages.cluster import pagerank_int
+
+        monkeypatch.setattr(agg, "BROADCAST_KEYS_MAX", keys_max)
 
         rng = np.random.default_rng(5)
         n = 40
@@ -142,7 +147,6 @@ class TestPagerankInt:
                           "dst": np.concatenate([b[keep], a[keep]])}
                          ).drop_duplicates().astype(np.int64)
         got = pagerank_int(rd.from_pandas(e).repartition(4), iterations=3,
-                           broadcast_max=broadcast_max,
                            ).to_pandas().set_index("node")["mass"]
 
         nodes = np.unique(np.concatenate([e["src"], e["dst"]]))
@@ -157,15 +161,18 @@ class TestPagerankInt:
         for v in nodes:
             assert got[v] == m[v], v
 
-    def test_keyed_path_1m_edges(self):
+    def test_keyed_path_1m_edges(self, monkeypatch):
         """Round-4 ask #3: 10^6 edges through the KEYED path
-        (broadcast_max=0 — no driver node/degree state at all),
-        verified against a vectorized single-machine reference."""
+        (agg.BROADCAST_KEYS_MAX=0 — no driver node/degree state at
+        all), verified against a vectorized single-machine reference."""
         import time
 
         import ray.data as rd
 
+        from go_osm_search_ray.stages import agg
         from go_osm_search_ray.stages.cluster import pagerank_int
+
+        monkeypatch.setattr(agg, "BROADCAST_KEYS_MAX", 0)
 
         rng = np.random.default_rng(23)
         n_nodes, n_edges = 200_000, 1_000_000
@@ -176,7 +183,7 @@ class TestPagerankInt:
             .drop_duplicates().astype(np.int64)
         t0 = time.perf_counter()
         got = pagerank_int(rd.from_pandas(e).repartition(16),
-                           iterations=2, broadcast_max=0) \
+                           iterations=2) \
             .to_pandas().set_index("node")["mass"].sort_index()
         wall = time.perf_counter() - t0
         perf_gate(wall < 300, f"keyed pagerank took {wall:.1f}s")
@@ -224,7 +231,7 @@ class TestPagerankInt:
             .drop_duplicates().astype(np.int64)
         t0 = time.perf_counter()
         got = pagerank_int(rd.from_pandas(e).repartition(16),
-                           iterations=2, broadcast_max=4_000_000) \
+                           iterations=2) \
             .to_pandas().set_index("node")["mass"].sort_index()
         wall = time.perf_counter() - t0
         perf_gate(wall < 300, f"broadcast pagerank took {wall:.1f}s")

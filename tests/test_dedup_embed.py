@@ -52,12 +52,17 @@ class TestExactDedup:
 
 @pytest.mark.usefixtures("ray_session")
 class TestDecontaminate:
-    @pytest.mark.parametrize("broadcast_max", [0, 4_000_000])
-    def test_planted_contamination(self, broadcast_max):
+    @pytest.mark.parametrize("keys_max", [0, 4_000_000])
+    def test_planted_contamination(self, keys_max, monkeypatch):
         """Test docs copying a >=5-gram from train are flagged; docs
-        sharing only shorter overlaps are not.  broadcast_max=0 pins
-        the keyed-join path; the default takes the broadcast scan."""
+        sharing only shorter overlaps are not.  agg.BROADCAST_KEYS_MAX=0
+        pins membership_filter's keyed left_semi join; the default takes
+        the broadcast scan."""
         import ray.data as rd
+
+        from go_osm_search_ray.stages import agg
+
+        monkeypatch.setattr(agg, "BROADCAST_KEYS_MAX", keys_max)
 
         train = pd.DataFrame({
             "doc_id": [0, 2],
@@ -78,19 +83,25 @@ class TestDecontaminate:
         got = dedup.decontaminate(
             rd.from_pandas(train).repartition(2),
             rd.from_pandas(test).repartition(2),
-            k_shingle=5, broadcast_max=broadcast_max,
+            k_shingle=5,
         ).to_pandas()
         assert sorted(got["doc_id"]) == [1]
 
 
 @pytest.mark.usefixtures("ray_session")
 class TestDupNgramCoverage:
-    @pytest.mark.parametrize("broadcast_max", [0, 4_000_000])
-    def test_interval_union_by_hand(self, broadcast_max):
+    @pytest.mark.parametrize("keys_max", [0, 4_000_000])
+    def test_interval_union_by_hand(self, keys_max, monkeypatch):
         """Two docs share 'a b c d e' and the overlapping 'b c d e f'
         (positions 0 and 1 in doc 10 -> union covers tokens 0..5 = 6);
-        doc 12 shares nothing; doc 13 is shorter than the 5-gram."""
+        doc 12 shares nothing; doc 13 is shorter than the 5-gram.
+        agg.BROADCAST_KEYS_MAX=0 pins the keyed probe join and the
+        left-outer covered attach; the default broadcasts both."""
         import ray.data as rd
+
+        from go_osm_search_ray.stages import agg
+
+        monkeypatch.setattr(agg, "BROADCAST_KEYS_MAX", keys_max)
 
         df = pd.DataFrame({
             "doc_id": [10, 11, 12, 13],
@@ -103,7 +114,6 @@ class TestDupNgramCoverage:
         })
         got = dedup.dup_ngram_coverage(
             rd.from_pandas(df).repartition(3), k_shingle=5,
-            broadcast_max=broadcast_max,
         ).to_pandas().set_index("doc_id").sort_index()
         assert got["n_tokens"].tolist() == [9, 8, 8, 2]
         # doc10: [0,5)+[1,6) union = 6; doc11: [1,6)+[2,7) union = 6
@@ -272,7 +282,7 @@ class TestJaccardAndMinhash:
         m = got.merge(df.rename(columns={"rep_id": "id_a"}), on="id_a")
         assert (m["n_a"] == m["n"]).all()
 
-    def test_cc_labels_planted_components(self):
+    def test_cc_labels_planted_components(self, monkeypatch):
         """Distributed min-label propagation: a 7-node chain (needs
         multiple propagation rounds), a triangle, an isolated edge."""
         import ray.data as rd
@@ -283,25 +293,27 @@ class TestJaccardAndMinhash:
         })
         # both paths: the single-task union-find fast path (default at
         # this size) AND the distributed fixpoint loop (forced)
-        for thresh in (2_000_000, 0):
-            labels = dedup.cc_labels(rd.from_pandas(pairs).repartition(3),
-                                     task_threshold=thresh).to_pandas()
+        for task_edges_max in (2_000_000, 0):
+            monkeypatch.setattr(dedup, "CC_TASK_EDGES_MAX", task_edges_max)
+            labels = dedup.cc_labels(
+                rd.from_pandas(pairs).repartition(3)).to_pandas()
             lab = dict(zip(labels["node"], labels["label"]))
             assert lab[1] == lab[2] == lab[3] == 1
             assert lab[10] == lab[11] == lab[12] == lab[13] == 10
             assert lab[50] == lab[51] == 50
             assert all(lab[n] == 100 for n in range(100, 107))
 
-    def test_near_dedup_driver_flag_matches_distributed(self):
+    def test_cc_labels_raises_when_rounds_run_out(self, monkeypatch):
+        """The distributed fixpoint must not return unconverged labels:
+        one round cannot settle a 7-node chain, so it raises."""
         import ray.data as rd
 
-        df = docs_with_dups().head(150)
-        a = set(dedup.near_dedup_keep(rd.from_pandas(df).repartition(4),
-                                      threshold=0.2).to_pandas()["doc_id"])
-        b = set(dedup.near_dedup_keep(rd.from_pandas(df).repartition(4),
-                                      threshold=0.2, cc="driver")
-                .to_pandas()["doc_id"])
-        assert a == b
+        pairs = pd.DataFrame({"id_a": np.arange(100, 106, dtype=np.int64),
+                              "id_b": np.arange(101, 107, dtype=np.int64)})
+        monkeypatch.setattr(dedup, "CC_TASK_EDGES_MAX", 0)
+        monkeypatch.setattr(dedup, "CC_MAX_ROUNDS", 1)
+        with pytest.raises(RuntimeError, match="still changing"):
+            dedup.cc_labels(rd.from_pandas(pairs).repartition(3))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -389,11 +401,13 @@ class TestEmbeddings:
             assert (int(base_ids[i]), 100000 + i) in pairs
         assert (got["cosine"] >= 0.9).all()
 
-    def test_dup_pairs_auto_switch_matches_lsh(self):
-        """method='auto' wiring: above auto_lsh_min it must take the
-        LSH path — same pairs as an explicit method='lsh' call with
+    def test_dup_pairs_auto_switch_matches_lsh(self, monkeypatch):
+        """method='auto' wiring: above embed.AUTO_LSH_MIN it must take
+        the LSH path — same pairs as an explicit method='lsh' call with
         the same geometry (deterministic planes)."""
         import ray.data as rd
+
+        monkeypatch.setattr(embed, "AUTO_LSH_MIN", 10)
 
         rng = np.random.default_rng(11)
         base = rng.standard_normal((60, 24))
@@ -403,8 +417,7 @@ class TestEmbeddings:
             "embedding": [v.tolist() for v in vecs],
         })
         ds = rd.from_pandas(df).repartition(3)
-        got_auto = embed.embedding_dup_pairs(
-            ds, threshold=0.95, auto_lsh_min=10).to_pandas()
+        got_auto = embed.embedding_dup_pairs(ds, threshold=0.95).to_pandas()
         got_lsh = embed.embedding_dup_pairs(
             rd.from_pandas(df).repartition(3), threshold=0.95,
             method="lsh").to_pandas()

@@ -772,10 +772,11 @@ class TestFunnelScale:
 
 @pytest.mark.usefixtures("ray_session")
 class TestIntervalJoin:
-    def test_containment_boundaries_and_replication(self):
+    def test_containment_boundaries_and_replication(self, monkeypatch):
         import numpy as np
         import ray.data as rd
 
+        from go_osm_search_ray.stages import agg
         from go_osm_search_ray.stages.agg import interval_join
 
         B = 100  # bucket width (us)
@@ -793,13 +794,14 @@ class TestIntervalJoin:
         # brute-force oracle
         want = {(p.pid, i.iid) for p in pts.itertuples()
                 for i in ivs.itertuples() if i.t0 <= p.ts < i.t1}
-        # broadcast_max=0 pins the bucketized-replication path;
-        # default takes the small-side broadcast path — both exact
-        for bmax in (0, 100_000):
+        # agg.BROADCAST_SCAN_MAX=0 pins the bucketized-replication path;
+        # the default takes the small-side broadcast path — both exact
+        for scan_max in (0, 100_000):
+            monkeypatch.setattr(agg, "BROADCAST_SCAN_MAX", scan_max)
             out = interval_join(
                 rd.from_pandas(pts).repartition(3),
                 rd.from_pandas(ivs).repartition(2),
-                "ts", "t0", "t1", bucket_us=B, broadcast_max=bmax,
+                "ts", "t0", "t1", bucket_us=B,
             ).to_pandas()
             got = set(zip(out["pid"], out["iid"]))
             assert got == want

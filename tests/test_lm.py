@@ -54,7 +54,7 @@ def brute_stats(df, min_vocab=2, min_count=2):
     return pd.DataFrame(out)
 
 
-def test_backoff_stats_matches_brute(ray_session):
+def _check_backoff_stats():
     import ray
 
     df = _docs()
@@ -66,6 +66,16 @@ def test_backoff_stats_matches_brute(ray_session):
         exp.astype(np.int64))
     # the shared trigram prefix must actually produce level-4 hits
     assert exp["l4"].sum() > 0 and exp["l1"].sum() > 0
+
+
+def test_backoff_stats_matches_brute(ray_session):
+    _check_backoff_stats()  # broadcast frequent-gram arrays
+
+
+def test_backoff_stats_keyed_joins_match_brute(ray_session, monkeypatch):
+    # BROADCAST_GRAMS_MAX=0 pins the three keyed left joins
+    monkeypatch.setattr(lm, "BROADCAST_GRAMS_MAX", 0)
+    _check_backoff_stats()
 
 
 def test_stupid_backoff_score_orders_familiarity():

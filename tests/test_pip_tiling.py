@@ -432,15 +432,20 @@ class TestDictionaryEncode:
 
 @pytest.mark.usefixtures("ray_session")
 class TestRectOverlapJoin:
-    @pytest.mark.parametrize("broadcast_max", [0, 100_000])
-    def test_matches_brute_force_with_boundary_alignments(self, broadcast_max):
+    @pytest.mark.parametrize("scan_max", [0, 100_000])
+    def test_matches_brute_force_with_boundary_alignments(self, scan_max,
+                                                          monkeypatch):
         """Random rects (some edges exactly ON res-4 tile boundaries)
         vs an O(n*m) numpy oracle: every intersecting pair exactly
-        once, correct overlap area.  broadcast_max=0 pins the
+        once, correct overlap area.  agg.BROADCAST_SCAN_MAX=0 pins the
         tile-keyed join path; the default takes the broadcast scan."""
         import itertools
 
         import ray.data as rd
+
+        from go_osm_search_ray.stages import agg
+
+        monkeypatch.setattr(agg, "BROADCAST_SCAN_MAX", scan_max)
 
         rng = np.random.default_rng(11)
 
@@ -464,8 +469,7 @@ class TestRectOverlapJoin:
         b = rects(60, np.arange(60, dtype=np.int64))
         got = tiling.rect_overlap_join(
             rd.from_pandas(a).repartition(3),
-            rd.from_pandas(b).repartition(4), res=4,
-            broadcast_max=broadcast_max).to_pandas()
+            rd.from_pandas(b).repartition(4), res=4).to_pandas()
         want = {}
         for i, j in itertools.product(range(40), range(60)):
             ilat0 = max(a["lat0"][i], b["lat0"][j])

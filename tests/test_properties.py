@@ -554,3 +554,94 @@ class TestBucketedGroupApply:
         got = got[cols].sort_values(keys).reset_index(drop=True)
         want = want[cols].sort_values(keys).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def _union_find_labels(edges):
+    """Test-local reference: node -> minimum node id of its component,
+    for every endpoint of `edges` (self-loops included)."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in parent}
+
+
+_edge_lists = st.one_of(
+    # random graphs: repeated edges and self-loops come up often
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+             max_size=40),
+    # long chains in shuffled edge order (many propagation rounds)
+    st.integers(2, 40).flatmap(lambda n: st.permutations(
+        [(i, i + 1) for i in range(n)])),
+)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestConnectedComponents:
+    """`dedup.cc_labels` under both plans (single-task union-find up to
+    CC_TASK_EDGES_MAX edges, the distributed fixpoint above) and the
+    `near_dedup_keep` keep-set, against a test-local union-find."""
+
+    @pytest.mark.parametrize("task_edges_max", [2_000_000, 0])
+    @settings(max_examples=3, deadline=None)
+    @given(edges=_edge_lists)
+    @example(edges=[])
+    @example(edges=[(3, 3), (3, 3), (7, 7)])
+    @example(edges=[(i + 1, i) for i in range(40)])
+    def test_cc_labels_equal_union_find(self, task_edges_max, edges):
+        import ray.data as rd
+
+        from go_osm_search_ray.stages import dedup
+
+        pairs = pd.DataFrame({
+            "id_a": np.array([a for a, _ in edges], dtype=np.int64),
+            "id_b": np.array([b for _, b in edges], dtype=np.int64)})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dedup, "CC_TASK_EDGES_MAX", task_edges_max)
+            got = dedup.cc_labels(
+                rd.from_pandas(pairs).repartition(3)).to_pandas()
+        # an empty Dataset's to_pandas() has no columns
+        lab = (dict(zip(got["node"].tolist(), got["label"].tolist()))
+               if len(got) else {})
+        assert len(lab) == len(got)  # one row per node
+        assert lab == _union_find_labels(edges)
+
+    @pytest.mark.parametrize("plan", ["default", "distributed_keyed"])
+    @settings(max_examples=3, deadline=None)
+    @given(texts=st.lists(
+        st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]), max_size=7)
+        .map(" ".join), min_size=1, max_size=16))
+    @example(texts=["aa bb cc dd", "aa bb cc dd", "aa bb cc dd aa",
+                    "dd cc bb aa", "cc dd", ""])
+    def test_near_dedup_keeps_component_minimum(self, plan, texts):
+        import ray.data as rd
+
+        from go_osm_search_ray.stages import agg, dedup
+
+        # ids descend with row order, so the kept minimum is not simply
+        # the first row of a component
+        df = pd.DataFrame({
+            "doc_id": np.arange(len(texts), dtype=np.int64)[::-1] * 3 + 7,
+            "text": texts})
+        with pytest.MonkeyPatch.context() as mp:
+            if plan == "distributed_keyed":
+                mp.setattr(dedup, "CC_TASK_EDGES_MAX", 0)
+                mp.setattr(agg, "BROADCAST_KEYS_MAX", 0)
+            pairs = dedup.jaccard_pairs(
+                rd.from_pandas(df).repartition(3), threshold=0.2).to_pandas()
+            got = dedup.near_dedup_keep(
+                rd.from_pandas(df).repartition(3), threshold=0.2).to_pandas()
+        comp = _union_find_labels(
+            zip(pairs["id_a"].tolist(), pairs["id_b"].tolist())
+            if len(pairs) else [])
+        want = {d for d in df["doc_id"].tolist() if comp.get(d, d) == d}
+        assert sorted(got["doc_id"].tolist()) == sorted(want)

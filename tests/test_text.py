@@ -138,7 +138,46 @@ def brute_bm25f(docs, terms, name_len=3):
 
 
 @pytest.mark.usefixtures("ray_session")
+class _FrameDataset:
+    """Ray-free stand-in for the two Dataset calls the scorers make, so
+    their numpy warnings are raised in this process."""
+
+    def __init__(self, df):
+        self.df = df
+
+    def map_batches(self, fn, batch_format="pandas"):
+        return _FrameDataset(fn(self.df))
+
+    def to_pandas(self):
+        return self.df
+
+
 class TestScoring:
+    def test_bm25f_no_address_tokens_no_warning(self):
+        """No doc longer than name_len tokens (corpus avg_addr == 0):
+        both BM25F scorers skip the address term instead of dividing
+        0 by 0, and still equal the brute force."""
+        import warnings
+
+        short = pd.DataFrame({
+            "doc_id": np.arange(7, dtype=np.int64),
+            "text": ["hash", "hash merge", "merge scan hash", "scan",
+                     "other words", "no match", "filler"],
+        })
+        terms = ["hash", "scan"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = text.bm25f_score(_FrameDataset(short), terms).to_pandas()
+            multi = text.score_multi(_FrameDataset(short),
+                                     {"q": terms}).to_pandas()
+        want = brute_bm25f(short, terms)
+        assert set(one["doc_id"]) == set(want) == set(multi["doc_id"])
+        got = one.set_index("doc_id")["score"]
+        got_m = multi.set_index("doc_id")["score"]
+        for d, s in want.items():
+            assert abs(got[d] - s) < 1e-9
+            assert got_m[d] == got[d]
+
     def test_bm25f_matches_brute(self, docs):
         import ray.data as rd
 
@@ -350,9 +389,10 @@ class TestBloom:
 
 @pytest.mark.usefixtures("ray_session")
 class TestBloomSemiJoin:
-    def test_exact_under_forced_false_positives(self):
+    def test_exact_under_forced_false_positives(self, monkeypatch):
         import ray.data as rd
 
+        from go_osm_search_ray.stages import agg
         from go_osm_search_ray.stages.sketch import bloom_semi_join
 
         # tiny hint -> tiny undersized bitmap -> many Bloom false
@@ -363,15 +403,15 @@ class TestBloomSemiJoin:
             "v": np.arange(2000, dtype=np.int64),
         })
         want = probe[probe["pk"].isin(set(keys["k"]))]
-        # broadcast_verify_max=0 pins the Bloom + verify-JOIN path
-        # (the unbounded-keys design); default exercises the adaptive
-        # broadcast-exact path — both must be exact
-        for bmax in (0, 4_000_000):
+        # agg.BROADCAST_KEYS_MAX=0 pins the Bloom + verify-JOIN path
+        # (the unbounded-keys design); the default exercises the
+        # adaptive broadcast-exact path — both must be exact
+        for keys_max in (0, 4_000_000):
+            monkeypatch.setattr(agg, "BROADCAST_KEYS_MAX", keys_max)
             out = bloom_semi_join(
                 rd.from_pandas(probe).repartition(4),
                 rd.from_pandas(keys).repartition(2),
                 "pk", "k", n_keys_hint=4, fpp=0.5,
-                broadcast_verify_max=bmax,
             ).to_pandas()
             assert sorted(out["v"]) == sorted(want["v"])
             assert list(out.columns) == ["pk", "v"]  # probe cols kept
