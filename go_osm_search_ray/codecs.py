@@ -58,7 +58,11 @@ def png_decode(data: bytes) -> np.ndarray:
     h > 1; the fast path's measured win is skipping the chunk walk and
     per-chunk slicing, not avoiding that copy.)  Fast path: our own
     encoder emits exactly SIG|IHDR|IDAT|IEND, so the chunk offsets are
-    fixed; anything else falls back to the general chunk walk."""
+    fixed; anything else falls back to the general chunk walk.
+
+    Raises ValueError for a blob that is not a PNG or is cut short
+    (a chunk runs past the data), NotImplementedError for a layout
+    outside 8-bit RGB / filter 0, zlib.error for a corrupt stream."""
     if data[:8] != _PNG_SIG:
         raise ValueError("not a PNG")
     # fast path: single IDAT at the fixed offset our encoder produces
@@ -77,18 +81,26 @@ def png_decode(data: bytes) -> np.ndarray:
             return out
     pos, w, h, idat = 8, None, None, b""
     while pos < len(data):
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        if pos + 8 > len(data):
+            raise ValueError("PNG chunk header runs past the data")
+        (length,) = struct.unpack_from(">I", data, pos)
         tag = data[pos + 4 : pos + 8]
         body = data[pos + 8 : pos + 8 + length]
+        if len(body) < length:
+            raise ValueError("PNG chunk body runs past the data")
         pos += 12 + length
         if tag == b"IHDR":
-            w, h, depth, color = struct.unpack(">IIBB", body[:10])
+            if length < 10:
+                raise ValueError("PNG IHDR chunk too short")
+            w, h, depth, color = struct.unpack_from(">IIBB", body)
             if depth != 8 or color != 2:
                 raise NotImplementedError("only 8-bit RGB supported")
         elif tag == b"IDAT":
             idat += body
         elif tag == b"IEND":
             break
+    if w is None:
+        raise ValueError("PNG has no IHDR chunk")
     raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8).reshape(h, 1 + w * 3)
     if (raw[:, 0] != 0).any():
         raise NotImplementedError("only filter 0 supported")

@@ -1139,13 +1139,15 @@ SQL_BM25F = _sql_bm25f()
 
 def q_bm25plus_topk(sf_dir: str):
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    out = text.top_k(text.bm25plus_score(ds, BM25_TERMS), k=10)
+    out = text.top_k(
+        text.score_multi(ds, {0: BM25_TERMS}, scoring="bm25plus"), k=10)
     return _round6(out[["rank", "doc_id", "score"]], ["score"])
 
 
 def _sql_bm25plus() -> str:
-    """Mirror of text.bm25plus_score incl. the reference's (K1+1)+tf
-    numerator (scoring.go:163-166).  K1=1.2, B=0.98, DELTA=1."""
+    """Mirror of text.score_multi(scoring="bm25plus") incl. the
+    reference's (K1+1)+tf numerator (scoring.go:163-166).  K1=1.2,
+    B=0.98, DELTA=1."""
     per_term = []
     for t in BM25_TERMS:
         per_term.append(f"""
@@ -1186,13 +1188,15 @@ TFIDF_TERMS = ["hash", "scan", "hash"]  # duplicate exercises query-tf
 
 def q_tfidf_topk(sf_dir: str):
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    out = text.top_k(text.tfidf_score(ds, TFIDF_TERMS), k=10)
+    out = text.top_k(
+        text.score_multi(ds, {0: TFIDF_TERMS}, scoring="tfidf"), k=10)
     return _round6(out[["rank", "doc_id", "score"]], ["score"])
 
 
 def _sql_tfidf() -> str:
-    """Mirror of text.tfidf_score — the reference's dot-product-only
-    TF-IDF (norms computed but never divided by, scoring.go:183-228)."""
+    """Mirror of text.score_multi(scoring="tfidf") — the reference's
+    dot-product-only TF-IDF (norms computed but never divided by,
+    scoring.go:183-228)."""
     q_count = {}
     for t in TFIDF_TERMS:
         q_count[t] = q_count.get(t, 0) + 1
@@ -3516,27 +3520,18 @@ def q_tile_mosaic(sf_dir: str):
     moves is <= one row per (batch, tile), never per image), then a
     bucket-hash two-phase sum combine.  Raster analogue of
     tile_histogram; tiling per rtree.go:168-205's spatial bucketing."""
-    from .. import codecs, geo
+    from .. import geo
+    from ..stages import images
     from ..stages.agg import two_phase_agg
 
     imgs = _key_images(sf_dir, "orders", "o_orderkey")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        n = len(b)
-        imgs = [codecs.decode(blob, fmt)
-                for blob, fmt in zip(b["bytes"], b["fmt"])]
-        if n and all(im.shape == imgs[0].shape for im in imgs):
-            # uniform-shape fast path: ONE stacked allocation + a
-            # batch-wide channel sum (the AverageHashInt pattern —
-            # allocation churn per tiny image is the measured cost)
-            sums = np.stack(imgs).sum(axis=(1, 2), dtype=np.int64)
-        else:
-            sums = np.zeros((n, 3), dtype=np.int64)
-            for i, im in enumerate(imgs):
-                sums[i] = im.sum(axis=(0, 1), dtype=np.int64)
+        sums = images.DecodeSums().sums(
+            pa.Table.from_pandas(b, preserve_index=False))
         lat, lon = geo.phash_to_latlon(b["phash"].to_numpy())
         df = pd.DataFrame({"tile_id": geo.tile_id(lat, lon, TILE_RES),
-                           "n_images": np.ones(n, dtype=np.int64),
+                           "n_images": np.ones(len(b), dtype=np.int64),
                            "sum_r": sums[:, 0], "sum_g": sums[:, 1],
                            "sum_b": sums[:, 2]})
         return df.groupby("tile_id", sort=False, as_index=False).sum()
@@ -3635,12 +3630,7 @@ def q_video_frame_stats(sf_dir: str):
         vids, "q/framesample2", lambda: images.FrameSample(stride=2), 1024)
 
     def frame_sums(b: pa.Table) -> pa.Table:
-        from .. import codecs
-
-        sums = np.zeros((b.num_rows, 3), dtype=np.int64)
-        for i, (blob, fmt) in enumerate(zip(b["bytes"].to_pylist(),
-                                            b["fmt"].to_pylist())):
-            sums[i] = codecs.decode(blob, fmt).astype(np.int64).sum(axis=(0, 1))
+        sums = images.DecodeSums().sums(b)
         return pa.table({
             "video_id": b["video_id"],
             "frame_idx": b["frame_idx"],

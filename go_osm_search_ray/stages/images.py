@@ -5,11 +5,27 @@ The input_hint table carries images as opaque binary + typed metadata
 `map_batches` plumbing (stateless tasks over per-process stage state) a
 training-data pipeline needs:
 
-- DecodeStats   — decode -> per-image pixel statistics + integrity check
-- Resize        — decode -> nearest-neighbor resize -> re-encode
-- AverageHash   — decode -> grayscale 8x8 average hash (a real phash)
-- EmbedImage    — decode -> tiny deterministic feature vector (pooled
-                  grid means) standing in for a vision model embedding
+- DecodeStats    — per-image pixel statistics + integrity flag
+- DecodeSums     — integer per-channel pixel sums (the oracle-able
+                   decode proof)
+- AverageHash    — grayscale 8x8 average hash (a real phash)
+- AverageHashInt — integer-exact 8x8 average hash over r+g+b
+- EdgeEnergy     — integer gradient energy (the sharpness gate)
+- EmbedImageSums — integer grid-pooled per-channel sums
+- EmbedImage     — tiny deterministic feature vector (pooled grid
+                   means) standing in for a vision model embedding
+- Resize         — nearest-neighbor resize -> PNG re-encode
+- SceneChanges / FrameSample — FVID video containers
+- AudioFeatures  — PCM16 features
+
+One decode path: every image stage takes its pixels from
+`decode_groups`, which decodes a batch once into shape groups — one
+batched fixed-layout pass (`decode_batch_uniform`) when the rows share
+(w, h, fmt), else one image at a time, stacked by shape — and runs its
+ONE pixel kernel per stack, writing results back in row order.  A row
+whose payload does not decode (corrupt or short blob, null bytes or
+fmt, unknown fmt) gives `decode_ok=False` in DecodeStats; every other
+image stage raises `ImageDecodeError` naming the first bad image_id.
 
 Decoding uses the repo's real PNG codec and the clearly-marked fake
 lossy codec (go_osm_search_ray.codecs).  `ExternalCodec` marks where a
@@ -33,6 +49,10 @@ from .. import codecs
 from .knn import map_with_state
 
 
+class ImageDecodeError(ValueError):
+    """A batch row whose image payload did not decode."""
+
+
 def _decode(data: bytes, fmt: str) -> np.ndarray:
     try:
         return codecs.decode(data, fmt)
@@ -40,50 +60,6 @@ def _decode(data: bytes, fmt: str) -> np.ndarray:
         raise NotImplementedError(
             f"fmt {fmt!r} needs an external codec (PIL/libjpeg) — "
             "not available in this container; see stages/images.py"
-        )
-
-
-class DecodeStats:
-    """Per-image pixel stats; `decode_ok` flags undecodable payloads."""
-
-    def __getstate__(self):
-        d = self.__dict__.copy()
-        d.pop("_raw", None)
-        return d
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        px, self._raw = decode_batch_uniform(batch, getattr(self, "_raw", None))
-        if px is not None:
-            n = batch.num_rows
-            flat = px.reshape(n, -1)
-            m = flat.mean(axis=1)
-            s = flat.std(axis=1)
-            return pa.table(
-                {
-                    "image_id": batch["image_id"],
-                    "mean_pixel": pa.array(m, pa.float64()),
-                    "std_pixel": pa.array(s, pa.float64()),
-                    "decode_ok": pa.array(np.ones(n, dtype=bool), pa.bool_()),
-                }
-            )
-        means, stds, ok = [], [], []
-        for b, f in zip(batch["bytes"], batch["fmt"]):
-            try:
-                img = _decode(b.as_py(), f.as_py())
-                means.append(float(img.mean()))
-                stds.append(float(img.std()))
-                ok.append(True)
-            except (ValueError, NotImplementedError, zlib.error):
-                means.append(0.0)
-                stds.append(0.0)
-                ok.append(False)
-        return pa.table(
-            {
-                "image_id": batch["image_id"],
-                "mean_pixel": pa.array(means, pa.float64()),
-                "std_pixel": pa.array(stds, pa.float64()),
-                "decode_ok": pa.array(ok, pa.bool_()),
-            }
         )
 
 
@@ -100,8 +76,8 @@ def decode_batch_uniform(
     Returns ``(pixels, raw_buf)`` with pixels a read-only
     (n, h, w, 3) uint8 view, or ``(None, raw_buf)`` when the batch is
     mixed / non-uniform / missing or null in its w/h/fmt columns / not
-    our encoder's layout — callers fall back to the per-image
-    ``_decode`` loop.
+    our encoder's layout — `decode_groups` then decodes one image at a
+    time.
     """
     import pyarrow.compute as pc
 
@@ -159,35 +135,137 @@ def decode_batch_uniform(
     return px, raw_buf
 
 
+def decode_groups(batch: pa.Table, raw_buf: np.ndarray | None):
+    """The one decode of a batch of image payloads.
+
+    Returns ``(groups, bad, raw_buf)``.  ``groups`` is a list of
+    ``(rows, px)``: ``rows`` int64 row positions, ``px`` a
+    ``(len(rows), h, w, 3)`` uint8 stack — one group per image shape.
+    ``bad`` (int64) lists the rows whose payload did not decode: null
+    bytes or fmt (a missing column counts as null), unknown fmt,
+    corrupt or short blob.  A uniform batch is one group from the
+    batched `decode_batch_uniform` pass into the reused ``raw_buf``
+    (looked up on the module at call time); any other batch decodes
+    one image at a time and stacks by shape."""
+    n = batch.num_rows
+    px, raw_buf = decode_batch_uniform(batch, raw_buf)
+    if px is not None:
+        return ([(np.arange(n, dtype=np.int64), px)], np.empty(0, np.int64),
+                raw_buf)
+    blobs, fmts = (batch[c].to_pylist() if c in batch.column_names
+                   else [None] * n for c in ("bytes", "fmt"))
+    by_shape: dict = {}
+    bad = []
+    for i, (blob, fmt) in enumerate(zip(blobs, fmts)):
+        try:
+            if blob is None:
+                raise ValueError("null bytes")  # a null fmt is unknown
+            img = _decode(blob, fmt)
+        except (ValueError, NotImplementedError, zlib.error):
+            bad.append(i)
+            continue
+        rows, imgs = by_shape.setdefault(img.shape, ([], []))
+        rows.append(i)
+        imgs.append(img)
+    groups = [(np.asarray(rows, np.int64), np.stack(imgs))
+              for rows, imgs in by_shape.values()]
+    return groups, np.asarray(bad, np.int64), raw_buf
+
+
 def _resize_nn(img: np.ndarray, w: int, h: int) -> np.ndarray:
-    ys = (np.arange(h) * img.shape[0] // h).clip(0, img.shape[0] - 1)
-    xs = (np.arange(w) * img.shape[1] // w).clip(0, img.shape[1] - 1)
-    return img[np.ix_(ys, xs)]
+    """Nearest-neighbor resize of one (H, W, 3) image or an
+    (n, H, W, 3) stack to h x w."""
+    H, W = img.shape[-3:-1]
+    ys = (np.arange(h) * H // h).clip(0, H - 1)
+    xs = (np.arange(w) * W // w).clip(0, W - 1)
+    return img[..., ys[:, None], xs, :]
 
 
-class DecodeSums:
+def _pick8(px: np.ndarray) -> np.ndarray:
+    """The 8x8 nearest-neighbor picks of a stack (the stack itself
+    when it is already 8x8, so no copy on the flagship shape)."""
+    return px if px.shape[1:3] == (8, 8) else _resize_nn(px, 8, 8)
+
+
+def _grid_cells(h: int, w: int, g: int):
+    """(yi, xi, row slice, column slice) of each cell of a g x g grid
+    over an h x w image; every cell holds at least one pixel."""
+    for yi in range(g):
+        ys = slice(yi * h // g, max(yi * h // g + 1, (yi + 1) * h // g))
+        for xi in range(g):
+            xs = slice(xi * w // g, max(xi * w // g + 1, (xi + 1) * w // g))
+            yield yi, xi, ys, xs
+
+
+class _ImageStage:
+    """Base of the image stages: one decode (`decode_groups` into a
+    reused per-process buffer), one pixel kernel per shape group.
+    Attributes named ``_*`` are per-process scratch buffers and are
+    not pickled."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items()
+                if not k.startswith("_")}
+
+    def _groups(self, batch: pa.Table, strict: bool = True) -> list:
+        groups, bad, self._raw = decode_groups(
+            batch, getattr(self, "_raw", None))
+        if strict and len(bad):
+            i = int(bad[0])
+            name = (batch["image_id"][i].as_py()
+                    if "image_id" in batch.column_names else f"row {i}")
+            raise ImageDecodeError(
+                f"{type(self).__name__}: image {name!r} did not decode "
+                f"({len(bad)} of {batch.num_rows} rows)")
+        return groups
+
+    def _per_row(self, batch, kernel, shape, dtype, strict=True):
+        """``kernel`` maps a (k, h, w, 3) stack to k results of
+        ``shape``; returns the (n, *shape) results in row order (rows
+        that did not decode stay zero when not ``strict``)."""
+        out = np.zeros((batch.num_rows, *shape), dtype)
+        for rows, px in self._groups(batch, strict):
+            out[rows] = kernel(px)
+        return out
+
+
+class DecodeStats(_ImageStage):
+    """Per-image pixel stats; `decode_ok` flags undecodable payloads."""
+
+    @staticmethod
+    def _kernel(px):
+        flat = px.reshape(len(px), -1)
+        # column 2 is 1 for every decoded row; bad rows stay all zero
+        return np.stack([flat.mean(axis=1), flat.std(axis=1),
+                         np.ones(len(px))], axis=1)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        s = self._per_row(batch, self._kernel, (3,), np.float64,
+                          strict=False)
+        return pa.table(
+            {
+                "image_id": batch["image_id"],
+                "mean_pixel": pa.array(s[:, 0], pa.float64()),
+                "std_pixel": pa.array(s[:, 1], pa.float64()),
+                "decode_ok": pa.array(s[:, 2] == 1, pa.bool_()),
+            }
+        )
+
+
+class DecodeSums(_ImageStage):
     """Integer-exact per-image, per-channel pixel sums — the
     DuckDB-oracle-hashable decode proof (floats round differently across
     engines; integer sums cannot).  decode runs through the REAL codec;
     the SQL oracle reproduces the pixel math without ever decoding."""
 
-    def __getstate__(self):
-        d = self.__dict__.copy()
-        d.pop("_raw", None)
-        return d
+    def sums(self, batch: pa.Table) -> np.ndarray:
+        """(n, 3) int64 per-channel sums in row order."""
+        return self._per_row(
+            batch, lambda px: px.sum(axis=(1, 2), dtype=np.int64),
+            (3,), np.int64)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        px, self._raw = decode_batch_uniform(batch, getattr(self, "_raw", None))
-        if px is not None:
-            sums = px.sum(axis=(1, 2), dtype=np.int64)
-        else:
-            blobs = batch["bytes"].to_pylist()
-            fmts = batch["fmt"].to_pylist()
-            sums = np.zeros((n, 3), dtype=np.int64)
-            for i in range(n):
-                img = _decode(blobs[i], fmts[i]).astype(np.int64)
-                sums[i] = img.sum(axis=(0, 1))
+        sums = self.sums(batch)
         return pa.table(
             {
                 "image_id": batch["image_id"],
@@ -198,7 +276,7 @@ class DecodeSums:
         )
 
 
-class AverageHashInt:
+class AverageHashInt(_ImageStage):
     """Integer-exact 8x8 average hash over (r+g+b) sums: bit (y*8+x) is
     set iff 64*(r+g+b)[y,x] > sum of all (r+g+b) — no float grayscale,
     so the threshold comparison is exact and SQL-mirrorable.  The int64
@@ -207,41 +285,20 @@ class AverageHashInt:
 
     _POW2_63 = (np.int64(1) << np.arange(63, dtype=np.int64))
 
-    def __getstate__(self):
-        d = self.__dict__.copy()
-        d.pop("_raw", None)
-        return d
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        px, self._raw = decode_batch_uniform(batch, getattr(self, "_raw", None))
-        if px is not None:
-            h, w = px.shape[1:3]
-            if (h, w) != (8, 8):
-                ys = (np.arange(8) * h // 8).clip(0, h - 1)
-                xs = (np.arange(8) * w // 8).clip(0, w - 1)
-                px = px[:, ys[:, None], xs]  # same picks as _resize_nn
-            g3 = px.sum(axis=3, dtype=np.int64).reshape(n, 64)
-        else:
-            blobs = batch["bytes"].to_pylist()
-            fmts = batch["fmt"].to_pylist()
-            imgs = [_decode(blobs[i], fmts[i]) for i in range(n)]
-            if n and all(im.shape == (8, 8, 3) for im in imgs):
-                g3 = np.stack(imgs).astype(np.int64).sum(axis=3).reshape(n, 64)
-            else:
-                g3 = np.empty((n, 64), dtype=np.int64)
-                for i, img in enumerate(imgs):
-                    small = _resize_nn(img.astype(np.int64), 8, 8)
-                    g3[i] = small.sum(axis=2).reshape(64)
+    def _kernel(self, px):
+        g3 = _pick8(px).sum(axis=3, dtype=np.int64).reshape(len(px), 64)
         total = g3.sum(axis=1, keepdims=True)
         bits = (64 * g3) > total
         v_lo = (bits[:, :63].astype(np.int64) * self._POW2_63[None, :]).sum(axis=1)
         b63 = bits[:, 63].astype(np.int64)
-        vals = v_lo - b63 * np.int64(9223372036854775807) - b63
+        return v_lo - b63 * np.int64(9223372036854775807) - b63
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        vals = self._per_row(batch, self._kernel, (), np.int64)
         return batch.append_column("ahash_int", pa.array(vals, pa.int64()))
 
 
-class Resize:
+class Resize(_ImageStage):
     """Decode -> nearest-neighbor resize -> re-encode (always PNG out,
     lossless, so downstream invariants are exact)."""
 
@@ -249,12 +306,13 @@ class Resize:
         self.w, self.h = w, h
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = []
-        for b, f in zip(batch["bytes"], batch["fmt"]):
-            img = _decode(b.as_py(), f.as_py())
-            blobs.append(codecs.png_encode(_resize_nn(img, self.w, self.h)))
         n = batch.num_rows
-        batch = batch.drop_columns(["bytes", "w", "h", "fmt"])
+        blobs = [None] * n
+        for rows, px in self._groups(batch):
+            for r, img in zip(rows.tolist(), _resize_nn(px, self.w, self.h)):
+                blobs[r] = codecs.png_encode(img)
+        batch = batch.drop_columns(
+            [c for c in ("bytes", "w", "h", "fmt") if c in batch.column_names])
         return (
             batch.append_column("bytes", pa.array(blobs, pa.binary()))
             .append_column("w", pa.array([self.w] * n, pa.int32()))
@@ -263,128 +321,57 @@ class Resize:
         )
 
 
-class AverageHash:
+class AverageHash(_ImageStage):
     """8x8 grayscale average hash -> int64 column `ahash` (a real
     perceptual hash; near-dup images collide).
 
-    Uniform batches (shared w/h/fmt — the flagship case) take the
-    fully-batched path: one vectorized fixed-layout PNG parse, every
-    inflate into a REUSED per-process buffer, grayscale/threshold/packbits
-    as whole-batch numpy ops with ``out=`` into reused buffers.  The
-    MB-scale per-batch allocations this removes are the page-fault
+    Uniform batches (shared w/h/fmt — the flagship case) decode in one
+    vectorized fixed-layout PNG parse, every inflate into a REUSED
+    per-process buffer, and the grayscale/threshold/packbits kernel
+    runs as whole-stack numpy ops with ``out=`` into reused buffers.
+    The MB-scale per-batch allocations this removes are the page-fault
     traffic that BASELINE.md measured as the non-scaling resource past
-    ~8 workers.  Mixed batches fall back to the per-image decode."""
+    ~8 workers."""
 
-    _POW2 = (np.uint64(1) << np.arange(64, dtype=np.uint64))
-
-    def __getstate__(self):
-        d = self.__dict__.copy()
-        for k in ("_raw", "_gray", "_bits"):
-            d.pop(k, None)
-        return d
-
-    def _hash_flat(self, flat: np.ndarray) -> np.ndarray:
-        """(n, 64) grayscale -> uint64 hashes (bit i weighted 2^i,
-        identical to the POW2 dot product, via packbits)."""
-        n = len(flat)
-        bits = getattr(self, "_bits", None)
-        if bits is None or bits.shape[0] < n:
-            bits = self._bits = np.empty(
-                (max(n, 4096), 64), dtype=np.bool_
-            )
-        np.greater(flat, flat.mean(axis=1, keepdims=True), out=bits[:n])
-        return (
-            np.packbits(bits[:n], axis=1, bitorder="little")
-            .view(np.uint64)
-            .ravel()
-        )
+    def _kernel(self, px):
+        """(k, h, w, 3) stack -> k int64 hashes (bit i weighted 2^i,
+        packed with packbits)."""
+        k = len(px)
+        gray = getattr(self, "_gray", None)
+        if gray is None or gray.shape[0] < k:
+            gray = self._gray = np.empty((max(k, 4096), 64), dtype=np.float32)
+            self._bits = np.empty((max(k, 4096), 64), dtype=np.bool_)
+        flat, bits = gray[:k], self._bits[:k]
+        # channel sum on the strided view directly (no contiguous
+        # copy of the pixel block), accumulated straight into the
+        # reused f32 buffer
+        _pick8(px).sum(axis=3, dtype=np.float32, out=flat.reshape(k, 8, 8))
+        flat /= 3  # f32 sum / 3 == .astype(f32).mean(axis=-1) bitwise
+        np.greater(flat, flat.mean(axis=1, keepdims=True), out=bits)
+        return np.packbits(bits, axis=1, bitorder="little").view(np.int64).ravel()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        px, raw = decode_batch_uniform(batch, getattr(self, "_raw", None))
-        self._raw = raw
-        if px is not None:
-            h, w = px.shape[1:3]
-            if (h, w) != (8, 8):
-                ys = (np.arange(8) * h // 8).clip(0, h - 1)
-                xs = (np.arange(8) * w // 8).clip(0, w - 1)
-                px = px[:, ys[:, None], xs]  # same picks as _resize_nn
-            gray = getattr(self, "_gray", None)
-            if gray is None or gray.shape[0] < n:
-                gray = self._gray = np.empty(
-                    (max(n, 4096), 64), dtype=np.float32
-                )
-            flat = gray[:n]
-            # channel sum on the strided view directly (no contiguous
-            # copy of the pixel block), accumulated straight into the
-            # reused f32 buffer
-            px.sum(axis=3, dtype=np.float32, out=flat.reshape(n, 8, 8))
-            flat /= 3  # f32 sum / 3 == .astype(f32).mean(axis=-1) bitwise
-            vals = self._hash_flat(flat)
-            return batch.append_column(
-                "ahash", pa.array(vals.astype(np.int64), pa.int64())
-            )
-        blobs = batch["bytes"].to_pylist()
-        fmts = batch["fmt"].to_pylist()
-        imgs = [_decode(blobs[i], fmts[i]) for i in range(n)]
-        if n and all(im.shape == (8, 8, 3) for im in imgs):
-            flat = (
-                np.stack(imgs).astype(np.float32).mean(axis=3).reshape(n, 64)
-            )
-        else:
-            smalls = np.empty((n, 8, 8), dtype=np.float32)
-            for i, img in enumerate(imgs):
-                gray = img.mean(axis=2, dtype=np.float32)
-                smalls[i] = _resize_nn(gray[:, :, None], 8, 8)[:, :, 0]
-            flat = smalls.reshape(n, 64)
-        bits = flat > flat.mean(axis=1, keepdims=True)
-        vals = (bits.astype(np.uint64) * self._POW2[None, :]).sum(axis=1)
-        return batch.append_column(
-            "ahash", pa.array(vals.astype(np.int64), pa.int64())
-        )
+        vals = self._per_row(batch, self._kernel, (), np.int64)
+        return batch.append_column("ahash", pa.array(vals, pa.int64()))
 
 
-class EdgeEnergy:
+class EdgeEnergy(_ImageStage):
     """Integer GRADIENT-ENERGY (sharpness/blur) metric — the
     image-quality gate a multimodal training pipeline runs before
     keeping a sample: per image, sum of |Δ| of the channel-sum plane
     along x and y.  Low energy = flat/blurry, high = textured.
     Integer-exact (the oracle design rule): energy over
-    s(x,y) = r+g+b needs no float at any step.
+    s(x,y) = r+g+b needs no float at any step."""
 
-    Decode is per-image (zlib); uniform-shape batches stack ONCE and
-    the two difference sums run batch-wide (the AverageHashInt
-    pattern)."""
-
-    def __getstate__(self):
-        d = self.__dict__.copy()
-        d.pop("_raw", None)
-        return d
+    @staticmethod
+    def _kernel(px):
+        s = px.sum(axis=3, dtype=np.int64)
+        return (np.abs(np.diff(s, axis=2)).sum(axis=(1, 2))
+                + np.abs(np.diff(s, axis=1)).sum(axis=(1, 2)))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        px, self._raw = decode_batch_uniform(batch, getattr(self, "_raw", None))
-        if px is not None:
-            s = px.sum(axis=3, dtype=np.int64)
-            e = (np.abs(np.diff(s, axis=2)).sum(axis=(1, 2))
-                 + np.abs(np.diff(s, axis=1)).sum(axis=(1, 2)))
-            return batch.append_column(
-                "edge_energy", pa.array(e.astype(np.int64), pa.int64()))
-        blobs = batch["bytes"].to_pylist()
-        fmts = batch["fmt"].to_pylist()
-        imgs = [_decode(blobs[i], fmts[i]) for i in range(n)]
-        if n and all(im.shape == imgs[0].shape for im in imgs):
-            s = np.stack(imgs).sum(axis=3, dtype=np.int64)
-            e = (np.abs(np.diff(s, axis=2)).sum(axis=(1, 2))
-                 + np.abs(np.diff(s, axis=1)).sum(axis=(1, 2)))
-        else:
-            e = np.zeros(n, dtype=np.int64)
-            for i, im in enumerate(imgs):
-                s = im.sum(axis=2, dtype=np.int64)
-                e[i] = (np.abs(np.diff(s, axis=1)).sum()
-                        + np.abs(np.diff(s, axis=0)).sum())
-        return batch.append_column("edge_energy",
-                                   pa.array(e.astype(np.int64), pa.int64()))
+        e = self._per_row(batch, self._kernel, (), np.int64)
+        return batch.append_column("edge_energy", pa.array(e, pa.int64()))
 
 
 class SceneChanges:
@@ -422,71 +409,39 @@ class SceneChanges:
         })
 
 
-class EmbedImageSums:
+
+
+class EmbedImageSums(_ImageStage):
     """Integer-exact grid-pooled feature extraction (the oracle-able
     core of EmbedImage): per (grid_y, grid_x) block, per-channel pixel
     SUMS as int64, emitted LONG (one row per image x grid cell) so the
-    driver can value-hash them.  EmbedImage's float embedding is these
-    sums / block_pixels / 255."""
+    driver can value-hash them.  EmbedImage's float embedding is the
+    same blocks' float32 means / 255."""
 
     def __init__(self, grid: int = 4):
         self.grid = grid
 
-    def __getstate__(self):
-        d = self.__dict__.copy()
-        d.pop("_raw", None)
-        return d
+    def _kernel(self, px):
+        g = self.grid
+        s = np.empty((len(px), g, g, 3), dtype=np.int64)
+        for yi, xi, ys, xs in _grid_cells(*px.shape[1:3], g):
+            s[:, yi, xi] = px[:, ys, xs].sum(axis=(1, 2), dtype=np.int64)
+        return s
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         g = self.grid
-        px, self._raw = decode_batch_uniform(batch, getattr(self, "_raw", None))
-        if px is not None:
-            n = batch.num_rows
-            h, w = px.shape[1:3]
-            s = np.empty((n, g, g, 3), dtype=np.int64)
-            for yi in range(g):  # g*g batched cell sums, not n loops
-                ys = slice(yi * h // g, max(yi * h // g + 1, (yi + 1) * h // g))
-                for xi in range(g):
-                    xs = slice(xi * w // g,
-                               max(xi * w // g + 1, (xi + 1) * w // g))
-                    s[:, yi, xi] = px[:, ys, xs].sum(
-                        axis=(1, 2), dtype=np.int64)
-            id_np = np.asarray(batch["image_id"].to_pylist(), dtype=object)
-            ids = np.repeat(id_np, g * g)
-            gys = np.tile(np.repeat(np.arange(g, dtype=np.int64), g), n)
-            gxs = np.tile(np.arange(g, dtype=np.int64), g * n)
-            s = s.reshape(-1, 3)
-            return pa.table(
-                {
-                    "image_id": pa.array(ids, pa.string()),
-                    "grid_y": pa.array(gys, pa.int64()),
-                    "grid_x": pa.array(gxs, pa.int64()),
-                    "sum_r": pa.array(s[:, 0], pa.int64()),
-                    "sum_g": pa.array(s[:, 1], pa.int64()),
-                    "sum_b": pa.array(s[:, 2], pa.int64()),
-                }
-            )
-        ids, gys, gxs, sums = [], [], [], []
-        for iid, blob, fmt in zip(batch["image_id"].to_pylist(),
-                                  batch["bytes"].to_pylist(),
-                                  batch["fmt"].to_pylist()):
-            img = _decode(blob, fmt).astype(np.int64)
-            h, w = img.shape[:2]
-            for yi in range(g):
-                ys = slice(yi * h // g, max(yi * h // g + 1, (yi + 1) * h // g))
-                for xi in range(g):
-                    xs = slice(xi * w // g,
-                               max(xi * w // g + 1, (xi + 1) * w // g))
-                    ids.append(iid)
-                    gys.append(yi)
-                    gxs.append(xi)
-                    sums.append(img[ys, xs].sum(axis=(0, 1)))
-        s = np.asarray(sums, dtype=np.int64).reshape(-1, 3)
+        n = batch.num_rows
+        s = self._per_row(batch, self._kernel, (g, g, 3), np.int64)
+        id_np = np.asarray(batch["image_id"].to_pylist(), dtype=object)
+        s = s.reshape(-1, 3)
         return pa.table(
             {
-                "image_id": pa.array(ids, pa.string()),
-                "grid_y": pa.array(gys, pa.int64()),
-                "grid_x": pa.array(gxs, pa.int64()),
+                "image_id": pa.array(np.repeat(id_np, g * g), pa.string()),
+                "grid_y": pa.array(
+                    np.tile(np.repeat(np.arange(g, dtype=np.int64), g), n),
+                    pa.int64()),
+                "grid_x": pa.array(
+                    np.tile(np.arange(g, dtype=np.int64), g * n), pa.int64()),
                 "sum_r": pa.array(s[:, 0], pa.int64()),
                 "sum_g": pa.array(s[:, 1], pa.int64()),
                 "sum_b": pa.array(s[:, 2], pa.int64()),
@@ -494,55 +449,30 @@ class EmbedImageSums:
         )
 
 
-class EmbedImage:
+class EmbedImage(_ImageStage):
     """Deterministic stand-in for batched vision-model inference: 4x4
-    grid-pooled RGB means -> 48-dim float32 vector.  Swap `__call__`'s
-    body for a real model (loaded once HERE in __init__) outside the
+    grid-pooled RGB means -> 48-dim float32 vector.  Swap `_kernel`
+    for a real model (loaded once HERE in __init__) outside the
     sandbox."""
 
     def __init__(self, grid: int = 4):
         self.grid = grid
 
-    def __getstate__(self):
-        d = self.__dict__.copy()
-        d.pop("_raw", None)
-        return d
+    def _kernel(self, px):
+        g = self.grid
+        pooled = np.empty((len(px), g, g, 3), np.float32)
+        for yi, xi, ys, xs in _grid_cells(*px.shape[1:3], g):
+            pooled[:, yi, xi] = px[:, ys, xs].astype(np.float32).mean(axis=(1, 2))
+        return pooled.reshape(len(px), g * g * 3) / 255.0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        g = self.grid
-        px, self._raw = decode_batch_uniform(batch, getattr(self, "_raw", None))
-        if px is not None:
-            n = batch.num_rows
-            h, w = px.shape[1:3]
-            pooled = np.empty((n, g, g, 3), np.float32)
-            for yi in range(g):  # g*g batched cell means, not n loops
-                ys = slice(yi * h // g, max(yi * h // g + 1, (yi + 1) * h // g))
-                for xi in range(g):
-                    xs = slice(xi * w // g,
-                               max(xi * w // g + 1, (xi + 1) * w // g))
-                    pooled[:, yi, xi] = (
-                        px[:, ys, xs].astype(np.float32).mean(axis=(1, 2))
-                    )
-            vecs = (pooled.reshape(n, -1) / 255.0)
-            return batch.append_column(
-                "embedding",
-                pa.FixedSizeListArray.from_arrays(
-                    pa.array(vecs.ravel(), pa.float32()), g * g * 3
-                ).cast(pa.list_(pa.float32())),
-            )
-        vecs = []
-        for b, f in zip(batch["bytes"], batch["fmt"]):
-            img = _decode(b.as_py(), f.as_py()).astype(np.float32)
-            h, w = img.shape[:2]
-            pooled = np.zeros((g, g, 3), np.float32)
-            for yi in range(g):
-                for xi in range(g):
-                    ys = slice(yi * h // g, max(yi * h // g + 1, (yi + 1) * h // g))
-                    xs = slice(xi * w // g, max(xi * w // g + 1, (xi + 1) * w // g))
-                    pooled[yi, xi] = img[ys, xs].mean(axis=(0, 1))
-            vecs.append((pooled.ravel() / 255.0).tolist())
+        d = self.grid * self.grid * 3
+        vecs = self._per_row(batch, self._kernel, (d,), np.float32)
         return batch.append_column(
-            "embedding", pa.array(vecs, pa.list_(pa.float32()))
+            "embedding",
+            pa.FixedSizeListArray.from_arrays(
+                pa.array(vecs.ravel(), pa.float32()), d
+            ).cast(pa.list_(pa.float32())),
         )
 
 

@@ -13,10 +13,12 @@ Reference mapping (SURVEY.md §2):
 - BM25F               -> Q5 (scoring.go:9-76; constants constant.go:28-39.
                           NOTE: the reference applies NAME_B to the
                           address field too — replicated for parity)
-- BM25+               -> Q6 (scoring.go:143-181; the reference's
+- BM25+               -> Q6 (score_multi(scoring="bm25plus");
+                          scoring.go:143-181; the reference's
                           numerator is (K1+1)+tf, not (K1+1)*tf —
                           replicated for parity)
-- TF-IDF dot product  -> Q7 (scoring.go:183-228; norms computed but
+- TF-IDF dot product  -> Q7 (score_multi(scoring="tfidf");
+                          scoring.go:183-228; norms computed but
                           never divided by — replicated)
 - n-gram counts        -> A5 (ngram_lm.go:112-210; n start + 1 end pad)
 - vocab threshold      -> A6 (ngram_lm.go:56-110, COUNT_THRESOLD_NGRAM=2)
@@ -243,63 +245,6 @@ def bm25f_score(ds, query_terms: list[str], id_col="doc_id", text_col="text",
                 la > 0, tf_a / (1 + NAME_B * (la / stats["avg_addr"] - 1)), 0.0
             )
             s += np.where(tf_a > 0, w_a / (K1_BM25F + w_a), 0.0) * idf
-        out = pd.DataFrame({"doc_id": batch[id_col], "score": s})
-        return out[out["score"] != 0.0]
-
-    return ds.map_batches(score, batch_format="pandas")
-
-
-def bm25plus_score(ds, query_terms: list[str], id_col="doc_id", text_col="text"):
-    """BM25+ (reference scoring.go:143-181, incl. its (K1+1)+tf numerator)."""
-    stats = _global_stats(ds, query_terms, id_col, text_col, name_len=0)
-
-    uniq = sorted(set(query_terms))
-
-    def score(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = tokenize_series(batch[text_col])
-        dl = toks.str.len().to_numpy(dtype=np.float64)
-        tfm, _ = _tf_matrix(toks, uniq, name_len=1 << 30)  # single field
-        s = np.zeros(len(batch))
-        for t in query_terms:
-            df = stats["df"][t]
-            if df == 0:
-                continue
-            idf = np.log10(stats["N"] + 1) - np.log10(df)
-            tf = tfm[:, uniq.index(t)]
-            contrib = idf * (
-                DELTA + ((K1 + 1) + tf) / (K1 * (1 - B + B * dl / stats["avg_doc"]) + tf)
-            )
-            s += np.where(tf > 0, contrib, 0.0)
-        out = pd.DataFrame({"doc_id": batch[id_col], "score": s})
-        return out[out["score"] != 0.0]
-
-    return ds.map_batches(score, batch_format="pandas")
-
-
-def tfidf_score(ds, query_terms: list[str], id_col="doc_id", text_col="text"):
-    """TF-IDF dot product (reference scoring.go:183-228 — no norm
-    division, replicated)."""
-    stats = _global_stats(ds, query_terms, id_col, text_col, name_len=0)
-    q_count: dict[str, int] = {}
-    for t in query_terms:
-        q_count[t] = q_count.get(t, 0) + 1
-
-    uniq = sorted(set(query_terms))
-
-    def score(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = tokenize_series(batch[text_col])
-        tfm, _ = _tf_matrix(toks, uniq, name_len=1 << 30)  # single field
-        s = np.zeros(len(batch))
-        for t in uniq:  # deterministic FP sum order
-            df = stats["df"][t]
-            if df == 0:
-                continue
-            idf = np.log10(stats["N"]) - np.log10(df)
-            tfq = (1 + np.log10(q_count[t])) * idf
-            tf = tfm[:, uniq.index(t)]
-            with np.errstate(divide="ignore"):
-                tfd = np.where(tf > 0, (1 + np.log10(np.maximum(tf, 1))) * idf, 0.0)
-            s += tfd * tfq
         out = pd.DataFrame({"doc_id": batch[id_col], "score": s})
         return out[out["score"] != 0.0]
 

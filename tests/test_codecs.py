@@ -373,3 +373,66 @@ class TestBatchedDecode:
         assert [out[c].to_pylist() for c in
                 ("mean_pixel", "std_pixel", "decode_ok")] == want
         assert want[2] == [True, True, True, False, True, True]
+
+    @pytest.mark.parametrize("cut", [10, 20, 36])
+    def test_short_png_is_a_value_error(self, cut):
+        from go_osm_search_ray.stages.images import DecodeStats
+
+        t = self._table([(8, 8, "png")] * 2)
+        short = t["bytes"][1].as_py()[:cut]
+        with pytest.raises(ValueError):
+            codecs.png_decode(short)
+        out = DecodeStats()(self._set_blob(t, 1, short))
+        assert out["decode_ok"].to_pylist() == [True, False]
+        assert out["mean_pixel"][1].as_py() == 0.0
+
+    def test_png_without_ihdr_is_a_value_error(self):
+        blob = bytearray(self._table([(4, 4, "png")])["bytes"][0].as_py())
+        blob[12:16] = b"IHDX"
+        with pytest.raises(ValueError):
+            codecs.png_decode(bytes(blob))
+
+    def test_null_payload_is_a_bad_row(self):
+        import pyarrow as pa
+
+        import go_osm_search_ray.stages.images as im
+
+        t = self._table([(8, 8, "png"), (8, 8, "jpeg"), (8, 8, "png")])
+        nb = t.set_column(t.column_names.index("bytes"), "bytes",
+                          pa.array([t["bytes"][0].as_py(), None,
+                                    t["bytes"][2].as_py()], pa.binary()))
+        nf = t.set_column(t.column_names.index("fmt"), "fmt",
+                          pa.array(["png", "jpeg", None]))
+        for bad, row in ((nb, 1), (nf, 2)):
+            groups, rows_bad, _ = im.decode_groups(bad, None)
+            assert rows_bad.tolist() == [row]
+            assert sorted(r for g, _ in groups for r in g.tolist()) == [
+                i for i in range(3) if i != row]
+            ok = im.DecodeStats()(bad)["decode_ok"].to_pylist()
+            assert ok == [i != row for i in range(3)]
+            for cls in (im.DecodeSums, im.AverageHashInt, im.AverageHash,
+                        im.EdgeEnergy, im.EmbedImageSums, im.EmbedImage):
+                with pytest.raises(im.ImageDecodeError, match=f"im{row}"):
+                    cls()(bad)
+            with pytest.raises(im.ImageDecodeError, match=f"im{row}"):
+                im.Resize(w=4, h=4)(bad)
+
+    def test_decode_groups_stacks_by_shape(self):
+        import go_osm_search_ray.stages.images as im
+
+        spec = [(8, 8, "png"), (5, 11, "jpeg"), (8, 8, "jpeg"),
+                (5, 11, "png"), (3, 2, "png")]
+        t = self._table(spec)
+        groups, bad, _ = im.decode_groups(t, None)
+        assert len(bad) == 0
+        assert [g.tolist() for g, _ in groups] == [[0, 2], [1, 3], [4]]
+        for rows, px in groups:
+            for r, img in zip(rows.tolist(), px):
+                np.testing.assert_array_equal(
+                    img, codecs.decode(t["bytes"][r].as_py(), spec[r][2]))
+        # a uniform batch is one group straight from the batched decode
+        u = self._table([(8, 8, "png")] * 4)
+        groups, bad, buf = im.decode_groups(u, None)
+        assert len(groups) == 1 and len(bad) == 0
+        assert groups[0][0].tolist() == [0, 1, 2, 3]
+        assert im.decode_groups(u.slice(1, 2), buf)[2] is buf

@@ -3,7 +3,8 @@ the one keyed shuffle.
 
 These pin the algebraic contracts the distributed operators rely on:
 distance symmetry, tile containment, exact top-k cut semantics, codec
-round-trips, bag-invariance of signatures, and `bucketed_group_apply`
+round-trips, image stages equal to a per-image reference on hostile
+batches, bag-invariance of signatures, and `bucketed_group_apply`
 handing every group whole to one bucket (the only class that needs a
 Ray session).
 """
@@ -136,6 +137,202 @@ class TestCodecProperties:
             for _ in range(n_frames)
         ]
         assert codecs.video_unpack(codecs.video_pack(frames)) == frames
+
+
+def _ref_pixels(blob, fmt):
+    """One payload through the per-image codec; None if it does not
+    decode (null bytes or fmt, unknown fmt, corrupt or short blob)."""
+    import zlib
+
+    if blob is None or fmt is None:
+        return None
+    try:
+        return codecs.decode(blob, fmt)
+    except (ValueError, NotImplementedError, zlib.error):
+        return None
+
+
+def _nn(img, w, h):
+    """Nearest-neighbor picks: output pixel (y, x) is source pixel
+    (y*H//h, x*W//w)."""
+    H, W = img.shape[:2]
+    return img[(np.arange(h) * H // h)[:, None], np.arange(w) * W // w]
+
+
+def _signed64(bits):
+    """Bit i weighted 2^i, as a two's-complement int64."""
+    v = sum(1 << i for i, b in enumerate(bits) if b)
+    return v - (1 << 64) if v >= 1 << 63 else v
+
+
+def _cells(h, w, g=4):
+    """The g x g pooling grid of the EmbedImage contract: cell yi spans
+    rows [yi*h//g, max(yi*h//g + 1, (yi+1)*h//g)), likewise columns."""
+    for yi in range(g):
+        y0 = yi * h // g
+        for xi in range(g):
+            x0 = xi * w // g
+            yield yi, xi, (slice(y0, max(y0 + 1, (yi + 1) * h // g)),
+                           slice(x0, max(x0 + 1, (xi + 1) * w // g)))
+
+
+def _ref_stage(name, batch, imgs):
+    """The expected output table of image stage `name`, computed one
+    image at a time from each stage's docstring contract."""
+    ids = batch["image_id"].to_pylist()
+    if name == "DecodeStats":
+        st_ = [(float(m.mean()), float(m.std()), True) if m is not None
+               else (0.0, 0.0, False) for m in imgs]
+        return pa.table({
+            "image_id": batch["image_id"],
+            "mean_pixel": pa.array([s[0] for s in st_], pa.float64()),
+            "std_pixel": pa.array([s[1] for s in st_], pa.float64()),
+            "decode_ok": pa.array([s[2] for s in st_], pa.bool_())})
+    i64 = [m.astype(np.int64) for m in imgs]
+    if name == "DecodeSums":
+        s = [m.sum(axis=(0, 1)).tolist() for m in i64]
+        return pa.table({"image_id": batch["image_id"], **{
+            f"sum_{c}": pa.array([v[j] for v in s], pa.int64())
+            for j, c in enumerate("rgb")}})
+    if name == "AverageHashInt":
+        vals = []
+        for m in i64:
+            s = _nn(m, 8, 8).sum(axis=2).ravel()
+            vals.append(_signed64(64 * s > s.sum()))
+        return batch.append_column("ahash_int", pa.array(vals, pa.int64()))
+    if name == "AverageHash":
+        vals = []
+        for m in imgs:
+            gray = _nn(m.mean(axis=2, dtype=np.float32), 8, 8).ravel()
+            vals.append(_signed64(gray > gray.mean()))
+        return batch.append_column("ahash", pa.array(vals, pa.int64()))
+    if name == "EdgeEnergy":
+        vals = []
+        for m in i64:
+            s = m.sum(axis=2)
+            vals.append(int(np.abs(np.diff(s, axis=1)).sum()
+                            + np.abs(np.diff(s, axis=0)).sum()))
+        return batch.append_column("edge_energy", pa.array(vals, pa.int64()))
+    if name == "EmbedImageSums":
+        rows = []
+        for iid, m in zip(ids, i64):
+            for yi, xi, cell in _cells(*m.shape[:2]):
+                rows.append((iid, yi, xi, *m[cell].sum(axis=(0, 1)).tolist()))
+        cols = list(zip(*rows)) or [[]] * 6
+        return pa.table({
+            "image_id": pa.array(cols[0], pa.string()),
+            **{c: pa.array(cols[j + 1], pa.int64()) for j, c in enumerate(
+                ["grid_y", "grid_x", "sum_r", "sum_g", "sum_b"])}})
+    if name == "EmbedImage":
+        vecs = []
+        for m in imgs:
+            f = m.astype(np.float32)
+            vecs.append([v for _, _, cell in _cells(*m.shape[:2])
+                         for v in (f[cell].mean(axis=(0, 1))
+                                   / np.float32(255)).tolist()])
+        return batch.append_column(
+            "embedding", pa.array(vecs, pa.list_(pa.float32())))
+    assert name == "Resize"
+    n = batch.num_rows
+    return (batch.drop_columns([c for c in ("bytes", "w", "h", "fmt")
+                                if c in batch.column_names])
+            .append_column("bytes", pa.array(
+                [codecs.png_encode(np.ascontiguousarray(_nn(m, 4, 3)))
+                 for m in imgs], pa.binary()))
+            .append_column("w", pa.array([4] * n, pa.int32()))
+            .append_column("h", pa.array([3] * n, pa.int32()))
+            .append_column("fmt", pa.array(["png"] * n, pa.string())))
+
+
+_row_s = st.tuples(
+    st.integers(min_value=1, max_value=12),          # h
+    st.integers(min_value=1, max_value=12),          # w
+    st.sampled_from(["png", "jpeg"]),
+    st.one_of(st.none(),  # half the rows stay valid
+              st.sampled_from(["truncate", "bitflip", "null_bytes",
+                               "null_fmt", "gif"])),
+    st.integers(min_value=0, max_value=10**6))       # mutation position
+
+
+class TestImageStageProperties:
+    """Any mutation of a valid image batch: every image stage returns
+    exactly a per-image reference's result row by row (DecodeStats
+    flags a bad row `decode_ok=False`), or raises ImageDecodeError
+    when a row does not decode.  Holds the batched (uniform) decode
+    and the per-image shape-group decode to one contract."""
+
+    STAGES = ("DecodeStats", "DecodeSums", "AverageHashInt", "AverageHash",
+              "EdgeEnergy", "EmbedImageSums", "EmbedImage", "Resize")
+
+    @staticmethod
+    def _batch(rows, uniform, seed):
+        rng = np.random.default_rng(seed)
+        cols = {c: [] for c in ("image_id", "bytes", "w", "h", "fmt")}
+        for i, (h, w, fmt, mut, pos) in enumerate(rows):
+            if uniform:  # one shape and fmt: the batched decode path
+                h, w, fmt = rows[0][:3]
+            blob = codecs.encode(
+                rng.integers(0, 256, (h, w, 3), dtype=np.uint8), fmt)
+            if mut == "truncate":
+                blob = blob[:pos % len(blob)]
+            elif mut == "bitflip":
+                b = bytearray(blob)
+                b[pos % len(b)] ^= 1 << (pos % 8)
+                blob = bytes(b)
+            elif mut == "null_bytes":
+                blob = None
+            elif mut == "null_fmt":
+                fmt = None
+            elif mut == "gif":
+                fmt = "gif"
+            for c, v in zip(cols, (f"im{i}", blob, w, h, fmt)):
+                cols[c].append(v)
+        return pa.table({
+            "image_id": pa.array(cols["image_id"], pa.string()),
+            "bytes": pa.array(cols["bytes"], pa.binary()),
+            "w": pa.array(cols["w"], pa.int32()),
+            "h": pa.array(cols["h"], pa.int32()),
+            "fmt": pa.array(cols["fmt"], pa.string()),
+            "caption": pa.array([f"cap {i}" for i in range(len(rows))]),
+        })
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_row_s, min_size=0, max_size=8), st.booleans(),
+           st.sampled_from([None, "w", "h", "fmt"]),
+           st.integers(min_value=0, max_value=10**6))
+    @example(rows=[(8, 8, "png", None, 0)] * 3, uniform=True, drop=None,
+             seed=1)
+    @example(rows=[(8, 8, "png", None, 0), (8, 8, "png", "truncate", 36)],
+             uniform=True, drop=None, seed=2)
+    @example(rows=[(8, 8, "png", None, 0), (5, 11, "jpeg", None, 0),
+                   (8, 8, "jpeg", None, 0), (3, 2, "png", None, 0)],
+             uniform=False, drop=None, seed=3)
+    @example(rows=[(6, 9, "jpeg", None, 0)] * 2, uniform=True, drop="w",
+             seed=4)
+    @example(rows=[], uniform=False, drop=None, seed=5)
+    def test_stage_equals_per_image_reference(self, rows, uniform, drop,
+                                              seed):
+        from go_osm_search_ray.stages import images as im
+
+        batch = self._batch(rows, uniform, seed)
+        if drop is not None:
+            batch = batch.drop_columns([drop])
+        fmts = (batch["fmt"].to_pylist() if drop != "fmt"
+                else [None] * batch.num_rows)
+        imgs = [_ref_pixels(b, f)
+                for b, f in zip(batch["bytes"].to_pylist(), fmts)]
+        bad = [i for i, m in enumerate(imgs) if m is None]
+        for name in self.STAGES:
+            stage = (im.Resize(w=4, h=3) if name == "Resize"
+                     else getattr(im, name)())
+            if bad and name != "DecodeStats":
+                with pytest.raises(im.ImageDecodeError, match=f"im{bad[0]}'"):
+                    stage(batch)
+                continue
+            want = _ref_stage(name, batch, imgs)
+            got = stage(batch)
+            assert got.schema == want.schema, name
+            assert got.equals(want), (name, got.to_pydict(), want.to_pydict())
 
 
 class TestTextProperties:

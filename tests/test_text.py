@@ -206,8 +206,10 @@ class TestScoring:
         import ray.data as rd
 
         ds = rd.read_parquet(f"{SF}/documents.parquet")
-        plus = text.bm25plus_score(ds, ["hash", "scan"]).to_pandas()
-        tfidf = text.tfidf_score(ds, ["hash", "scan", "hash"]).to_pandas()
+        plus = text.score_multi(ds, {0: ["hash", "scan"]},
+                                scoring="bm25plus").to_pandas()
+        tfidf = text.score_multi(ds, {0: ["hash", "scan", "hash"]},
+                                 scoring="tfidf").to_pandas()
         assert len(plus) > 0 and len(tfidf) > 0
         # docs containing both terms outrank single-term docs on average
         toks = text.tokenize_series(docs["text"])
