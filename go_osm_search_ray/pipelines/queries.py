@@ -1915,7 +1915,7 @@ def q_embedding_knn(sf_dir: str):
         "embedding": emb["embedding"].to_pylist()[:qn],
     }
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    out = embed.cosine_topk(ds, queries, k=5).to_pandas()
+    out = embed.cosine_topk(ds, queries, k=5)
     return _round6(out[["query_id", "rank", "vec_id", "cosine"]], ["cosine"])
 
 
@@ -1956,7 +1956,7 @@ def q_hybrid_search_rrf(sf_dir: str):
     q0 = {"query_id": emb_t["vec_id"].to_pylist()[:1],
           "embedding": emb_t["embedding"].to_pylist()[:1]}
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    vec = embed.cosine_topk(ds, q0, k=10).to_pandas()
+    vec = embed.cosine_topk(ds, q0, k=10)
     vec = vec[["rank", "vec_id"]].rename(
         columns={"rank": "cos_rank", "vec_id": "doc_id"})
 
@@ -1965,11 +1965,9 @@ def q_hybrid_search_rrf(sf_dir: str):
     cr = f["cos_rank"].to_numpy(np.int64)
     score = np.where(br > 0, 1.0 / (60.0 + br), 0.0) + \
         np.where(cr > 0, 1.0 / (60.0 + cr), 0.0)
-    f = f.assign(_s=score).sort_values(
-        ["_s", "doc_id"], ascending=[False, True], kind="mergesort").head(10)
-    f["fused_rank"] = np.arange(1, len(f) + 1, dtype=np.int64)
-    return (f[["fused_rank", "doc_id", "bm25_rank", "cos_rank"]]
-            .astype(np.int64).reset_index(drop=True))
+    f = agg.page(f.assign(_s=score), ["_s", "doc_id"], 10,
+                 descending=("_s",)).rename(columns={"rank": "fused_rank"})
+    return f[["fused_rank", "doc_id", "bm25_rank", "cos_rank"]].astype(np.int64)
 
 
 SQL_HYBRID_RRF = f"""
@@ -2149,24 +2147,12 @@ GROUP BY c.c_mktsegment
 
 
 def q_top_orders(sf_dir: str):
-    """Global top-10 by price: per-block partial top-10 combiner + a
-    tiny driver merge of O(blocks x 10) rows — never an all-to-all
-    sort for a k=10 answer (same plan as stages/text.top_k)."""
+    """Global top-10 by price: per-block partial top-10 + a tiny driver
+    merge of O(blocks x 10) rows (`agg.driver_page`) — never an
+    all-to-all sort for a k=10 answer."""
     ds = read_table(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.sort_values(["o_totalprice", "o_orderkey"],
-                             ascending=[False, True], kind="mergesort").head(10)
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    df = (
-        parts.sort_values(["o_totalprice", "o_orderkey"],
-                          ascending=[False, True], kind="mergesort")
-        .head(10)
-        .reset_index(drop=True)
-    )
-    df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
-    return df
+    return agg.driver_page(ds, ["o_totalprice", "o_orderkey"], 10,
+                           descending=("o_totalprice",))
 
 
 SQL_TOP_ORDERS = """
@@ -2932,29 +2918,18 @@ FROM e GROUP BY 1, 2
 
 def q_grouped_topn(sf_dir: str):
     """Per-group top-N without a global sort: per-batch partial top-5
-    per event_type -> keyed merge of O(blocks * groups * 5) rows ->
-    final top-5 (the K1 partial-top-k pattern, grouped)."""
+    per event_type -> driver merge of O(blocks * groups * 5) rows (the
+    event types are a bounded key space) -> final top-5."""
     ds = read_table(sf_dir, "events", columns=["event_id", "event_type", "value"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.assign(value_c=np.round(b["value"].to_numpy() * 100).astype(np.int64))
-        b = b.sort_values(["event_type", "value_c", "event_id"],
-                          ascending=[True, False, True], kind="mergesort")
-        return b.groupby("event_type", sort=False).head(5)[
-            ["event_type", "event_id", "value_c"]
-        ]
+    def value_c(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "event_type": b["event_type"], "event_id": b["event_id"],
+            "value_c": np.round(b["value"].to_numpy() * 100).astype(np.int64)})
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["value_c", "event_id"], ascending=[False, True],
-                          kind="mergesort").head(5).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("event_type")
-        .map_groups(final, batch_format="pandas")
-    )
+    return agg.driver_page(ds.map_batches(value_c, batch_format="pandas"),
+                           ["value_c", "event_id"], 5, key="event_type",
+                           descending=("value_c",))
 
 
 SQL_GROUPED_TOPN = """
@@ -3905,7 +3880,7 @@ def q_pq_search(sf_dir: str):
         "embedding": emb["embedding"].to_pylist()[:qn],
     }
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    out = embed.pq_topk(ds, books, queries, k=5).to_pandas()
+    out = embed.pq_topk(ds, books, queries, k=5)
     return _round6(out[["query_id", "rank", "vec_id", "adc"]], ["adc"])
 
 
@@ -3960,7 +3935,7 @@ def q_ivfpq_search(sf_dir: str):
         "embedding": emb["embedding"].to_pylist()[:qn],
     }
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    out = embed.ivfpq_topk(ds, cents, books, queries, k=5, nprobe=8).to_pandas()
+    out = embed.ivfpq_topk(ds, cents, books, queries, k=5, nprobe=8)
     return _round6(out[["query_id", "rank", "vec_id", "adc"]], ["adc"])
 
 
@@ -3978,7 +3953,7 @@ def q_ivf_search(sf_dir: str):
         "embedding": emb["embedding"].to_pylist()[:qn],
     }
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    out = embed.ivf_topk(ds, cents, queries, k=5, nprobe=8).to_pandas()
+    out = embed.ivf_topk(ds, cents, queries, k=5, nprobe=8)
     return _round6(out[["query_id", "rank", "vec_id", "cosine"]], ["cosine"])
 
 

@@ -116,7 +116,7 @@ def autocomplete(docs_ds_factory, queries: pd.DataFrame,
                                     scoring="bm25f") \
         .map_batches(to_owner, batch_format="pandas")
     page = text_stage.top_k_multi(scored, {q: (k, 0) for q in owner.values()})
-    if "candidate_query" not in page:  # an empty corpus maps no block
+    if "candidate_query" not in page:  # no scored row reached `to_owner`
         page = text_stage.empty_page(["candidate_query"])
     return page[cols]
 

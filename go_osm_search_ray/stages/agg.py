@@ -22,10 +22,33 @@ the combine over partials is either that bucket shuffle
 vocabularies and n-grams) or one pandas groupby on the driver
 (combine="driver": ONLY for provably bounded key spaces — grid cells at
 a fixed resolution, enum-like keys — where it skips the all-to-all).
+
+`page` is the one ranked-page kernel: a stable sort on (key, *by),
+ranks offset+1 .. offset+k of every key, and an int64 `rank` column
+counted from 1 after the offset.  Ties on the whole sort key keep the
+input row order; NaN sorts after every number (pandas na_position
+"last"), ties among NaNs broken by the later `by` columns.  Every
+top-k in the engine is a per-block partial of k+offset rows per key
+(`page`, or a probe's own selector such as `knn.topk_select`) merged
+by `page`:
+
+  - a broadcast (bounded) key side merges on the driver
+    (`driver_page`, or `page(collect(partials))` after a probe's
+    selector): the partials that reach it are at most
+    blocks x keys x (k+offset) rows;
+  - a keyed, unbounded key side merges in `bucketed_group_apply` on
+    the key, one `page` call per bucket, since that driver bound
+    grows with the query count.
+
+`collect` is the typed driver collect: a Dataset with no rows still
+comes back with the columns and dtypes of its schema.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
+import numpy as np
 import pandas as pd
 
 # buckets of the keyed shuffle: rows per bucket, not answers, depend on it
@@ -40,6 +63,81 @@ BROADCAST_KEYS_MAX = 4_000_000
 # rows of the small side of an interval or rect join that are broadcast
 # and scanned per probe batch before the bucket/tile-keyed join takes over
 BROADCAST_SCAN_MAX = 100_000
+
+
+def _per_key(df: pd.DataFrame, key, v) -> np.ndarray:
+    """A page bound (int, or {key value: int}, absent keys 0) per row."""
+    if isinstance(v, Mapping):
+        return df[key].map(v).fillna(0).to_numpy(np.int64)
+    return np.full(len(df), v, dtype=np.int64)
+
+
+def _keep_max(k, offset) -> int:
+    """The rows per key a partial must keep: max of k + offset over the
+    keys the mappings name and any key they do not."""
+
+    def at(v, q):
+        return v.get(q, 0) if isinstance(v, Mapping) else v
+
+    keys = {object()}.union(*(v for v in (k, offset)
+                              if isinstance(v, Mapping)))
+    return max(int(at(k, q)) + int(at(offset, q)) for q in keys)
+
+
+def page(df: pd.DataFrame, by, k, offset=0, key=None,
+         descending=()) -> pd.DataFrame:
+    """Ranks offset+1 .. offset+k of every `key` group (the whole frame
+    when key is None) in `by` order, `descending` naming the `by`
+    columns that sort high-first.  `k` and `offset` are ints or
+    {key value: int} mappings (an absent key keeps no row).  Returns
+    the kept rows, in (key, *by) order, with an int64 `rank` column
+    1-based after the offset (replacing any `rank` the input had)."""
+    if len(df) == 0:
+        return df.assign(rank=np.zeros(0, dtype=np.int64))
+    cols = by if key is None else [key, *by]
+    df = df.sort_values(cols, ascending=[c not in descending for c in cols],
+                        kind="mergesort")
+    rn = (np.arange(len(df)) if key is None
+          else df.groupby(key, sort=False).cumcount().to_numpy())
+    off = _per_key(df, key, offset)
+    keep = (rn >= off) & (rn < off + _per_key(df, key, k))
+    out = df[keep].reset_index(drop=True)
+    out["rank"] = (rn[keep] - off[keep] + 1).astype(np.int64)
+    return out
+
+
+def collect(ds) -> pd.DataFrame:
+    """The Dataset on the driver as one DataFrame.  With no rows,
+    `to_pandas()` has no columns; the frame is then built empty from
+    the materialized Dataset's schema.  Ray records no schema when no
+    block reached the last map (a fused map does not run on an empty
+    block); the frame is then column-less."""
+    import pyarrow as pa
+
+    ds = ds.materialize()
+    df = ds.to_pandas()
+    sch = ds.schema()
+    if len(df.columns) or sch is None:
+        return df
+    base = sch.base_schema
+    if isinstance(base, pa.Schema):
+        return base.empty_table().to_pandas()
+    return pd.DataFrame({n: pd.Series([], dtype=t)
+                         for n, t in zip(base.names, base.types)})
+
+
+def driver_page(ds, by, k, offset=0, key=None, descending=()) -> pd.DataFrame:
+    """`page` over a whole Dataset whose keys are bounded (a broadcast
+    query side, a global top-k): a per-block partial `page` of
+    k+offset rows per key, the typed `collect`, and `page` over the
+    partials.  Same arguments and result as `page`."""
+    keep = _keep_max(k, offset)
+
+    def partial(b: pd.DataFrame) -> pd.DataFrame:
+        return page(b, by, keep, key=key, descending=descending)
+
+    return page(collect(ds.map_batches(partial, batch_format="pandas")),
+                by, k, offset, key, descending)
 
 
 def two_phase_agg(ds, partial_fn, keys, sums, combine: str = "shuffle"):

@@ -95,23 +95,14 @@ def _pair_partial(b: pd.DataFrame) -> pd.DataFrame:
 
 
 def _top1(pc_ds) -> tuple[str, str, int] | None:
-    """Fan-in the bucketed pair counts to the single best
-    (count DESC, a ASC, b ASC) pair: one tiny row per block reaches
-    the driver."""
+    """The single best (count DESC, a ASC, b ASC) pair of the bucketed
+    pair counts: one tiny row per block reaches the driver."""
+    from .agg import driver_page
 
-    def block_best(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return g
-        g = g.sort_values(["cnt", "a", "b"],
-                          ascending=[False, True, True], kind="mergesort")
-        return g.head(1)
-
-    tops = pc_ds.map_batches(block_best, batch_format="pandas").to_pandas()
-    if len(tops) == 0:
+    top = driver_page(pc_ds, ["cnt", "a", "b"], 1, descending=("cnt",))
+    if len(top) == 0:
         return None
-    tops = tops.sort_values(["cnt", "a", "b"],
-                            ascending=[False, True, True], kind="mergesort")
-    r = tops.iloc[0]
+    r = top.iloc[0]
     return str(r["a"]), str(r["b"]), int(r["cnt"])
 
 

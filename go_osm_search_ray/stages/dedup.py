@@ -546,15 +546,22 @@ _POW2_63 = np.int64(1) << np.arange(63, dtype=np.int64)
 _KBITS = np.arange(64, dtype=np.uint64)
 
 
+def pack_bits64(bits: np.ndarray) -> np.ndarray:
+    """(n, 64) bits, bit j of a row at column j -> n int64 values, in
+    the SQL oracles' v_lo63 - bit63*(2^63-1) - bit63 two's-complement
+    form, bit for bit."""
+    v_lo = (bits[:, :63].astype(np.int64) * _POW2_63[None, :]).sum(axis=1)
+    b63 = bits[:, 63].astype(np.int64)
+    return v_lo - b63 * np.int64(9223372036854775807) - b63
+
+
 def simhash64_from_flat(codes: np.ndarray, uniques: np.ndarray,
                         lens: np.ndarray) -> np.ndarray:
     """64-bit SimHash core over the flat factorized token
     representation (tf-weighted, vectorized batch-wide): md5 runs
     ONCE per unique token in the batch; the +/- votes accumulate with
-    one np.add.at scatter; the bit pack mirrors the SQL oracle's
-    v_lo63 - bit63*(2^63-1) - bit63 two's-complement form
-    bit-for-bit.  Order-invariant by construction (depends only on
-    the token bag)."""
+    one np.add.at scatter; `pack_bits64` packs the bits.
+    Order-invariant by construction (depends only on the token bag)."""
     n = len(lens)
     out = np.zeros(n, dtype=np.int64)
     if codes.size == 0 or uniques.size == 0:
@@ -583,10 +590,7 @@ def simhash64_from_flat(codes: np.ndarray, uniques: np.ndarray,
     for k in range(64):
         pos_t[k] = np.add.reduceat(cc * bu[k][cidx], seg)
     lens_p = lens[row_ids]
-    bits_t = (2 * pos_t - lens_p[None, :]) > 0  # 64 x m
-    v_lo = (bits_t[:63].astype(np.int64) * _POW2_63[:, None]).sum(axis=0)
-    b63 = bits_t[63].astype(np.int64)
-    out[row_ids] = v_lo - b63 * np.int64(9223372036854775807) - b63
+    out[row_ids] = pack_bits64(((2 * pos_t - lens_p[None, :]) > 0).T)
     return out
 
 

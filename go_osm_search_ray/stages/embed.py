@@ -2,11 +2,13 @@
 
 Scale model: the query matrix is broadcast (`ray.put`) and every corpus
 batch computes a numpy matmul against it, emitting a PARTIAL top-k per
-query — the same combiner plan as stages/knn.py, so the shuffle moves
-only O(blocks * Q * k) rows.  An IVF-style variant (coarse-bucket the
-corpus by nearest centroid, probe only matching buckets) rides on the
-same partial-top-k machinery via `ivf_assign`.  All-pairs near-dup has
-two plans: an exact 2-D block decomposition (distributed,
+query (`knn.topk_select` over the Q x B score matrix) — the same
+combiner plan as stages/knn.py: the partials, O(blocks * Q * k) rows,
+merge on the driver (`agg.collect` + `agg.page`) and every probe
+returns a DataFrame.  An IVF-style variant (coarse-bucket the corpus
+by nearest centroid, probe only matching buckets) rides on the same
+partial-top-k machinery via `ivf_assign`.  All-pairs near-dup has two
+plans: an exact 2-D block decomposition (distributed,
 memory-bounded O(n^2)) and a random-hyperplane LSH (sub-quadratic,
 recall < 1) — see `embedding_dup_pairs`.
 """
@@ -46,6 +48,26 @@ def _to_matrix(col) -> np.ndarray:
     return vals.astype(np.float64, copy=False).reshape(len(arr), dim)
 
 
+def _partial_table(q_ids, ids, score, rows, cols, id_col: str,
+                   score_col: str) -> pa.Table:
+    """The selected (query, corpus row) cells of a probe batch as
+    (query_id, id_col, score_col) partial rows."""
+    return pa.table({"query_id": pa.array(q_ids[rows]),
+                     id_col: pa.array(ids[cols]),
+                     score_col: pa.array(score[rows, cols], pa.float64())})
+
+
+def _merge_pages(partials, k: int, id_col: str, score_col: str,
+                 descending: bool) -> pd.DataFrame:
+    """The broadcast-query merge of the probes' partial top-k rows on
+    (score, id ASC), on the driver: (query_id, id_col, score_col,
+    rank)."""
+    from .agg import collect, page
+
+    return page(collect(partials), [score_col, id_col], k, key="query_id",
+                descending=(score_col,) if descending else ())
+
+
 class CosineTopKPartial:
     def __init__(self, queries_ref, k: int, id_col: str = "vec_id",
                  exclude_self: bool = True):
@@ -60,41 +82,26 @@ class CosineTopKPartial:
         self.exclude_self = exclude_self
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        from .knn import topk_select
+
         m = _to_matrix(batch["embedding"])
         norms = np.linalg.norm(m, axis=1, keepdims=True)
         m = m / np.where(norms > 0, norms, 1.0)
         ids = batch[self.id_col].to_numpy()
         sims = self.qm @ m.T  # Q x B
-        out_q, out_i, out_s = [], [], []
-        for qi in range(len(self.q_ids)):
-            s = sims[qi]
-            mask = np.ones(len(s), bool)
-            if self.exclude_self:
-                mask &= ids != self.q_ids[qi]
-            idx = np.nonzero(mask)[0]
-            keep = min(self.k, len(idx))
-            if keep == 0:
-                continue
-            # exact (cosine DESC, id ASC) tie-break at the cut
-            top = idx[np.lexsort((ids[idx], -s[idx]))[:keep]]
-            out_q.append(np.full(len(top), self.q_ids[qi]))
-            out_i.append(ids[top])
-            out_s.append(s[top])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             self.id_col: pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            self.id_col: pa.array(np.concatenate(out_i)),
-            "cosine": pa.array(np.concatenate(out_s), pa.float64()),
-        })
+        valid = (ids[None, :] != self.q_ids[:, None]
+                 if self.exclude_self else None)
+        # exact (cosine DESC, id ASC) order at the cut
+        rows, cols = topk_select(-sims, self.k, ids, valid)
+        return _partial_table(self.q_ids, ids, sims, rows, cols,
+                              self.id_col, "cosine")
 
 
 def cosine_topk(ds, queries: dict | pa.Table, k: int, id_col: str = "vec_id",
                 exclude_self: bool = True, batch_size: int = 4096):
     """queries: {'query_id': [...], 'embedding': [[...], ...]} ->
-    (query_id, rank, vec_id, cosine) exact brute-force top-k."""
+    DataFrame (query_id, vec_id, cosine, rank), exact brute-force
+    top-k."""
     import ray
 
     if isinstance(queries, pa.Table):
@@ -109,25 +116,7 @@ def cosine_topk(ds, queries: dict | pa.Table, k: int, id_col: str = "vec_id",
         ds, f"cosine/{ref.hex()}/{k}/{id_col}/{exclude_self}",
         lambda: CosineTopKPartial(ref, k, id_col, exclude_self), batch_size)
 
-    return _finalize_topk(partials, k, id_col)
-
-
-def _finalize_topk(partials, k: int, id_col: str):
-    """Merge per-block partial top-k rows into exact per-query pages:
-    bucket-hash on query_id + one vectorized sort/cumcount per bucket
-    (queries here are a broadcast side, but the bucketed shape keeps
-    the merge safe at any query count)."""
-    from .agg import bucketed_group_apply
-
-    def finalize_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["query_id", "cosine", id_col],
-                          ascending=[True, False, True], kind="mergesort")
-        rn = g.groupby("query_id", sort=False).cumcount().to_numpy()
-        out = g[rn < k].copy()
-        out["rank"] = (rn[rn < k] + 1).astype(np.int64)
-        return out
-
-    return bucketed_group_apply(partials, ["query_id"], finalize_bucket)
+    return _merge_pages(partials, k, id_col, "cosine", descending=True)
 
 
 # above this corpus size the exact O(n^2/blocks) block-cross plan is no
@@ -399,21 +388,17 @@ def ivf_topk(ds, centroids: np.ndarray, queries: dict, k: int,
     computed per batch and rows outside every probed bucket are skipped
     before the similarity matmul.
 
-    Returns (query_id, rank, vec_id, cosine) like cosine_topk; recall
+    Returns (query_id, vec_id, cosine, rank) like cosine_topk; recall
     vs brute force depends on nprobe (tested >= 0.9 at nprobe=3/8).
     """
     import ray
 
     qm = np.asarray(queries["embedding"], dtype=np.float64)
-    qd = ((qm[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
-    probe = np.argsort(qd, axis=1, kind="stable")[:, :nprobe]  # Q x nprobe
-    wanted = [np.unique(p) for p in probe]  # sorted arrays for np.isin
-    all_wanted = (np.unique(np.concatenate(wanted)) if wanted
-                  else np.array([], dtype=np.int64))
+    wanted = _probe_mask(qm, centroids, nprobe)
     ref_c = ray.put(centroids)
     ref_q = ray.put({"query_id": list(queries["query_id"]),
                      "embedding": qm / np.linalg.norm(qm, axis=1, keepdims=True),
-                     "wanted": wanted, "all_wanted": all_wanted})
+                     "wanted": wanted})
 
     class Probe:
         def __init__(self):
@@ -422,49 +407,22 @@ def ivf_topk(ds, centroids: np.ndarray, queries: dict, k: int,
             self.q_ids = np.asarray(q["query_id"])
             self.qm = q["embedding"]
             self.wanted = q["wanted"]
-            self.all_wanted = q["all_wanted"]
 
         def __call__(self, batch: pa.Table) -> pa.Table:
+            from .knn import topk_select
+
             m = _to_matrix(batch["embedding"])
-            if "ivf_bucket" in batch.column_names:
-                # pre-partitioned corpus (ivf_assign ran upstream; at
-                # scale this column IS the partition key and the filter
-                # becomes partition pruning at the read)
-                bucket = batch["ivf_bucket"].to_numpy()
-            else:
-                d = ((m[:, None, :] - self.c[None, :, :]) ** 2).sum(-1)
-                bucket = d.argmin(1)
-            keep = np.isin(bucket, self.all_wanted)
-            if not keep.any():
-                return pa.table({"query_id": pa.array([], pa.int64()),
-                                 id_col: pa.array([], pa.int64()),
-                                 "cosine": pa.array([], pa.float64())})
+            bucket, keep = _probed_rows(batch, m, self.c, self.wanted)
             m = m[keep]
-            bucket = bucket[keep]
             ids = batch[id_col].to_numpy()[keep]
             norms = np.linalg.norm(m, axis=1, keepdims=True)
             m = m / np.where(norms > 0, norms, 1.0)
             sims = self.qm @ m.T
-            out_q, out_i, out_s = [], [], []
-            for qi in range(len(self.q_ids)):
-                mask = np.isin(bucket, self.wanted[qi])
-                mask &= ids != self.q_ids[qi]
-                idx = np.nonzero(mask)[0]
-                kk = min(k, len(idx))
-                if kk == 0:
-                    continue
-                top = idx[np.lexsort((ids[idx], -sims[qi][idx]))[:kk]]
-                out_q.append(np.full(len(top), self.q_ids[qi]))
-                out_i.append(ids[top])
-                out_s.append(sims[qi][top])
-            if not out_q:
-                return pa.table({"query_id": pa.array([], pa.int64()),
-                                 id_col: pa.array([], pa.int64()),
-                                 "cosine": pa.array([], pa.float64())})
-            return pa.table({"query_id": pa.array(np.concatenate(out_q)),
-                             id_col: pa.array(np.concatenate(out_i)),
-                             "cosine": pa.array(np.concatenate(out_s),
-                                                pa.float64())})
+            valid = (self.wanted[:, bucket]
+                     & (ids[None, :] != self.q_ids[:, None]))
+            rows, cols = topk_select(-sims, k, ids, valid)
+            return _partial_table(self.q_ids, ids, sims, rows, cols,
+                                  id_col, "cosine")
 
     from .knn import map_with_state
 
@@ -472,7 +430,34 @@ def ivf_topk(ds, centroids: np.ndarray, queries: dict, k: int,
         ds, f"ivfprobe/{ref_c.hex()}/{ref_q.hex()}/{k}/{id_col}", Probe,
         batch_size)
 
-    return _finalize_topk(partials, k, id_col)
+    return _merge_pages(partials, k, id_col, "cosine", descending=True)
+
+
+def _probe_mask(qm: np.ndarray, centroids: np.ndarray,
+                nprobe: int) -> np.ndarray:
+    """(Q, n_centroids) bool: the `nprobe` centroids nearest each query
+    (squared L2, ties to the lower centroid id)."""
+    qd = ((qm[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
+    probe = np.argsort(qd, axis=1, kind="stable")[:, :nprobe]
+    wanted = np.zeros(qd.shape, dtype=bool)
+    wanted[np.arange(len(qd))[:, None], probe] = True
+    return wanted
+
+
+def _probed_rows(batch: pa.Table, m: np.ndarray, centroids: np.ndarray,
+                 wanted: np.ndarray):
+    """(bucket of each kept row, keep mask): the batch rows in a bucket
+    some query probes.  The bucket is the `ivf_bucket` column when
+    `ivf_assign` ran upstream (at scale it IS the partition key and
+    this filter becomes partition pruning at the read), the nearest
+    centroid otherwise."""
+    if "ivf_bucket" in batch.column_names:
+        bucket = batch["ivf_bucket"].to_numpy()
+    else:
+        bucket = ((m[:, None, :] - centroids[None, :, :]) ** 2).sum(-1) \
+            .argmin(1)
+    keep = np.isin(bucket, np.flatnonzero(wanted.any(axis=0)))
+    return bucket[keep], keep
 
 
 def ivf_assign(ds, centroids: np.ndarray, id_col: str = "vec_id"):
@@ -547,21 +532,6 @@ def _pq_lut(qm: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def _finalize_adc(partials, k: int, id_col: str):
-    """Bucketed exact top-k merge on (adc ASC, id ASC) — the
-    distance-metric twin of _finalize_topk."""
-    from .agg import bucketed_group_apply
-
-    def finalize_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["query_id", "adc", id_col], kind="mergesort")
-        rn = g.groupby("query_id", sort=False).cumcount().to_numpy()
-        out = g[rn < k].copy()
-        out["rank"] = (rn[rn < k] + 1).astype(np.int64)
-        return out
-
-    return bucketed_group_apply(partials, ["query_id"], finalize_bucket)
-
-
 def pq_encode(ds, codebooks: np.ndarray, id_col: str = "vec_id"):
     """PQ-encode the corpus: per subspace, the nearest code id (argmin
     squared L2; ties -> lowest code id, matching the oracle's
@@ -602,21 +572,18 @@ def pq_topk(ds, codebooks: np.ndarray, queries: dict, k: int,
     LUT entries at its codes.  Per batch: encode (at scale the codes
     are read at rest from `pq_encode` output; re-deriving here keeps
     the query self-contained) + one fancy-index LUT gather — no
-    per-row Python.  Partial top-k per block, bucketed exact finalize
-    (adc ASC, id ASC tie-break).  Returns (query_id, rank, vec_id,
-    adc).  Exact whenever reconstruction error is 0 (codebook spans
+    per-row Python.  Partial top-k per block, exact driver merge (adc
+    ASC, id ASC tie-break).  Returns a DataFrame (query_id, vec_id, adc,
+    rank).  Exact whenever reconstruction error is 0 (codebook spans
     the corpus) — pytest-proven; otherwise standard PQ recall."""
     import ray
 
-    from .agg import bucketed_group_apply
+    from .knn import map_with_state, topk_select
 
-    qm = np.asarray(queries["embedding"], dtype=np.float64)
-    n_sub = codebooks.shape[0]
-    lut = _pq_lut(qm, codebooks)
+    lut = _pq_lut(np.asarray(queries["embedding"], dtype=np.float64),
+                  codebooks)
     ref = ray.put({"cb": codebooks, "lut": lut,
                    "q_ids": np.asarray(queries["query_id"])})
-
-    from .knn import map_with_state
 
     class Partial:
         def __init__(self):
@@ -626,31 +593,15 @@ def pq_topk(ds, codebooks: np.ndarray, queries: dict, k: int,
         def __call__(self, batch: pa.Table) -> pa.Table:
             m = _to_matrix(batch["embedding"])
             ids = batch[id_col].to_numpy()
-            n = len(m)
-            n_sub = self.cb.shape[0]
             codes = _pq_assign_codes(m, self.cb)
             # adc[q, i] = sum_s lut[q, s, codes[i, s]]
-            adc = self.lut[:, np.arange(n_sub)[None, :], codes].sum(-1)
-            out_q, out_i, out_d = [], [], []
-            for qi in range(len(self.q_ids)):
-                d = adc[qi]
-                keep = min(k, n)
-                top = np.lexsort((ids, d))[:keep]
-                out_q.append(np.full(keep, self.q_ids[qi]))
-                out_i.append(ids[top])
-                out_d.append(d[top])
-            if not out_q:
-                return pa.table({"query_id": pa.array([], pa.int64()),
-                                 id_col: pa.array([], pa.int64()),
-                                 "adc": pa.array([], pa.float64())})
-            return pa.table({
-                "query_id": pa.array(np.concatenate(out_q)),
-                id_col: pa.array(np.concatenate(out_i)),
-                "adc": pa.array(np.concatenate(out_d), pa.float64()),
-            })
+            adc = self.lut[:, np.arange(len(self.cb))[None, :], codes].sum(-1)
+            rows, cols = topk_select(adc, k, ids)
+            return _partial_table(self.q_ids, ids, adc, rows, cols, id_col,
+                                  "adc")
 
     partials = map_with_state(ds, f"pqtopk/{ref.hex()}", Partial, batch_size)
-    return _finalize_adc(partials, k, id_col)
+    return _merge_pages(partials, k, id_col, "adc", descending=False)
 
 
 def ivfpq_topk(ds, centroids: np.ndarray, codebooks: np.ndarray,
@@ -663,24 +614,18 @@ def ivfpq_topk(ds, centroids: np.ndarray, codebooks: np.ndarray,
     (ivf_bucket, pq codes): reads prune on the bucket partition key
     and never touch float embeddings; here buckets/codes are derived
     on the fly when the columns are absent so the operator is
-    self-contained.  Partial top-k per block, bucketed exact finalize
-    on (adc ASC, id ASC).  Returns (query_id, rank, vec_id, adc)."""
+    self-contained.  Partial top-k per block, exact driver merge on
+    (adc ASC, id ASC).  Returns a DataFrame (query_id, vec_id, adc,
+    rank)."""
     import ray
 
-    from .agg import bucketed_group_apply
-    from .knn import map_with_state
+    from .knn import map_with_state, topk_select
 
     qm = np.asarray(queries["embedding"], dtype=np.float64)
-    n_sub = codebooks.shape[0]
-    qd = ((qm[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
-    probe = np.argsort(qd, axis=1, kind="stable")[:, :nprobe]
-    wanted = [np.unique(p) for p in probe]
-    all_wanted = (np.unique(np.concatenate(wanted)) if wanted
-                  else np.array([], dtype=np.int64))
-    lut = _pq_lut(qm, codebooks)
-    ref = ray.put({"c": centroids, "cb": codebooks, "lut": lut,
+    ref = ray.put({"c": centroids, "cb": codebooks,
+                   "lut": _pq_lut(qm, codebooks),
                    "q_ids": np.asarray(queries["query_id"]),
-                   "wanted": wanted, "all_wanted": all_wanted})
+                   "wanted": _probe_mask(qm, centroids, nprobe)})
 
     class Partial:
         def __init__(self):
@@ -688,45 +633,17 @@ def ivfpq_topk(ds, centroids: np.ndarray, codebooks: np.ndarray,
             self.__dict__.update(st)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            empty = pa.table({"query_id": pa.array([], pa.int64()),
-                              id_col: pa.array([], pa.int64()),
-                              "adc": pa.array([], pa.float64())})
             m = _to_matrix(batch["embedding"])
-            if "ivf_bucket" in batch.column_names:
-                bucket = batch["ivf_bucket"].to_numpy()
-            else:
-                d = ((m[:, None, :] - self.c[None, :, :]) ** 2).sum(-1)
-                bucket = d.argmin(1)
-            keep = np.isin(bucket, self.all_wanted)
-            if not keep.any():
-                return empty
-            m = m[keep]
-            bucket = bucket[keep]
+            bucket, keep = _probed_rows(batch, m, self.c, self.wanted)
             ids = batch[id_col].to_numpy()[keep]
-            n_sub = self.cb.shape[0]
-            codes = _pq_assign_codes(m, self.cb)
-            adc = self.lut[:, np.arange(n_sub)[None, :], codes].sum(-1)
-            out_q, out_i, out_d = [], [], []
-            for qi in range(len(self.q_ids)):
-                mask = np.isin(bucket, self.wanted[qi])
-                idx = np.nonzero(mask)[0]
-                kk = min(k, len(idx))
-                if kk == 0:
-                    continue
-                top = idx[np.lexsort((ids[idx], adc[qi][idx]))[:kk]]
-                out_q.append(np.full(len(top), self.q_ids[qi]))
-                out_i.append(ids[top])
-                out_d.append(adc[qi][top])
-            if not out_q:
-                return empty
-            return pa.table({
-                "query_id": pa.array(np.concatenate(out_q)),
-                id_col: pa.array(np.concatenate(out_i)),
-                "adc": pa.array(np.concatenate(out_d), pa.float64()),
-            })
+            codes = _pq_assign_codes(m[keep], self.cb)
+            adc = self.lut[:, np.arange(len(self.cb))[None, :], codes].sum(-1)
+            rows, cols = topk_select(adc, k, ids, self.wanted[:, bucket])
+            return _partial_table(self.q_ids, ids, adc, rows, cols, id_col,
+                                  "adc")
 
     partials = map_with_state(ds, f"ivfpq/{ref.hex()}", Partial, batch_size)
-    return _finalize_adc(partials, k, id_col)
+    return _merge_pages(partials, k, id_col, "adc", descending=False)
 
 
 def semantic_dedup(ds, centroids: np.ndarray, threshold: float = 0.4,
@@ -833,12 +750,9 @@ def kmeans_lloyd_ds(ds, k: int, iters: int = 3, id_col: str = "vec_id"):
     """
     import ray
 
-    def seed_part(b: pd.DataFrame) -> pd.DataFrame:
-        s = b.sort_values(id_col, kind="mergesort").head(k)
-        return s[[id_col, "embedding"]]
+    from .agg import driver_page
 
-    seeds = ds.map_batches(seed_part, batch_format="pandas").to_pandas() \
-        .sort_values(id_col, kind="mergesort").head(k)
+    seeds = driver_page(ds.select_columns([id_col, "embedding"]), [id_col], k)
     cents = _fp(np.asarray(seeds["embedding"].tolist())).astype(np.float64) \
         / KMEANS_FP_SCALE
     d = cents.shape[1]

@@ -46,6 +46,7 @@ import numpy as np
 import pyarrow as pa
 
 from .. import codecs
+from .dedup import pack_bits64
 from .knn import map_with_state
 
 
@@ -279,19 +280,12 @@ class DecodeSums(_ImageStage):
 class AverageHashInt(_ImageStage):
     """Integer-exact 8x8 average hash over (r+g+b) sums: bit (y*8+x) is
     set iff 64*(r+g+b)[y,x] > sum of all (r+g+b) — no float grayscale,
-    so the threshold comparison is exact and SQL-mirrorable.  The int64
-    two's-complement packing matches the SQL v_lo - bit63*(2^63-1) -
-    bit63 formulation bit-for-bit."""
-
-    _POW2_63 = (np.int64(1) << np.arange(63, dtype=np.int64))
+    so the threshold comparison is exact and SQL-mirrorable; the bits
+    pack to int64 with `dedup.pack_bits64`."""
 
     def _kernel(self, px):
         g3 = _pick8(px).sum(axis=3, dtype=np.int64).reshape(len(px), 64)
-        total = g3.sum(axis=1, keepdims=True)
-        bits = (64 * g3) > total
-        v_lo = (bits[:, :63].astype(np.int64) * self._POW2_63[None, :]).sum(axis=1)
-        b63 = bits[:, 63].astype(np.int64)
-        return v_lo - b63 * np.int64(9223372036854775807) - b63
+        return pack_bits64((64 * g3) > g3.sum(axis=1, keepdims=True))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         vals = self._per_row(batch, self._kernel, (), np.int64)

@@ -97,6 +97,36 @@ def topk_cols_exact(a: np.ndarray, n: int, sec: np.ndarray | None = None):
     return part
 
 
+def topk_select(score: np.ndarray, k: int, ids: np.ndarray,
+                valid: np.ndarray | None = None):
+    """The per-query partial top-k of a (Q, B) score matrix: for every
+    row, the k first VALID entries in (score ASC, id ASC) order, a NaN
+    score after every number (pass -score for a high-first order).
+    `ids` (B,) names the columns, `valid` (Q, B) masks entries out.
+    Returns (rows, cols) of the selected cells, at most k per row, in
+    no particular order (the page merge sorts)."""
+    q, b = score.shape
+    if min(k, b) <= 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    rank = np.empty(b, dtype=np.int64)
+    rank[np.argsort(ids, kind="stable")] = np.arange(b)
+    # one finite-or-inf key plus an int tie key (id rank, then NaN,
+    # then invalid) keeps topk_cols_exact's tie logic NaN-free
+    nan = np.isnan(score)
+    bad = nan if valid is None else nan | ~valid
+    key = np.where(bad, np.inf, score)
+    sec = rank[None, :] + b * nan
+    if valid is not None:
+        sec = sec + 2 * b * ~valid
+    cols = topk_cols_exact(key, min(k, b), sec)
+    rows = np.repeat(np.arange(q), cols.shape[1])
+    cols = cols.ravel()
+    if valid is not None:
+        ok = valid[rows, cols]
+        rows, cols = rows[ok], cols[ok]
+    return rows, cols
+
+
 class KNNPartial:
     """Per-process state: per-batch partial top-(k+offset) of corpus
     points for every broadcast query (built once per worker process by
@@ -207,9 +237,10 @@ def knn_join(points_ds, queries: pa.Table, point_id_col: str = "point_id",
 
     `queries` columns: query_id, lat, lon, k [, offset, radius_km, feature].
     rank is 1-based AFTER the offset slice.  Returns a pandas DataFrame:
-    the result is inherently small (Q x k), and the per-block partial
-    top-k already collapsed the corpus, so the final merge is a
-    driver-side combine of partials — no shuffle.  Stateless tasks; the
+    the result is inherently small (Q x k), and the per-batch partial
+    top-(k+offset) already collapsed the corpus, so the merge is the
+    typed driver collect plus one `agg.page` — no shuffle; with no hit
+    the frame is empty with the hit dtypes.  Stateless tasks; the
     broadcast queries live in one ``KNNPartial`` per worker process
     (``cached_state``).
     """
@@ -220,30 +251,20 @@ def knn_join(points_ds, queries: pa.Table, point_id_col: str = "point_id",
         points_ds, f"knn/{ref.hex()}/{point_id_col}/{tag_col}",
         lambda: KNNPartial(ref, point_id_col, tag_col), batch_size)
 
-    qcols = ["query_id", "k"] + (
-        ["offset"] if "offset" in queries.column_names else []
-    )
-    qdf = queries.select(qcols).to_pandas()
-    if "offset" not in qdf.columns:
-        qdf["offset"] = 0
-    pdf = partials.to_pandas()
-    if len(pdf) == 0:
-        return pd.DataFrame(
-            {"query_id": [], point_id_col: [], "dist_km": [], "rank": []}
-        )
-    # vectorized per-query page slice: sort once, cumcount, mask
-    pdf = pdf.merge(qdf, on="query_id")
-    pdf = pdf.sort_values(["query_id", "dist_km", point_id_col], kind="mergesort")
-    rn = pdf.groupby("query_id", sort=False).cumcount()
-    keep = (rn >= pdf["offset"]) & (rn < pdf["offset"] + pdf["k"])
-    out = pdf.loc[keep, ["query_id", point_id_col, "dist_km"]].copy()
-    out["rank"] = (rn[keep] - pdf.loc[keep, "offset"] + 1).astype(np.int64)
-    return out.reset_index(drop=True)
+    from .agg import collect, page
+
+    qid = queries["query_id"].to_pylist()
+    offset = (dict(zip(qid, queries["offset"].to_pylist()))
+              if "offset" in queries.column_names else 0)
+    out = page(collect(partials), ["dist_km", point_id_col],
+               dict(zip(qid, queries["k"].to_pylist())), offset,
+               key="query_id")
+    return out[["query_id", point_id_col, "dist_km", "rank"]]
 
 
 def knn_cell_join(points_ds, queries_ds, radius_km: float | None, k: int,
                   res: int = 6, point_id_col: str = "point_id",
-                  batch_size: int = 4096, ring_radius: int | None = None,
+                  ring_radius: int | None = None,
                   with_meta: bool = False, points_keyed: bool = False,
                   n_salt: int = 1):
     """Cell-partitioned kNN for LARGE query sides (millions of queries).
@@ -351,28 +372,20 @@ def knn_cell_join(points_ds, queries_ds, radius_km: float | None, k: int,
             ps["lat"].to_numpy()[None, :], ps["lon"].to_numpy()[None, :],
         )
         pid = ps[point_id_col].to_numpy()
-        # exact (dist, point_id) tie-break at the cut, fully
-        # vectorized: out-of-radius cells masked to +inf, one
-        # topk_cols_exact over the whole matrix (argpartition fast
-        # path; only boundary-tied rows lexsort), then the masked
-        # selections filter out.  No per-query Python — a hot cell
-        # with 10^5 queries is one matrix pass.
-        if radius_km is not None:
-            d = np.where(d <= radius_km, d, np.inf)
-        cols = topk_cols_exact(d, k, sec=np.broadcast_to(pid, d.shape))
-        vals = np.take_along_axis(d, cols, axis=1)
-        valid = np.isfinite(vals).ravel()
-        rows = np.repeat(np.arange(d.shape[0]), cols.shape[1])[valid]
-        sel = cols.ravel()[valid]
+        # exact (dist, point_id) order at the cut over the whole matrix,
+        # out-of-radius cells masked out: a hot cell with 10^5 queries
+        # is one matrix pass, no per-query Python
+        rows, sel = topk_select(
+            d, k, pid, None if radius_km is None else d <= radius_km)
         out = {"query_id": qs["query_id"].to_numpy()[rows],
                point_id_col: pid[sel],
-               "dist_km": vals.ravel()[valid]}
+               "dist_km": d[rows, sel]}
         if with_meta:
             out["q_lat"] = qs["q_lat"].to_numpy()[rows]
             out["q_lon"] = qs["q_lon"].to_numpy()[rows]
         return pd.DataFrame(out)
 
-    from .agg import bucketed_group_apply
+    from .agg import bucketed_group_apply, page
 
     def topk_bucket(g: pd.DataFrame) -> pd.DataFrame:
         frames = [local_topk(grp)
@@ -388,18 +401,11 @@ def knn_cell_join(points_ds, queries_ds, radius_km: float | None, k: int,
         return partials
 
     # query_id is UNBOUNDED (this is the "millions of queries" path),
-    # so the merge of per-cell partials is a bucket-hash shuffle + ONE
-    # vectorized dedup/sort/cumcount per bucket — never a
-    # groupby(query_id) sort with per-query dispatch (the top_k_multi
-    # pattern, stages/text.py)
+    # so the per-cell partials merge in the bucket shuffle on query_id,
+    # one `page` per bucket — never on the driver
     def finalize_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(subset=["query_id", point_id_col])
-        g = g.sort_values(["query_id", "dist_km", point_id_col],
-                          kind="mergesort")
-        rn = g.groupby("query_id", sort=False).cumcount().to_numpy()
-        out = g[rn < k].copy()
-        out["rank"] = (rn[rn < k] + 1).astype(np.int64)
-        return out
+        return page(g.drop_duplicates(subset=["query_id", point_id_col]),
+                    ["dist_km", point_id_col], k, key="query_id")
 
     return bucketed_group_apply(partials, ["query_id"], finalize_bucket)
 
@@ -429,7 +435,8 @@ def knn_cell_join_unbounded(points_ds, queries_ds, k: int, res: int = 6,
     (rtree.go:685-723 always returns the k nearest).
     Returns (query_id, rank, point_id, dist_km), exact.
     """
-    from .agg import bucketed_group_apply, default_join_partitions, join_safe
+    from .agg import (bucketed_group_apply, default_join_partitions,
+                      join_safe, page)
 
     n_part = default_join_partitions()
     n_axis = 1 << res
@@ -459,21 +466,17 @@ def knn_cell_join_unbounded(points_ds, queries_ds, k: int, res: int = 6,
         )
 
         def split_bucket(g: pd.DataFrame, _r=r, _full=full_grid) -> pd.DataFrame:
-            # ALL queries of this hash bucket at once: vectorized
-            # dedup + sort + cumcount top-k, per-query kth-distance /
-            # count via transform — no per-query dispatch
-            g = g.drop_duplicates(subset=["query_id", point_id_col])
-            g = g.sort_values(["query_id", "dist_km", point_id_col],
-                              kind="mergesort")
-            rn = g.groupby("query_id", sort=False).cumcount().to_numpy()
-            top = g[rn < k].copy()
+            # ALL queries of this hash bucket at once: one `page`, then
+            # per-query kth-distance / count via transform — no
+            # per-query dispatch
+            top = page(g.drop_duplicates(subset=["query_id", point_id_col]),
+                       ["dist_km", point_id_col], k, key="query_id")
             grp = top.groupby("query_id", sort=False)["dist_km"]
             cnt = grp.transform("size").to_numpy()
             dk = grp.transform("max").to_numpy()
             q_lat, q_lon = top["q_lat"].to_numpy(), top["q_lon"].to_numpy()
             cx, cy = geo.tile_xy(q_lat, q_lon, res)
             bound = geo.ring_bound_km(q_lat, q_lon, cx, cy, _r, res)
-            top["rank"] = (rn[rn < k] + 1).astype(np.int64)
             top["final"] = _full | ((cnt >= k) & (dk < bound))
             return top
 

@@ -390,35 +390,22 @@ def empty_page(extra=()) -> pd.DataFrame:
 
 def top_k_multi(score_ds, k_by_query: dict):
     """Per-query page slice over a (query_id, doc_id, score [, extra
-    columns]) Dataset.  `k_by_query`: {query_id: (k, offset)}.
-    Per-block partial top-(k+offset) per query -> driver merge of
-    O(blocks * Q * kmax) rows -> vectorized cumcount slice.  Ties on
-    (score, doc_id) keep the row order of each block (stable sorts).
-    Returns a DataFrame (query_id, rank, doc_id, score, *extra columns);
-    with no scored row it is empty, with int64 rank / doc_id and
-    float64 score."""
-    kmax = max((k + off) for k, off in k_by_query.values()) if k_by_query else 0
+    columns]) Dataset.  `k_by_query`: {query_id: (k, offset)}.  The
+    driver-side `agg.driver_page` on (score DESC, doc_id ASC): ties keep
+    the row order of the blocks.  Returns a DataFrame (query_id, rank,
+    doc_id, score, *extra columns); with no scored row it is empty, with
+    int64 rank / doc_id and float64 score."""
+    from .agg import driver_page
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(["query_id", "score", "doc_id"],
-                          ascending=[True, False, True], kind="mergesort")
-        return b.groupby("query_id", sort=False).head(kmax)
-
-    parts = score_ds.map_batches(partial, batch_format="pandas").to_pandas()
+    out = driver_page(score_ds, ["score", "doc_id"],
+                      {q: k for q, (k, _) in k_by_query.items()},
+                      {q: off for q, (_, off) in k_by_query.items()},
+                      key="query_id", descending=("score",))
     base = ["query_id", "rank", "doc_id", "score"]
-    extra = [c for c in parts.columns if c not in base]
-    if len(parts) == 0:
+    extra = [c for c in out.columns if c not in base]
+    if not len(out):
         return empty_page(extra)
-    parts = parts.sort_values(["query_id", "score", "doc_id"],
-                              ascending=[True, False, True], kind="mergesort")
-    rn = parts.groupby("query_id", sort=False).cumcount()
-    ko = parts["query_id"].map({q: ko for q, ko in k_by_query.items()})
-    off = ko.map(lambda p: p[1]).to_numpy()
-    kk = ko.map(lambda p: p[0]).to_numpy()
-    keep = (rn.to_numpy() >= off) & (rn.to_numpy() < off + kk)
-    out = parts.loc[keep].copy()
-    out["rank"] = (rn.to_numpy()[keep] - off[keep] + 1).astype(np.int64)
-    return out[base + extra].reset_index(drop=True)
+    return out[base + extra]
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,6 @@ class TestEmbeddings:
         ds = rd.read_parquet(f"{SF}/embeddings.parquet").repartition(4)
         got = (
             embed.cosine_topk(ds, queries, k=5, batch_size=100)
-            .to_pandas()
             .sort_values(["query_id", "rank"])
         )
 
@@ -557,7 +556,7 @@ class TestIVFSearch:
         def recall(nprobe):
             ds = rd.read_parquet(f"{SF}/embeddings.parquet").repartition(3)
             approx = embed.ivf_topk(ds, cents, queries, k=5,
-                                    nprobe=nprobe).to_pandas()
+                                    nprobe=nprobe)
             hits = 0
             for qi in range(10):
                 sims = mn[qi] @ mn.T
@@ -589,13 +588,11 @@ class TestIVFSearch:
         ds2 = rd.read_parquet(f"{SF}/embeddings.parquet")
         a = (
             embed.ivf_topk(ds1, cents, queries, k=5, nprobe=4)
-            .to_pandas()
             .sort_values(["query_id", "rank"])
             .reset_index(drop=True)
         )
         b = (
             embed.cosine_topk(ds2, queries, k=5)
-            .to_pandas()
             .sort_values(["query_id", "rank"])
             .reset_index(drop=True)
         )
@@ -641,7 +638,7 @@ class TestPQ:
         queries = {"query_id": [0, 5], "embedding": [m[0], m[5]]}
         got = (embed.pq_topk(rd.from_pandas(df).repartition(3), books,
                              queries, k=4)
-               .to_pandas().sort_values(["query_id", "rank"])
+               .sort_values(["query_id", "rank"])
                .reset_index(drop=True))
         for q in (0, 5):
             d = ((m - m[q]) ** 2).sum(1)
@@ -667,7 +664,7 @@ class TestPQ:
         queries = {"query_id": [1, 9], "embedding": [m[1], m[9]]}
         got = (embed.ivfpq_topk(rd.from_pandas(df).repartition(3), cents,
                                 books, queries, k=5, nprobe=4)
-               .to_pandas().sort_values(["query_id", "rank"])
+               .sort_values(["query_id", "rank"])
                .reset_index(drop=True))
         for q in (1, 9):
             d = ((m - m[q]) ** 2).sum(1)
@@ -692,7 +689,7 @@ class TestPQ:
         def recall(nprobe):
             ds = rd.read_parquet(f"{SF}/embeddings.parquet").repartition(3)
             got = embed.ivfpq_topk(ds, cents, books, queries, k=5,
-                                   nprobe=nprobe).to_pandas()
+                                   nprobe=nprobe)
             hits = 0
             for qi in range(10):
                 d = ((m - m[qi]) ** 2).sum(1)

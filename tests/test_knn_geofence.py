@@ -395,6 +395,7 @@ def test_probe_accepts_empty_side_table(stage):
     got = _run_probe(stage, empty=True)
     if stage == "knn_join":
         assert list(got.columns) == list(full.columns) and len(got) == 0
+        assert got.dtypes.tolist() == full.dtypes.tolist()
         return
     assert got.schema == full.schema
     if stage == "fence_transitions":

@@ -2,11 +2,12 @@
 the one keyed shuffle.
 
 These pin the algebraic contracts the distributed operators rely on:
-distance symmetry, tile containment, exact top-k cut semantics, codec
+distance symmetry, tile containment, exact top-k cut semantics, the
+one ranked page and its per-block-then-merge composition, codec
 round-trips, image stages equal to a per-image reference on hostile
 batches, bag-invariance of signatures, and `bucketed_group_apply`
-handing every group whole to one bucket (the only class that needs a
-Ray session).
+handing every group whole to one bucket (the classes marked
+`ray_session` need a Ray session).
 """
 
 import numpy as np
@@ -96,6 +97,167 @@ class TestTopKCutProperties:
         want = np.lexsort((pos, a), axis=-1)[:, :n]
         for r in range(rows):
             assert set(got[r].tolist()) == set(want[r].tolist())
+
+
+# ---------------------------------------------------------------------------
+# the one ranked page (`agg.page`), its per-block-then-merge composition
+# and the Q x B partial top-k selector (`knn.topk_select`), each against
+# a test-local reference.  Score alphabets are tiny so ties on the
+# score, and on the whole sort key, are the common case; NaN and the
+# infinities are in it.
+
+_SCORES = [-1.0, 0.0, 0.5, 1.0, float("nan"), float("inf"), float("-inf")]
+
+
+def _page_frame(rows):
+    return pd.DataFrame({
+        "key": pd.Series([r[0] for r in rows], dtype=np.int64),
+        "score": pd.Series([r[1] for r in rows], dtype=np.float64),
+        "id": pd.Series([r[2] for r in rows], dtype=np.int64),
+        "seq": np.arange(len(rows), dtype=np.int64)})
+
+
+def _page_ref(df, k, offset, desc):
+    """(key, seq, rank) of every kept row: per key in key order, the
+    rows in `sorted` (NaN last, score, id) order — stable, so full ties
+    keep input order — sliced [offset, offset + k)."""
+    out = []
+    recs = list(df[["key", "score", "id", "seq"]].itertuples(index=False))
+    for key in sorted({r.key for r in recs}):
+        def order(r):
+            nan = r.score != r.score
+            return (nan, 0.0 if nan else (-r.score if desc else r.score),
+                    r.id)
+
+        grp = sorted((r for r in recs if r.key == key), key=order)
+        kk = k.get(key, 0) if isinstance(k, dict) else k
+        off = offset.get(key, 0) if isinstance(offset, dict) else offset
+        out += [(key, r.seq, i + 1)
+                for i, r in enumerate(grp[off:off + kk])]
+    return out
+
+
+def _page_got(out):
+    assert out["rank"].dtype == np.int64
+    return list(zip(out["key"].tolist(), out["seq"].tolist(),
+                    out["rank"].tolist()))
+
+
+_page_rows = st.lists(st.tuples(st.integers(0, 3), st.sampled_from(_SCORES),
+                                st.integers(0, 4)), max_size=60)
+
+
+def _bound(hi):
+    """An int page bound, or a per-key mapping that may miss keys."""
+    return st.one_of(st.integers(0, hi),
+                     st.dictionaries(st.integers(0, 3), st.integers(0, hi)))
+
+
+def _blocks(df, n_blocks):
+    """`df` cut into n_blocks contiguous blocks (some may be empty)."""
+    return [df.iloc[ix] for ix in np.array_split(np.arange(len(df)),
+                                                 n_blocks)]
+
+
+class TestPageProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_page_rows, desc=st.booleans(), k=_bound(8), off=_bound(6))
+    def test_page_equals_sorted_slice(self, rows, desc, k, off):
+        """Ties, NaN, per-key k/offset, k larger than a group, an
+        offset past its end and the empty frame."""
+        from go_osm_search_ray.stages.agg import page
+
+        df = _page_frame(rows)
+        got = page(df, ["score", "id"], k, off, key="key",
+                   descending=("score",) if desc else ())
+        assert _page_got(got) == _page_ref(df, k, off, desc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_page_rows, desc=st.booleans(), k=_bound(8), off=_bound(6),
+           n_blocks=st.sampled_from([1, 2, 7]))
+    @example(rows=[(0, -1.0, 0)], desc=False, k=1, off={}, n_blocks=1)
+    def test_block_partials_then_merge_equal_one_page(self, rows, desc, k,
+                                                      off, n_blocks):
+        """`driver_page`'s algebra: a page of max(k + offset) rows per
+        key on each block, concatenated in block order, then the page —
+        equals one page over the whole frame, full ties across blocks
+        included."""
+        from go_osm_search_ray.stages.agg import _keep_max, page
+
+        df = _page_frame(rows)
+        by, d = ["score", "id"], ("score",) if desc else ()
+        parts = pd.concat(
+            [page(b, by, _keep_max(k, off), key="key", descending=d)
+             for b in _blocks(df, n_blocks)], ignore_index=True)
+        got = page(parts, by, k, off, key="key", descending=d)
+        assert _page_got(got) == _page_ref(df, k, off, desc)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestDriverPage:
+    @settings(max_examples=4, deadline=None)
+    @given(rows=_page_rows, desc=st.booleans(), k=_bound(8), off=_bound(6),
+           n_blocks=st.sampled_from([1, 5]))
+    @example(rows=[], desc=True, k=3, off=0, n_blocks=1)
+    @example(rows=[(0, 1.0, 0), (1, float("nan"), 2), (1, 0.5, 3)],
+             desc=True, k={1: 1}, off={1: 1}, n_blocks=5)
+    def test_driver_page_equals_sorted_slice(self, rows, desc, k, off,
+                                             n_blocks):
+        """The Ray plan: per-block partials, typed collect, page.  Ids
+        are unique per key, so the answer does not depend on the order
+        Ray hands the blocks back."""
+        import ray.data as rd
+
+        from go_osm_search_ray.stages.agg import driver_page
+
+        rows = list({(r[0], r[2]): r for r in rows}.values())
+        df = _page_frame(rows)
+        got = driver_page(rd.from_pandas(_blocks(df, n_blocks)),
+                          ["score", "id"], k, off, key="key",
+                          descending=("score",) if desc else ())
+        if not rows:  # Ray keeps no schema for a Dataset of no block
+            assert len(got) == 0
+            return
+        assert list(got.columns) == ["key", "score", "id", "seq", "rank"]
+        assert got.dtypes.tolist()[:4] == df.dtypes.tolist()
+        assert _page_got(got) == _page_ref(df, k, off, desc)
+
+
+def _select_ref(score, k, ids, valid):
+    """The per-query lexsort loop the embed probes ran before
+    `topk_select`: (score ASC, id ASC) over the valid columns."""
+    out = set()
+    for q in range(score.shape[0]):
+        idx = np.nonzero(np.ones(score.shape[1], bool) if valid is None
+                         else valid[q])[0]
+        top = idx[np.lexsort((ids[idx], score[q][idx]))[:k]]
+        out |= {(q, int(c)) for c in top}
+    return out
+
+
+class TestTopKSelect:
+    @settings(max_examples=400, deadline=None)
+    @given(q=st.integers(0, 5), b=st.integers(0, 12), k=st.integers(0, 14),
+           mask=st.sampled_from(["none", "self", "probe"]),
+           nan_row=st.booleans(), seed=st.integers(0, 10**6))
+    def test_select_equals_lexsort_loop(self, q, b, k, mask, nan_row, seed):
+        """`exclude_self` and IVF probe masks, k >= batch, the empty
+        batch, duplicate ids and an all-NaN row (a zero-norm query)."""
+        from go_osm_search_ray.stages.knn import topk_select
+
+        rng = np.random.default_rng(seed)
+        score = rng.choice(_SCORES, size=(q, b))
+        if nan_row and q:
+            score[0] = np.nan
+        ids = rng.integers(0, max(b, 1) + 2, b).astype(np.int64)
+        q_ids = rng.integers(0, max(b, 1) + 2, q).astype(np.int64)
+        valid = {"none": None,
+                 "self": ids[None, :] != q_ids[:, None],
+                 "probe": rng.random((q, b)) < 0.6}[mask]
+        rows, cols = topk_select(score, k, ids, valid)
+        got = set(zip(rows.tolist(), cols.tolist()))
+        assert len(got) == len(rows)
+        assert got == _select_ref(score, k, ids, valid)
 
 
 class TestCodecProperties:
