@@ -1259,35 +1259,11 @@ GROUP BY t.term HAVING COUNT(*) >= 2
 
 
 def q_quality_signals(sf_dir: str):
-    """Integer quality signals (ratios stay library-side; ints hash
-    identically across engines)."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def signals(batch: pa.Table) -> pa.Table:
-        # pyarrow-native (round-5): tokenize/factorize via RE2 +
-        # dictionary_encode, char classes via count_substring_regex —
-        # the text column never converts to pandas
-        codes, uniques, lens, starts = text.tokenize_flat_arrow(
-            batch["text"])
-        stop_u = np.isin(uniques, text.STOPWORDS["en"])
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_tokens": pa.array(lens, pa.int64()),
-                "n_chars": pc.utf8_length(batch["text"]).cast(pa.int64()),
-                "alnum_space_chars": pc.count_substring_regex(
-                    batch["text"], "[a-zA-Z0-9 ]").cast(pa.int64()),
-                # each [a-z0-9] char belongs to exactly one token of the
-                # [a-z0-9]+ tokenizer -> token_chars is ONE regex count
-                "token_chars": pc.count_substring_regex(
-                    batch["text"], "[a-zA-Z0-9]").cast(pa.int64()),
-                "stop_hits": pa.array(text.per_doc_sum(
-                    stop_u[codes].astype(np.int64), lens, starts),
-                    pa.int64()),
-            }
-        )
-
-    return ds.map_batches(signals, batch_format="pyarrow")
+    """Integer quality signals (`text.quality_signals`; ratios stay
+    library-side in `text.quality_metrics`, ints hash identically
+    across engines)."""
+    return read_table(sf_dir, "documents", columns=["doc_id", "text"]) \
+        .map_batches(text.quality_signals, batch_format="pyarrow")
 
 
 _EN = ", ".join(f"'{w}'" for w in text.STOPWORDS["en"])
@@ -1305,7 +1281,7 @@ FROM documents
 
 def q_lang_id(sf_dir: str):
     return read_table(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
-        lambda b: text.lang_id_arrow(b), batch_format="pyarrow"
+        text.lang_id, batch_format="pyarrow"
     )
 
 
@@ -1330,7 +1306,7 @@ SQL_LANG_ID = _sql_lang_id()
 
 def q_token_counts(sf_dir: str):
     return read_table(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
-        lambda b: text.token_counts_arrow(b), batch_format="pyarrow"
+        text.token_counts, batch_format="pyarrow"
     )
 
 
@@ -1348,8 +1324,7 @@ def q_repetition_signals(sf_dir: str):
     integer numerator/denominator pairs (text.repetition_signals).
     A pure map stage — streams at any scale."""
     return read_table(sf_dir, "documents", columns=["doc_id", "text"]) \
-        .map_batches(lambda b: text.repetition_signals_arrow(b),
-                     batch_format="pyarrow")
+        .map_batches(text.repetition_signals, batch_format="pyarrow")
 
 
 SQL_REPETITION = f"""
@@ -1656,7 +1631,7 @@ def q_corpus_prep(sf_dir: str):
         hist["n_chars"].to_numpy(), hist["n"].to_numpy(), 0.5))
 
     def gate(b: pa.Table) -> pa.Table:
-        sig = text.repetition_signals_arrow(b)
+        sig = text.repetition_signals(b)
         keep = (pc.utf8_length(b["text"]).cast(pa.int64()).to_numpy()
                 >= med) \
             & (5 * sig["top_bigram_n"].to_numpy()

@@ -139,7 +139,7 @@ def _builtin():
               "decode -> pixel stats (stateful class stage)"),
         Stage("image:ahash", im.AverageHash, None, "pyarrow",
               "decode -> 8x8 average hash"),
-        Stage("quality", lambda b: tx.quality_metrics(b), None, "pandas",
+        Stage("quality", tx.quality_metrics, None, "pyarrow",
               "length/punct/stopword quality signals"),
     ]
     for st in reg:

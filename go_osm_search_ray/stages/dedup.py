@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .text import tokenize_series
+from .text import doc_token_counts, tokenize_series
 
 
 def md5_hex(s: str) -> str:
@@ -566,15 +566,7 @@ def simhash64_from_flat(codes: np.ndarray, uniques: np.ndarray,
     out = np.zeros(n, dtype=np.int64)
     if codes.size == 0 or uniques.size == 0:
         return out
-    rows = np.repeat(np.arange(n, dtype=np.int64), lens)
-    # tf per (row, token): one np.unique over the composite int key —
-    # no pandas groupby over object tokens
-    u_n = np.int64(len(uniques))
-    key = rows * u_n + codes
-    uk, cc = np.unique(key, return_counts=True)
-    rr = (uk // u_n).astype(np.int64)
-    cidx = (uk % u_n).astype(np.int64)
-    cc = cc.astype(np.int64)
+    rr, cidx, cc = doc_token_counts(codes, uniques, lens)
     hv = np.array([_hash64(t) for t in uniques], dtype=np.uint64)
     bits_u = ((hv[:, None] >> _KBITS[None, :]) & np.uint64(1)).astype(
         np.int64)  # U x 64 in {0, 1}
@@ -594,21 +586,11 @@ def simhash64_from_flat(codes: np.ndarray, uniques: np.ndarray,
     return out
 
 
-def simhash64_batch(toks: pd.Series) -> np.ndarray:
-    """pandas-Series front-end for `simhash64_from_flat` (kept for
-    direct/property-test callers)."""
-    from .text import flatten_tokens
-
-    codes, uniques, lens, _starts = flatten_tokens(toks)
-    return simhash64_from_flat(codes, uniques, lens)
-
-
 def simhash_signatures(ds, id_col="doc_id", text_col="text"):
     """64-bit SimHash over token hashes, weighted by term frequency.
     Returned as int64 (two's complement) for Arrow friendliness.
-    pyarrow-native (round-5): tokenize/factorize via arrow kernels
-    (text.tokenize_flat_arrow), vote math in `simhash64_from_flat`
-    (property-tested directly)."""
+    Tokens come flat from `text.tokenize_flat_arrow`; the vote math is
+    `simhash64_from_flat` (property-tested directly)."""
     from .text import tokenize_flat_arrow
 
     def sig(batch: pa.Table) -> pa.Table:

@@ -2,8 +2,14 @@
 scoring family, n-gram counts, and training-data text analysis.
 
 Reference mapping (SURVEY.md §2):
-- tokenizer            -> M7 (indexer.go:787; regex lowercase split —
-                          identical on index and query sides)
+- tokenizer            -> M7 (indexer.go:787; lowercase regex split,
+                          identical on index and query sides).  ONE
+                          rule, `_normalize`: null -> '', utf8proc
+                          lowercase (Arrow utf8_lower), tokens are the
+                          [a-z0-9]+ runs.  `tokenize_series` (token
+                          lists) and `tokenize_flat_arrow` (factorized
+                          flat form) both derive from it; every text
+                          stage tokenizes through one of the two
 - postings pairs       -> M9/A1 SPIMI invert (indexer.go:672-768); ONE
                           bucketed shuffle on term replaces spill files
                           + heap merge (heap_merge.go:38-98); no salt: a
@@ -30,13 +36,10 @@ partial (per-batch) aggregation before any groupby.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-TOKEN_RE = re.compile(r"[a-z0-9]+")
+import pyarrow.compute as pc
 
 # BM25 constants (reference pkg/searcher/constant.go:28-39)
 K1_BM25F = 10.0
@@ -52,10 +55,67 @@ START_TOKEN = "<s>"
 END_TOKEN = "</s>"
 
 
+# byte -> itself for [a-z0-9], else ' ' (every byte of a non-ASCII
+# UTF-8 character too: none of them is a token character)
+_TOKEN_CHARS = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz0123456789",
+                             dtype=np.uint8)
+_TOKEN_BYTES = np.full(256, ord(" "), dtype=np.uint8)
+_TOKEN_BYTES[_TOKEN_CHARS] = _TOKEN_CHARS
+
+
+def _normalize(texts) -> pa.Array:
+    """The tokenization rule: null -> '', utf8proc lowercase, every
+    character outside [a-z0-9] -> ' ', trim.  The tokens of a row are
+    then its whitespace-separated words: the [a-z0-9]+ runs of the
+    lowercased text.  `texts`: a pandas Series or an Arrow array.
+
+    The mapping is one byte lookup over the lowercased string buffer
+    (same byte length, so the offsets stay valid); an RE2
+    '[^a-z0-9]+' replace costs ~5x more on 300-char documents."""
+    if isinstance(texts, pd.Series):
+        texts = pa.array(texts, type=pa.string(), from_pandas=True)
+    elif isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    low = pc.utf8_lower(pc.fill_null(texts, "").cast(pa.string()))
+    _, offsets, data = low.buffers()
+    data = _TOKEN_BYTES[np.frombuffer(data or b"", dtype=np.uint8)]
+    return pc.ascii_trim(pa.StringArray.from_buffers(
+        len(low), offsets, pa.py_buffer(data), offset=low.offset), " ")
+
+
 def tokenize_series(texts: pd.Series) -> pd.Series:
-    """lower + [a-z0-9]+ extraction; identical to the DuckDB oracle's
-    regexp_extract_all(lower(text), '[a-z0-9]+')."""
-    return texts.str.lower().str.findall(TOKEN_RE)
+    """Token lists (the [a-z0-9]+ runs of the utf8proc-lowercased text,
+    null read as ''), one list per row on the input's index:
+    `str.split()` of the `_normalize`d strings."""
+    norm = _normalize(texts).to_numpy(zero_copy_only=False)
+    return pd.Series(norm, index=texts.index, name=texts.name,
+                     dtype=object).str.split()
+
+
+def tokenize_flat_arrow(texts):
+    """Tokens (the [a-z0-9]+ runs of the utf8proc-lowercased text, null
+    read as ''; the `_normalize` rule, as `tokenize_series`) in flat
+    form: (codes, uniques, lens, starts) where `codes` is the token id per
+    flat position (first-occurrence order), `uniques` the batch
+    vocabulary, `lens` tokens per row and `starts` each row's flat
+    offset.  Split + dictionary_encode run as Arrow kernels; per-doc
+    statistics are then vectorized over the small `uniques` array and
+    one np.add.reduceat (`per_doc_sum`).  `texts`: a pandas Series or
+    an Arrow array."""
+    norm = _normalize(texts)
+    toks = pc.ascii_split_whitespace(norm)
+    # a row without tokens is '' and splits to one '' entry; no other
+    # entry is '' (ends trimmed, a run of spaces is one separator)
+    empty = pc.equal(norm, "").to_numpy(zero_copy_only=False)
+    lens = pc.list_value_length(toks).to_numpy().astype(np.int64) - empty
+    flat = pc.list_flatten(toks)
+    if empty.any():
+        flat = flat.filter(pc.not_equal(flat, ""))
+    dic = pc.dictionary_encode(flat)
+    codes = dic.indices.to_numpy().astype(np.int64)
+    uniques = np.asarray(dic.dictionary.to_numpy(zero_copy_only=False),
+                         dtype=object)
+    return codes, uniques, lens, np.cumsum(lens) - lens
 
 
 # ---------------------------------------------------------------------------
@@ -135,38 +195,30 @@ def postings_lists(ds, id_col="doc_id", text_col="text",
 # BM25F / BM25+ / TF-IDF scoring over a document Dataset for one query
 
 
-def _tf_matrix(toks: pd.Series, terms: list[str], name_len: int):
-    """(tf_name, tf_addr) float64 matrices of shape (len(toks),
-    len(terms)) — term frequency of each query term per doc field,
-    computed with ONE token explode + per-term bincount.  This replaces
-    per-row Python `ws.count(t)` loops in every scoring scan; the
-    resulting integers (hence the downstream floats) are identical."""
-    n, T = len(toks), len(terms)
-    tf_n = np.zeros((n, T), dtype=np.float64)
-    tf_a = np.zeros((n, T), dtype=np.float64)
-    if n == 0 or T == 0:
-        return tf_n, tf_a
-    lens = toks.str.len().to_numpy(np.int64)
-    total = int(lens.sum())
-    if total == 0:
-        return tf_n, tf_a
-    row_idx = np.repeat(np.arange(n), lens)
-    flat = np.concatenate([np.asarray(ws, dtype=object) for ws in toks])
-    starts = np.cumsum(lens) - lens
-    pos = np.arange(total) - np.repeat(starts, lens)
-    keep = np.isin(flat, np.asarray(terms, dtype=object))
-    rf, ff, pf = row_idx[keep], flat[keep], pos[keep]
-    for ti, t in enumerate(terms):
-        mt = ff == t
-        if not mt.any():
-            continue
-        nm = mt & (pf < name_len)
-        am = mt & (pf >= name_len)
-        if nm.any():
-            tf_n[:, ti] += np.bincount(rf[nm], minlength=n)
-        if am.any():
-            tf_a[:, ti] += np.bincount(rf[am], minlength=n)
-    return tf_n, tf_a
+def _query_hits(flat, terms: list[str]):
+    """(row, term index, position in the row) of every token of the flat
+    form `flat` that is one of the sorted distinct `terms`."""
+    codes, uniques, lens, starts = flat
+    ti = pd.Index(terms, dtype=object).get_indexer(uniques)[codes]
+    hit = np.flatnonzero(ti >= 0)
+    row = np.repeat(np.arange(len(lens)), lens)[hit]
+    return row, ti[hit], hit - starts[row]
+
+
+def _tf_matrix(flat, terms: list[str], name_len: int):
+    """(tf_name, tf_addr) float64 matrices of shape (rows, len(terms)):
+    term frequency of each query term per doc field (the first
+    `name_len` tokens are the name), counted as integers by one
+    bincount each over the flat form, so the floats are exact."""
+    n, T = len(flat[2]), len(terms)
+    row, ti, pos = _query_hits(flat, terms)
+    key, name = row * T + ti, pos < name_len
+
+    def tf(k):
+        return np.bincount(k, minlength=n * T).reshape(n, T) \
+            .astype(np.float64)
+
+    return tf(key[name]), tf(key[~name])
 
 
 def _global_stats(ds, query_terms, id_col, text_col, name_len):
@@ -174,31 +226,22 @@ def _global_stats(ds, query_terms, id_col, text_col, name_len):
     Everything is a partial-aggregated scan; results are tiny."""
     qset = sorted(set(query_terms))
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = tokenize_series(batch[text_col])
-        name_len_s = toks.str.len().clip(upper=name_len)
-        addr_len_s = (toks.str.len() - name_len_s).clip(lower=0)
-        rows = {"n_docs": [len(batch)],
-                "sum_name_len": [int(name_len_s.sum())],
-                "sum_addr_len": [int(addr_len_s.sum())]}
-        # per-term df via one explode + distinct + value_counts
-        # (vectorized; no per-row membership loop)
-        lens = toks.str.len().to_numpy(np.int64)
-        if lens.sum() and qset:
-            e = pd.DataFrame({
-                "r": np.repeat(np.arange(len(batch)), lens),
-                "t": np.concatenate(
-                    [np.asarray(ws, dtype=object) for ws in toks]
-                ),
-            })
-            vc = e[e["t"].isin(qset)].drop_duplicates()["t"].value_counts()
-        else:
-            vc = pd.Series(dtype=np.int64)
-        for t in qset:
-            rows[f"df__{t}"] = [int(vc.get(t, 0))]
+    def partial(batch: pa.Table) -> pd.DataFrame:
+        flat = tokenize_flat_arrow(batch[text_col])
+        lens = flat[2]
+        name_lens = np.minimum(lens, name_len)
+        rows = {"n_docs": [len(lens)],
+                "sum_name_len": [int(name_lens.sum())],
+                "sum_addr_len": [int((lens - name_lens).sum())]}
+        # per-term df: distinct (row, term) hits counted per term
+        row, ti, _ = _query_hits(flat, qset)
+        T = max(len(qset), 1)
+        dfs = np.bincount(np.unique(row * T + ti) % T, minlength=len(qset))
+        for t, c in zip(qset, dfs):
+            rows[f"df__{t}"] = [int(c)]
         return pd.DataFrame(rows)
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
+    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
     # an empty corpus gives no partial rows (and no columns): all zero
     stats = parts.sum().reindex(
         ["n_docs", "sum_name_len", "sum_addr_len",
@@ -221,10 +264,10 @@ def bm25f_score(ds, query_terms: list[str], id_col="doc_id", text_col="text",
 
     uniq = sorted(set(query_terms))
 
-    def score(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = tokenize_series(batch[text_col])
-        tfm_n, tfm_a = _tf_matrix(toks, uniq, name_len)
-        nt = toks.str.len().to_numpy(dtype=np.float64)
+    def score(batch: pa.Table) -> pd.DataFrame:
+        flat = tokenize_flat_arrow(batch[text_col])
+        tfm_n, tfm_a = _tf_matrix(flat, uniq, name_len)
+        nt = flat[2].astype(np.float64)
         ln = np.minimum(nt, name_len)
         la = np.maximum(nt - name_len, 0.0)
         s = np.zeros(len(batch))
@@ -245,10 +288,11 @@ def bm25f_score(ds, query_terms: list[str], id_col="doc_id", text_col="text",
                 la > 0, tf_a / (1 + NAME_B * (la / stats["avg_addr"] - 1)), 0.0
             )
             s += np.where(tf_a > 0, w_a / (K1_BM25F + w_a), 0.0) * idf
-        out = pd.DataFrame({"doc_id": batch[id_col], "score": s})
-        return out[out["score"] != 0.0]
+        nz = s != 0.0
+        return pd.DataFrame({"doc_id": batch[id_col].to_numpy()[nz],
+                             "score": s[nz]})
 
-    return ds.map_batches(score, batch_format="pandas")
+    return ds.map_batches(score, batch_format="pyarrow")
 
 
 def top_k(score_ds, k: int, offset: int = 0):
@@ -299,16 +343,15 @@ def score_multi(ds, query_terms: dict, scoring: str = "bm25f",
         for qid, ts in query_terms.items()
     }
 
-    def contribution_matrix(toks, dl):
+    def contribution_matrix(flat, dl):
         """C[:, ti] = one occurrence's score contribution of union[ti]."""
-        n = len(toks)
-        C = np.zeros((n, len(union)))
+        C = np.zeros((len(dl), len(union)))
         if scoring == "bm25f":
-            tfm_n, tfm_a = _tf_matrix(toks, union, name_len)
+            tfm_n, tfm_a = _tf_matrix(flat, union, name_len)
             ln = np.minimum(dl, name_len)
             la = np.maximum(dl - name_len, 0.0)
         else:
-            tfm, _ = _tf_matrix(toks, union, name_len=1 << 30)
+            tfm, _ = _tf_matrix(flat, union, name_len=1 << 30)
         for ti, t in enumerate(union):
             df = stats["df"][t]
             if df == 0:
@@ -343,13 +386,14 @@ def score_multi(ds, query_terms: dict, scoring: str = "bm25f",
                 )
         return C
 
-    def score(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = tokenize_series(batch[text_col])
-        dl = toks.str.len().to_numpy(dtype=np.float64)
-        C = contribution_matrix(toks, dl)
+    def score(batch: pa.Table) -> pd.DataFrame:
+        flat = tokenize_flat_arrow(batch[text_col])
+        dl = flat[2].astype(np.float64)
+        C = contribution_matrix(flat, dl)
+        ids = batch[id_col].to_numpy()
         frames = []
         for qid, mult in q_mult.items():
-            s = np.zeros(len(batch))
+            s = np.zeros(len(dl))
             for t, m in mult.items():  # sorted-term FP sum order
                 ti = union.index(t)
                 if scoring == "tfidf":
@@ -365,7 +409,7 @@ def score_multi(ds, query_terms: dict, scoring: str = "bm25f",
             if nz.any():
                 frames.append(pd.DataFrame({
                     "query_id": qid,
-                    "doc_id": batch[id_col].to_numpy()[nz],
+                    "doc_id": ids[nz],
                     "score": s[nz],
                 }))
         if not frames:
@@ -374,7 +418,7 @@ def score_multi(ds, query_terms: dict, scoring: str = "bm25f",
                                  "score": pd.Series([], dtype=np.float64)})
         return pd.concat(frames, ignore_index=True)
 
-    return ds.map_batches(score, batch_format="pandas")
+    return ds.map_batches(score, batch_format="pyarrow")
 
 
 def empty_page(extra=()) -> pd.DataFrame:
@@ -550,87 +594,6 @@ STOPWORDS = {
 }
 
 
-def flatten_tokens(toks: pd.Series):
-    """Flatten a batch's token lists ONCE: returns (codes, uniques,
-    lens, starts) where `codes` is the factorized token id per flat
-    position, `uniques` the batch vocabulary, `lens` tokens per doc and
-    `starts` each doc's flat offset.  Everything downstream (membership
-    counts, per-doc sums) is then vectorized over the SMALL uniques
-    array + one np.add.reduceat — no per-document Python.  This is the
-    dup_ngram_coverage factorization applied to the corpus gates (the
-    highest-volume stages of a 100-TB text pipeline)."""
-    from itertools import chain
-
-    lens = toks.str.len().fillna(0).to_numpy(dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(lens)[:-1]]) \
-        if len(lens) else np.array([], dtype=np.int64)
-    total = int(lens.sum())
-    if total == 0:
-        return (np.array([], dtype=np.int64), np.array([], dtype=object),
-                lens, starts)
-    # chain.from_iterable + fromiter is ~5x faster than concatenating
-    # one tiny object array per row
-    flat = np.fromiter(chain.from_iterable(toks), dtype=object, count=total)
-    codes, uniques = pd.factorize(flat)
-    return codes, np.asarray(uniques, dtype=object), lens, starts
-
-
-def tokenize_flat_arrow(texts):
-    """Arrow-native `flatten_tokens`: identical (codes, uniques, lens,
-    starts) contract, but lower + normalize + split + factorize all
-    run as pyarrow C++ kernels (RE2 regex, dictionary_encode) instead
-    of pandas' per-row Python regex + pd.factorize over an object
-    array.  This is the round-5 conversion-tax fix for the corpus
-    gates and signature stages: with batch_format="pyarrow" the text
-    column never round-trips through pandas at all.
-
-    Tokenizer equivalence: [a-z0-9]+ runs of lower(text) — every
-    non-token run collapses to one space (RE2 '[^a-z0-9]+' -> ' '),
-    trim, split on ' '.  A row with no tokens yields one '' entry from
-    split; those are stripped and the row's length corrected, so the
-    output matches pandas str.findall exactly (pytest-pinned)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    n = len(texts)
-    empty = (np.array([], dtype=np.int64), np.array([], dtype=object),
-             np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
-    if n == 0:
-        return empty
-    texts = pc.fill_null(texts, "")
-    norm = pc.utf8_trim_whitespace(pc.replace_substring_regex(
-        pc.utf8_lower(texts), "[^a-z0-9]+", " "))
-    toks = pc.split_pattern(norm, " ")
-    lens = pc.list_value_length(toks).to_numpy().astype(np.int64)
-    flat = pc.list_flatten(toks)
-    if len(flat) == 0:
-        return empty
-    dic = pc.dictionary_encode(flat)
-    if isinstance(dic, pa.ChunkedArray):
-        dic = dic.combine_chunks()
-    codes = dic.indices.to_numpy().astype(np.int64)
-    uniques = np.asarray(dic.dictionary.to_pandas(), dtype=object)
-    empty_rows = pc.equal(norm, "").to_numpy(zero_copy_only=False)
-    if empty_rows.any():
-        # every '' token comes from exactly one all-empty row (runs
-        # collapsed + trimmed), so drop that code and fix the lengths
-        e = np.nonzero(uniques == "")[0]
-        if len(e):
-            ec = int(e[0])
-            keep = codes != ec
-            codes = codes[keep]
-            codes[codes > ec] -= 1
-            uniques = np.delete(uniques, ec)
-        lens = lens - empty_rows.astype(np.int64)
-    if uniques.size == 0:
-        return (np.array([], dtype=np.int64), np.array([], dtype=object),
-                lens, np.zeros(n, dtype=np.int64))
-    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    return codes, uniques, lens, starts
-
-
 def per_doc_sum(values: np.ndarray, lens: np.ndarray,
                 starts: np.ndarray) -> np.ndarray:
     """Per-document sums of a flat per-token value array via ONE
@@ -642,48 +605,67 @@ def per_doc_sum(values: np.ndarray, lens: np.ndarray,
     return out
 
 
-def quality_metrics(batch: pd.DataFrame, id_col="doc_id", text_col="text") -> pd.DataFrame:
-    """Length / punctuation / stopword-ratio quality signals, mirrored
-    in SQL.  Fully vectorized: stopword hits via the flatten-factorize-
-    reduceat pattern; token chars are the alnum char count of the text
-    (every [a-z0-9] char belongs to exactly one token of the [a-z0-9]+
-    tokenizer, so no flat length pass is needed at all)."""
-    text = batch[text_col]
-    toks = tokenize_series(text)
-    codes, uniques, lens, starts = flatten_tokens(toks)
-    n_chars = text.str.len().to_numpy(np.int64)
-    alnum_space = text.str.count(r"[a-zA-Z0-9 ]").to_numpy(np.int64)
-    stop_u = np.isin(uniques, STOPWORDS["en"])
-    stop_hits = per_doc_sum(stop_u[codes].astype(np.int64), lens, starts)
-    token_chars = text.str.count(r"[a-zA-Z0-9]").to_numpy(np.int64)
-    return pd.DataFrame(
-        {
-            "doc_id": batch[id_col].to_numpy(),
-            "n_tokens": lens,
-            "n_chars": n_chars,
-            "punct_ratio": np.round(
-                1.0 - alnum_space / np.maximum(n_chars, 1), 6
-            ),
-            "stopword_ratio": np.round(
-                stop_hits / np.maximum(lens, 1).astype(np.float64), 6
-            ),
-            "mean_token_len": np.round(
-                token_chars / np.maximum(lens, 1), 6
-            ),
-        }
-    )
+def doc_token_counts(codes: np.ndarray, uniques: np.ndarray,
+                     lens: np.ndarray):
+    """(row, code, count) of every distinct token of every row of a flat
+    form, sorted by (row, code): one np.unique over the composite int
+    key, no groupby over object tokens."""
+    u = max(len(uniques), 1)
+    key, cnt = np.unique(np.repeat(np.arange(len(lens)), lens) * u + codes,
+                         return_counts=True)
+    return key // u, key % u, cnt.astype(np.int64)
 
 
-def lang_id(batch: pd.DataFrame, id_col="doc_id", text_col="text") -> pd.DataFrame:
+def quality_signals(batch: pa.Table, id_col="doc_id",
+                    text_col="text") -> pa.Table:
+    """Integer quality signals per doc (ints hash identically across
+    engines; `quality_metrics` turns them into ratios): n_tokens,
+    n_chars, alnum_space_chars ([a-zA-Z0-9 ] chars of the raw text),
+    token_chars (chars of the tokens the tokenizer emits) and stop_hits
+    (English stopword tokens).  Null text reads as ''."""
+    texts = pc.fill_null(batch[text_col], "")
+    codes, uniques, lens, starts = tokenize_flat_arrow(texts)
+    ulen = np.fromiter(map(len, uniques), dtype=np.int64, count=len(uniques))
+    stop_u = np.isin(uniques, STOPWORDS["en"]).astype(np.int64)
+    return pa.table({
+        "doc_id": batch[id_col],
+        "n_tokens": pa.array(lens, pa.int64()),
+        "n_chars": pc.utf8_length(texts).cast(pa.int64()),
+        "alnum_space_chars": pc.count_substring_regex(
+            texts, "[a-zA-Z0-9 ]").cast(pa.int64()),
+        "token_chars": pa.array(per_doc_sum(ulen[codes], lens, starts)),
+        "stop_hits": pa.array(per_doc_sum(stop_u[codes], lens, starts)),
+    })
+
+
+def quality_metrics(batch: pa.Table, id_col="doc_id",
+                    text_col="text") -> pa.Table:
+    """Length / punctuation / stopword-ratio / mean-token-length quality
+    metrics: ratios over `quality_signals`."""
+    q = quality_signals(batch, id_col, text_col)
+    c = {k: q[k].to_numpy() for k in q.column_names[1:]}
+    n_tok = np.maximum(c["n_tokens"], 1)
+    return pa.table({
+        "doc_id": q["doc_id"],
+        "n_tokens": q["n_tokens"],
+        "n_chars": q["n_chars"],
+        "punct_ratio": np.round(
+            1.0 - c["alnum_space_chars"] / np.maximum(c["n_chars"], 1), 6),
+        "stopword_ratio": np.round(
+            c["stop_hits"] / n_tok.astype(np.float64), 6),
+        "mean_token_len": np.round(c["token_chars"] / n_tok, 6),
+    })
+
+
+def lang_id(batch: pa.Table, id_col="doc_id", text_col="text") -> pa.Table:
     """Stopword-list language id: argmax hits, ties -> lexicographic
-    min.  One flatten-factorize per batch; per-language membership is
-    np.isin over the batch VOCABULARY (not the corpus), per-doc hit
-    counts one reduceat each; argmax over sorted language order breaks
-    ties toward the lexicographic minimum."""
-    toks = tokenize_series(batch[text_col])
-    codes, uniques, lens, starts = flatten_tokens(toks)
+    min.  Per-language membership is np.isin over the batch
+    VOCABULARY (not the corpus), per-doc hit counts one reduceat each;
+    argmax over sorted language order breaks ties toward the
+    lexicographic minimum."""
+    codes, uniques, lens, starts = tokenize_flat_arrow(batch[text_col])
     langs = sorted(STOPWORDS)
-    hits = np.zeros((len(batch), len(langs)), dtype=np.int64)
+    hits = np.zeros((len(lens), len(langs)), dtype=np.int64)
     for j, l in enumerate(langs):
         mask_u = np.isin(uniques, STOPWORDS[l])
         hits[:, j] = per_doc_sum(mask_u[codes].astype(np.int64),
@@ -691,26 +673,25 @@ def lang_id(batch: pd.DataFrame, id_col="doc_id", text_col="text") -> pd.DataFra
     best = hits.argmax(axis=1)  # first max = lex-min lang (sorted)
     preds = np.where(hits.max(axis=1, initial=0) > 0,
                      np.asarray(langs, dtype=object)[best], "unknown")
-    return pd.DataFrame({"doc_id": batch[id_col].to_numpy(),
-                         "pred_lang": preds})
+    return pa.table({"doc_id": batch[id_col],
+                     "pred_lang": pa.array(preds.astype(str))})
 
 
-BPE_ISH_RE = re.compile(r"[a-z0-9]+|[^a-z0-9\s]")
-
-
-def token_counts(batch: pd.DataFrame, id_col="doc_id", text_col="text") -> pd.DataFrame:
-    """Whitespace + BPE-ish regex token counts (training-data costing)."""
-    text = batch[text_col]
-    return pd.DataFrame(
-        {
-            "doc_id": batch[id_col],
-            "ws_tokens": text.str.split().str.len().fillna(0).astype(np.int64),
-            "bpe_ish_tokens": text.str.lower()
-            .str.findall(BPE_ISH_RE)
-            .str.len()
-            .astype(np.int64),
-        }
-    )
+def token_counts(batch: pa.Table, id_col="doc_id",
+                 text_col="text") -> pa.Table:
+    """Whitespace and BPE-ish token counts (training-data costing), one
+    RE2 count each: '\\S+' runs of the text, and '[a-z0-9]+' runs or
+    single non-space symbols of the lowercased text.  Null reads as
+    ''."""
+    texts = pc.fill_null(batch[text_col], "")
+    return pa.table({
+        "doc_id": batch[id_col],
+        "ws_tokens": pc.count_substring_regex(
+            texts, r"\S+").cast(pa.int64()),
+        "bpe_ish_tokens": pc.count_substring_regex(
+            pc.utf8_lower(texts),
+            r"[a-z0-9]+|[^a-z0-9\s]").cast(pa.int64()),
+    })
 
 
 def chunk_windows(batch: pd.DataFrame, id_col="doc_id", text_col="text",
@@ -739,8 +720,8 @@ def chunk_windows(batch: pd.DataFrame, id_col="doc_id", text_col="text",
     })
 
 
-def repetition_signals(batch: pd.DataFrame, id_col="doc_id",
-                       text_col="text") -> pd.DataFrame:
+def repetition_signals(batch: pa.Table, id_col="doc_id",
+                       text_col="text") -> pa.Table:
     """Per-document REPETITION signals (the Gopher repetition rules,
     Rae et al. 2021 — public): distinct-token fraction and
     top-unigram / top-bigram coverage, emitted as INTEGER numerators
@@ -748,127 +729,11 @@ def repetition_signals(batch: pd.DataFrame, id_col="doc_id",
     one division away).  Output per doc: (doc_id, n_tokens,
     n_distinct, top_unigram_n, top_bigram_n, n_bigrams).
 
-    Vectorized batch-wide: one explode of the token lists to a long
-    (doc, token) frame, unigram stats from one groupby, bigrams from
-    the shifted-neighbor mask — no per-document Python beyond the
-    list concatenation the tokenizer already produces."""
-    toks = tokenize_series(batch[text_col])
-    n = len(batch)
-    lens = toks.str.len().to_numpy(dtype=np.int64)
-    ids = batch[id_col].to_numpy()
-    out = pd.DataFrame({
-        id_col: ids,
-        "n_tokens": lens,
-        "n_distinct": np.zeros(n, dtype=np.int64),
-        "top_unigram_n": np.zeros(n, dtype=np.int64),
-        "top_bigram_n": np.zeros(n, dtype=np.int64),
-        "n_bigrams": np.maximum(lens - 1, 0),
-    })
-    if lens.sum() == 0:
-        return out
-    from itertools import chain
-
-    flat = np.fromiter(chain.from_iterable(toks), dtype=object,
-                       count=int(lens.sum()))
-    codes = pd.factorize(flat)[0]
-    doc = np.repeat(np.arange(n, dtype=np.int64), lens)
-    uni = (pd.DataFrame({"d": doc, "w": codes})
-             .groupby(["d", "w"], sort=False).size().reset_index(name="c"))
-    per = uni.groupby("d", sort=False)["c"].agg(["count", "max"])
-    out.loc[per.index, "n_distinct"] = per["count"].to_numpy(np.int64)
-    out.loc[per.index, "top_unigram_n"] = per["max"].to_numpy(np.int64)
-    same = doc[1:] == doc[:-1]
-    if same.any():
-        # bigram identity = (code, next-code) int pair — no string
-        # concatenation; counts are what matters, not the bigram text
-        bg = pd.DataFrame({
-            "d": doc[:-1][same],
-            "b1": codes[:-1][same], "b2": codes[1:][same],
-        })
-        bper = (bg.groupby(["d", "b1", "b2"], sort=False).size()
-                  .groupby(level="d", sort=False).max())
-        out.loc[bper.index, "top_bigram_n"] = bper.to_numpy(np.int64)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Arrow-native corpus gates (round-5): same math as the pandas
-# versions above (pytest-pinned equal), but the full-corpus text
-# column stays a zero-copy arrow buffer — no arrow->pandas->arrow
-# round-trip per batch on the highest-volume stages.
-
-
-def quality_metrics_arrow(batch, id_col="doc_id", text_col="text"):
-    """pyarrow-native quality_metrics (see the pandas twin above)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    text_arr = batch[text_col]
-    codes, uniques, lens, starts = tokenize_flat_arrow(text_arr)
-    n_chars = pc.utf8_length(text_arr).to_numpy().astype(np.int64)
-    alnum_space = pc.count_substring_regex(
-        text_arr, "[a-zA-Z0-9 ]").to_numpy().astype(np.int64)
-    token_chars = pc.count_substring_regex(
-        text_arr, "[a-zA-Z0-9]").to_numpy().astype(np.int64)
-    stop_u = np.isin(uniques, STOPWORDS["en"])
-    stop_hits = per_doc_sum(stop_u[codes].astype(np.int64), lens, starts)
-    return pa.table({
-        "doc_id": batch[id_col],
-        "n_tokens": pa.array(lens, pa.int64()),
-        "n_chars": pa.array(n_chars, pa.int64()),
-        "punct_ratio": pa.array(
-            np.round(1.0 - alnum_space / np.maximum(n_chars, 1), 6)),
-        "stopword_ratio": pa.array(
-            np.round(stop_hits / np.maximum(lens, 1).astype(np.float64), 6)),
-        "mean_token_len": pa.array(
-            np.round(token_chars / np.maximum(lens, 1), 6)),
-    })
-
-
-def lang_id_arrow(batch, id_col="doc_id", text_col="text"):
-    """pyarrow-native lang_id (see the pandas twin above)."""
-    import pyarrow as pa
-
+    Vectorized batch-wide over the flat token codes: unigram stats from
+    one (doc, code) groupby, bigrams from the shifted-neighbor mask as
+    (code, next-code) int pairs — no string concatenation."""
     codes, uniques, lens, starts = tokenize_flat_arrow(batch[text_col])
-    n = batch.num_rows
-    langs = sorted(STOPWORDS)
-    hits = np.zeros((n, len(langs)), dtype=np.int64)
-    for j, l in enumerate(langs):
-        mask_u = np.isin(uniques, STOPWORDS[l])
-        hits[:, j] = per_doc_sum(mask_u[codes].astype(np.int64),
-                                 lens, starts)
-    best = hits.argmax(axis=1)
-    preds = np.where(hits.max(axis=1, initial=0) > 0,
-                     np.asarray(langs, dtype=object)[best], "unknown")
-    return pa.table({"doc_id": batch[id_col],
-                     "pred_lang": pa.array(preds.astype(str))})
-
-
-def token_counts_arrow(batch, id_col="doc_id", text_col="text"):
-    """pyarrow-native token_counts: both token families are ONE RE2
-    count each ('\\S+' runs == len(str.split()); the BPE-ish branches
-    match disjoint char classes, so leftmost-first == findall)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    text_arr = batch[text_col]
-    return pa.table({
-        "doc_id": batch[id_col],
-        "ws_tokens": pc.count_substring_regex(
-            text_arr, r"\S+").cast(pa.int64()),
-        "bpe_ish_tokens": pc.count_substring_regex(
-            pc.utf8_lower(text_arr),
-            r"[a-z0-9]+|[^a-z0-9\s]").cast(pa.int64()),
-    })
-
-
-def repetition_signals_arrow(batch, id_col="doc_id", text_col="text"):
-    """pyarrow-native repetition_signals: arrow tokenize/factorize,
-    then the same int-code groupbys over the SLIM flat arrays."""
-    import pyarrow as pa
-
-    codes, uniques, lens, starts = tokenize_flat_arrow(batch[text_col])
-    n = batch.num_rows
+    n = len(lens)
     n_distinct = np.zeros(n, dtype=np.int64)
     top_uni = np.zeros(n, dtype=np.int64)
     top_bg = np.zeros(n, dtype=np.int64)
@@ -906,34 +771,19 @@ def hash_features(batch: pd.DataFrame, n_buckets: int = 32,
     state (the scale-critical property: nothing to broadcast or
     shuffle, a pure map stage).  bucket = token_md5 % n_buckets,
     sign = the next hash bit; md5 runs once per unique token per batch
-    (the simhash64_batch scheme, and the same SQL-mirrorable hash).
-    Emits long form (doc_id, bucket, feat) with zero rows dropped."""
-    import numpy as np
-
+    (the `dedup.simhash64_from_flat` scheme, and the same
+    SQL-mirrorable hash).  Emits long form (doc_id, bucket, feat) with
+    zero rows dropped."""
     from .dedup import _hash64
 
-    toks = tokenize_series(batch[text_col])
-    n = len(toks)
-    ids = batch[id_col].to_numpy(np.int64)
-    lens = toks.str.len().to_numpy(np.int64) if n else np.array([], np.int64)
-    if n == 0 or lens.sum() == 0:
-        return pd.DataFrame({id_col: pd.Series([], dtype=np.int64),
-                             "bucket": pd.Series([], dtype=np.int64),
-                             "feat": pd.Series([], dtype=np.int64)})
-    rows = np.repeat(np.arange(n), lens)
-    flat = np.concatenate([np.asarray(ws, dtype=object) for ws in toks])
-    tf = pd.DataFrame({"r": rows, "t": flat}) \
-        .groupby(["r", "t"], sort=False).size()
-    rr = tf.index.get_level_values(0).to_numpy()
-    tt = tf.index.get_level_values(1).to_numpy()
-    cc = tf.to_numpy().astype(np.int64)
-    uniq, inv = np.unique(tt, return_inverse=True)
-    hv = np.array([_hash64(t) for t in uniq], dtype=np.uint64)
-    bucket = (hv % np.uint64(n_buckets)).astype(np.int64)[inv]
+    codes, uniques, lens, _ = tokenize_flat_arrow(batch[text_col])
+    row, code, tf = doc_token_counts(codes, uniques, lens)
+    hv = np.array([_hash64(t) for t in uniques], dtype=np.uint64)
+    bucket = (hv % np.uint64(n_buckets)).astype(np.int64)[code]
     sign = np.where(((hv // np.uint64(n_buckets)) & np.uint64(1)) == 1,
-                    1, -1).astype(np.int64)[inv]
-    acc = np.zeros((n, n_buckets), dtype=np.int64)
-    np.add.at(acc, (rr, bucket), sign * cc)
+                    1, -1).astype(np.int64)[code]
+    acc = np.zeros((len(lens), n_buckets), dtype=np.int64)
+    np.add.at(acc, (row, bucket), sign * tf)
     di, bi = np.nonzero(acc)
-    return pd.DataFrame({id_col: ids[di], "bucket": bi.astype(np.int64),
-                         "feat": acc[di, bi]})
+    return pd.DataFrame({id_col: batch[id_col].to_numpy(np.int64)[di],
+                         "bucket": bi.astype(np.int64), "feat": acc[di, bi]})

@@ -149,6 +149,61 @@ class TestIndexer:
         page = search.full_text_search(factory, qs, idx.corrector)
         assert len(page) == 0
 
+    def test_null_text_reads_as_empty(self, tmp_path):
+        """A corpus with one null text gives the same index artifacts,
+        search page and quality rows as that corpus with '' in its
+        place."""
+        import glob
+        import json
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        from go_osm_search_ray.pipelines import search
+
+        docs = pd.read_parquet(f"{SF}/documents.parquet",
+                               columns=["doc_id", "text"]).iloc[:80]
+        qs = pd.DataFrame({"query_id": [0, 1],
+                           "query": [" ".join(docs["text"].iloc[3].split()[:2]),
+                                     docs["text"].iloc[9].split()[0]]})
+
+        def run(fill):
+            d = docs.copy()
+            d.loc[d.index[5], "text"] = fill
+            factory = lambda: rd.from_pandas(d)
+            out = str(tmp_path / f"idx_{fill is None}")
+            indexer.build_index(factory, out)
+            arts = {}
+            for f in sorted(glob.glob(os.path.join(out, "*.parquet"))):
+                arts[os.path.basename(f)] = pq.read_table(f).to_pandas() \
+                    .sort_values(["ngram" if "ngram" in f else "term"]) \
+                    .reset_index(drop=True)
+            arts["postings"] = (
+                pq.read_table(os.path.join(out, "postings")).to_pandas()
+                .assign(postings=lambda p: p["postings"].map(list))
+                .sort_values("term").reset_index(drop=True))
+            arts["doc_stats"] = (
+                pq.read_table(os.path.join(out, "doc_stats")).to_pandas()
+                .sort_values("doc_id").reset_index(drop=True))
+            with open(os.path.join(out, "meta.json")) as fh:
+                arts["meta"] = json.load(fh)
+            arts["page"] = search.full_text_search(
+                factory, qs, indexer.LoadedIndex(out).corrector)
+            tb = pa.Table.from_pandas(d, preserve_index=False)
+            arts["quality"] = text.quality_metrics(tb).to_pandas()
+            arts["signals"] = text.quality_signals(tb).to_pandas()
+            return arts
+
+        got, want = run(None), run("")
+        assert len(want["page"]) > 0
+        assert got.keys() == want.keys()
+        for k in want:
+            if isinstance(want[k], pd.DataFrame):
+                pd.testing.assert_frame_equal(got[k], want[k], obj=k)
+            else:
+                assert got[k] == want[k], k
+
 
 def test_merge_postings_incremental_equals_batch(ray_session):
     import numpy as np

@@ -72,13 +72,14 @@ def test_pii_scrub_counts(ray_session):
 
 def test_simhash_pairs_brute(ray_session):
     from go_osm_search_ray.pipelines import queries as q
-    from go_osm_search_ray.stages.dedup import simhash64_batch
-    from go_osm_search_ray.stages.text import tokenize_series
+    from go_osm_search_ray.stages.dedup import simhash64_from_flat
+    from go_osm_search_ray.stages.text import tokenize_flat_arrow
 
     got = q.q_simhash_pairs("/root/testdata/sf0.001").to_pandas()
     docs = pd.read_parquet("/root/testdata/sf0.001/documents.parquet",
                            columns=["doc_id", "text"])
-    s = simhash64_batch(tokenize_series(docs["text"])).view(np.uint64)
+    codes, uniques, lens, _ = tokenize_flat_arrow(docs["text"])
+    s = simhash64_from_flat(codes, uniques, lens).view(np.uint64)
     ids = docs["doc_id"].to_numpy(np.int64)
     # collapse to distinct signatures (min id representative)
     rep = pd.DataFrame({"sig": s.view(np.int64), "doc_id": ids}) \

@@ -497,6 +497,16 @@ class TestImageStageProperties:
             assert got.equals(want), (name, got.to_pydict(), want.to_pydict())
 
 
+_texts_s = st.lists(st.one_of(
+    st.none(),
+    st.text(max_size=30),
+    st.lists(st.one_of(st.sampled_from(["İ", "\u212a", "ß", " ", "\t", "\n",
+                                        "\u00a0", " \t\n ", "?!", "-"]),
+                       st.text(alphabet="aZ09é", max_size=4)),
+             max_size=8).map("".join),
+), max_size=12)
+
+
 class TestTextProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "ee"]),
@@ -505,14 +515,52 @@ class TestTextProperties:
     def test_simhash_is_bag_invariant(self, tokens, seed):
         """SimHash depends only on the token BAG, never the order —
         tested on the stage's own core function."""
-        from go_osm_search_ray.stages.dedup import simhash64_batch
+        from go_osm_search_ray.stages.dedup import simhash64_from_flat
+        from go_osm_search_ray.stages.text import tokenize_flat_arrow
 
         rng = np.random.default_rng(seed)
         shuffled = list(tokens)
         rng.shuffle(shuffled)
-        both = pd.Series([tokens, shuffled])
-        sigs = simhash64_batch(both)
+        both = pd.Series([" ".join(tokens), " ".join(shuffled)])
+        codes, uniques, lens, _ = tokenize_flat_arrow(both)
+        sigs = simhash64_from_flat(codes, uniques, lens)
         assert sigs[0] == sigs[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_texts_s)
+    @example(["İstanbul", None, "", "?!", "\u212aELVIN Straße"])
+    def test_one_tokenizer_matches_duckdb(self, texts):
+        """Both token forms equal DuckDB's
+        regexp_extract_all(lower(text), '[a-z0-9]+') with null read as
+        '' (utf8proc lowercase: 'İ' -> 'i', Kelvin sign -> 'k'), and
+        `text.quality_signals` equals the oracle's SQL_QUALITY row by
+        row."""
+        import duckdb
+
+        from go_osm_search_ray.pipelines.queries import SQL_QUALITY, TOK
+        from go_osm_search_ray.stages import text
+
+        df = pd.DataFrame({"doc_id": np.arange(len(texts), dtype=np.int64),
+                           "text": pd.Series(texts, dtype=object)})
+        con = duckdb.connect()
+        con.register("raw", df)
+        con.execute("CREATE VIEW documents AS SELECT doc_id, "
+                    "COALESCE(text, '') AS text FROM raw")
+        want = [list(t) for t in con.sql(
+            f"SELECT {TOK} FROM documents ORDER BY doc_id").df().iloc[:, 0]]
+
+        lists = text.tokenize_series(df["text"])
+        assert list(lists.index) == list(df.index)
+        assert lists.tolist() == want
+        codes, uniques, lens, starts = text.tokenize_flat_arrow(
+            pa.array(texts, pa.string()))
+        flat = uniques[codes].tolist()
+        assert [flat[s:s + n] for s, n in zip(starts, lens)] == want
+
+        got = text.quality_signals(pa.table(
+            {"doc_id": df["doc_id"], "text": pa.array(texts, pa.string())}))
+        sql = con.sql(SQL_QUALITY + " ORDER BY doc_id").arrow()
+        assert got.to_pylist() == sql.select(got.column_names).to_pylist()
 
     @settings(max_examples=100, deadline=None)
     @given(st.text(alphabet="abcde", min_size=0, max_size=8),

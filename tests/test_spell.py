@@ -5,6 +5,7 @@ Golden LM cases mirror the reference's test style
 stupid-backoff probabilities with lambda=0.4."""
 
 import math
+import re
 
 import numpy as np
 import pandas as pd
@@ -12,6 +13,8 @@ import pytest
 
 from go_osm_search_ray import synth
 from go_osm_search_ray.stages import spell, text
+
+TOKEN_RE = re.compile(r"[a-z0-9]+")  # the tokenizer's rule on ASCII text
 
 
 class TestLevenshtein:
@@ -95,8 +98,8 @@ def replace_then_count(texts, vocab, n_max=4):
     <unk> in the text, re-tokenize, count padded 1..n_max-grams."""
     counts = {n: {} for n in range(1, n_max + 1)}
     for t in texts:
-        ws = text.TOKEN_RE.findall(t.lower())
-        ws = text.TOKEN_RE.findall(
+        ws = TOKEN_RE.findall(t.lower())
+        ws = TOKEN_RE.findall(
             " ".join(w if w in vocab else spell.UNK_TOKEN for w in ws))
         for n in range(1, n_max + 1):
             seq = [spell.START_TOKEN] * n + ws + [spell.END_TOKEN]

@@ -4,6 +4,7 @@ against pandas/DuckDB brute force."""
 import duckdb
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -264,7 +265,7 @@ class TestAnalysis:
 
         ds = rd.read_parquet(f"{SF}/documents.parquet")
         got = (
-            ds.map_batches(lambda b: text.quality_metrics(b), batch_format="pandas")
+            ds.map_batches(text.quality_metrics, batch_format="pyarrow")
             .to_pandas()
             .set_index("doc_id")
         )
@@ -276,11 +277,11 @@ class TestAnalysis:
         import ray.data as rd
 
         ds = rd.read_parquet(f"{SF}/documents.parquet")
-        li = ds.map_batches(lambda b: text.lang_id(b), batch_format="pandas").to_pandas()
+        li = ds.map_batches(text.lang_id, batch_format="pyarrow").to_pandas()
         assert len(li) == len(docs)
         assert set(li["pred_lang"]) <= set(text.STOPWORDS) | {"unknown"}
         tc = (
-            ds.map_batches(lambda b: text.token_counts(b), batch_format="pandas")
+            ds.map_batches(text.token_counts, batch_format="pyarrow")
             .to_pandas()
             .set_index("doc_id")
         )
@@ -318,7 +319,8 @@ class TestAnalysis:
             "text": ["", "word", "spam spam spam spam",
                      "a b a b a b c", "one two three four"],
         })
-        got = text.repetition_signals(b).set_index("doc_id")
+        got = text.repetition_signals(pa.Table.from_pandas(b)) \
+            .to_pandas().set_index("doc_id")
         for _, row in b.iterrows():
             ws = row["text"].lower().split()
             g = got.loc[row["doc_id"]]

@@ -1,11 +1,14 @@
-"""Round-4 ask #1: the corpus-gate token statistics must be
-vectorized (flatten-factorize-reduceat), not per-document Python
-lambdas.  Equivalence + a 10^6-doc timing bound vs the lambda path."""
+"""The corpus-gate token statistics are vectorized
+(flatten-factorize-reduceat), not per-document Python lambdas:
+equivalence with a per-row reference + a 10^6-doc timing bound vs the
+lambda path."""
 
 import time
+from itertools import chain
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from go_osm_search_ray.stages import text
@@ -62,15 +65,30 @@ def _corpus(n_docs: int, seed: int = 5) -> pd.DataFrame:
                          "text": texts})
 
 
+def _arrow(batch: pd.DataFrame) -> pa.Table:
+    return pa.Table.from_pandas(batch, preserve_index=False)
+
+
+def _flatten_tokens(toks: pd.Series):
+    """The pre-Arrow flatten step over token lists: (codes, uniques,
+    lens, starts) by chain + pd.factorize."""
+    lens = toks.str.len().to_numpy(dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    flat = np.fromiter(chain.from_iterable(toks), dtype=object,
+                       count=int(lens.sum()))
+    codes, uniques = pd.factorize(flat)
+    return codes, np.asarray(uniques, dtype=object), lens, starts
+
+
 def test_quality_and_lang_match_lambda_path():
     batch = _corpus(4000)
     batch.loc[0, "text"] = ""          # empty doc
     batch.loc[1, "text"] = "?!  .."    # punct only, zero tokens
-    got_q = text.quality_metrics(batch)
+    got_q = text.quality_metrics(_arrow(batch)).to_pandas()
     exp_q = _lambda_quality(batch)
     pd.testing.assert_frame_equal(got_q.reset_index(drop=True),
                                   exp_q.reset_index(drop=True))
-    got_l = text.lang_id(batch)
+    got_l = text.lang_id(_arrow(batch)).to_pandas()
     exp_l = _lambda_lang(batch)
     pd.testing.assert_frame_equal(got_l.reset_index(drop=True),
                                   exp_l.reset_index(drop=True))
@@ -95,7 +113,7 @@ def test_quality_vectorized_speedup_1m_docs():
     en = set(text.STOPWORDS["en"])
 
     def fast_path():
-        codes, uniques, lens, starts = text.flatten_tokens(toks)
+        codes, uniques, lens, starts = _flatten_tokens(toks)
         stop_u = np.isin(uniques, text.STOPWORDS["en"])
         stop_v = text.per_doc_sum(stop_u[codes].astype(np.int64),
                                   lens, starts)
@@ -124,8 +142,9 @@ def test_quality_metrics_end_to_end_faster_1m_docs():
     """Whole-function guard: quality_metrics end to end (tokenize
     included) must still beat the full lambda path at 10^6 docs."""
     batch = _corpus(1_000_000)
+    tb = _arrow(batch)  # the stage's batch format
     t0 = time.perf_counter()
-    got = text.quality_metrics(batch)
+    got = text.quality_metrics(tb)
     fast = time.perf_counter() - t0
     assert len(got) == len(batch)
     sl = batch.iloc[:200_000]
@@ -133,107 +152,3 @@ def test_quality_metrics_end_to_end_faster_1m_docs():
     _lambda_quality(sl)
     slow = (time.perf_counter() - t0) * 5
     perf_gate(fast < slow, f"end-to-end {fast:.2f}s vs lambda(est) {slow:.2f}s")
-
-
-# ---------------------------------------------------------------------------
-# round-5: arrow-native corpus gates (conversion-tax removal) must be
-# value-identical to the pandas twins and measurably faster end to end
-# including the arrow<->pandas block conversions they replace.
-
-
-def _arrow_corpus(n_docs: int, seed: int = 5):
-    import pyarrow as pa
-
-    df = _corpus(n_docs, seed)
-    return df, pa.table({"doc_id": pa.array(df["doc_id"]),
-                         "text": pa.array(df["text"].tolist())})
-
-
-def test_arrow_gates_match_pandas_twins():
-    import pyarrow as pa
-
-    df, tb = _arrow_corpus(4000)
-    df.loc[0, "text"] = ""
-    df.loc[1, "text"] = "?!  .."
-    tb = pa.table({"doc_id": pa.array(df["doc_id"]),
-                   "text": pa.array(df["text"].tolist())})
-    for pd_fn, ar_fn in [
-        (text.quality_metrics, text.quality_metrics_arrow),
-        (text.lang_id, text.lang_id_arrow),
-        (text.token_counts, text.token_counts_arrow),
-        (text.repetition_signals, text.repetition_signals_arrow),
-    ]:
-        want = pd_fn(df).reset_index(drop=True)
-        got = ar_fn(tb).to_pandas()
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-
-def test_tokenize_flat_arrow_matches_flatten_tokens():
-    import pyarrow as pa
-
-    df, tb = _arrow_corpus(3000, seed=9)
-    c1, u1, l1, s1 = text.flatten_tokens(text.tokenize_series(df["text"]))
-    c2, u2, l2, s2 = text.tokenize_flat_arrow(tb["text"])
-    np.testing.assert_array_equal(l1, l2)
-    np.testing.assert_array_equal(s1, s2)
-    # code spaces differ (factorize vs dictionary order); the decoded
-    # token streams must be identical
-    np.testing.assert_array_equal(u1[c1], u2[c2])
-
-
-def test_arrow_gate_conversion_tax_removed_1m_docs():
-    """Round-5 ask #7: the arrow-native gate (including its share of
-    block handling) must beat the old pandas path INCLUDING the
-    arrow->pandas->arrow conversions that path forces on every block,
-    by >= 1.2x at 10^6 docs."""
-    import time
-
-    import pyarrow as pa
-
-    from conftest import perf_gate, skip_if_busy, timed_best_of
-
-    skip_if_busy()
-    df, tb = _arrow_corpus(1_000_000)
-
-    fast, out_a = timed_best_of(2, lambda: text.quality_metrics_arrow(tb))
-
-    t0 = time.perf_counter()
-    pdf = tb.to_pandas()                      # the per-block tax
-    out_p = pa.Table.from_pandas(text.quality_metrics(pdf))
-    slow = time.perf_counter() - t0
-
-    pd.testing.assert_frame_equal(out_a.to_pandas(),
-                                  out_p.to_pandas(), check_dtype=False)
-    perf_gate(fast * 1.2 <= slow,
-              f"arrow gate {fast:.2f}s vs pandas-path {slow:.2f}s — < 1.2x")
-
-
-def test_arrow_simhash_stage_matches_and_faster_1m_docs():
-    """simhash_signatures' arrow stage: value-identical to the pandas
-    tokenize path, and the tokenize+factorize core >= 1.2x faster
-    including the conversion tax."""
-    import time
-
-    import pyarrow as pa
-
-    from go_osm_search_ray.stages import dedup
-
-    from conftest import perf_gate, skip_if_busy, timed_best_of
-
-    skip_if_busy()
-    df, tb = _arrow_corpus(1_000_000, seed=7)
-
-    def fast_path():
-        c2, u2, l2, _ = text.tokenize_flat_arrow(tb["text"])
-        return dedup.simhash64_from_flat(c2, u2, l2)
-
-    fast, sig_a = timed_best_of(2, fast_path)
-
-    t0 = time.perf_counter()
-    pdf = tb.to_pandas()
-    sig_p = dedup.simhash64_batch(text.tokenize_series(pdf["text"]))
-    slow = time.perf_counter() - t0
-
-    np.testing.assert_array_equal(sig_a, sig_p)
-    perf_gate(fast * 1.2 <= slow,
-              f"arrow simhash {fast:.2f}s vs pandas path {slow:.2f}s — < 1.2x")
