@@ -23,41 +23,21 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .text import doc_token_counts, tokenize_series
+from .text import (_windows, doc_token_counts, md5_64, row_distinct,
+                   tokenize_flat_arrow)
 
 
 def md5_hex(s: str) -> str:
     return hashlib.md5(s.encode()).hexdigest()
 
 
-def _shingles(tokens: list[str], k: int = 3) -> set[str]:
-    if len(tokens) < k:
-        return {" ".join(tokens)} if tokens else set()
-    return {" ".join(tokens[i : i + k]) for i in range(len(tokens) - k + 1)}
-
-
-def _hash64(s: str) -> np.uint64:
-    return np.uint64(int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little"))
-
-
-def _shingle_hashes_batch(toks, k: int) -> list[np.ndarray]:
-    """Per-doc SORTED-UNIQUE shingle-hash arrays, hashing each distinct
-    shingle ONCE per batch (docs in a batch share most shingles in
-    dup-heavy corpora — the md5 count drops to the batch's unique
-    shingle count)."""
-    cache: dict[str, np.uint64] = {}
-    out = []
-    for ws in toks:
-        sh = _shingles(ws, k)
-        hv = np.empty(len(sh), dtype=np.uint64)
-        for i, t in enumerate(sh):
-            h = cache.get(t)
-            if h is None:
-                h = _hash64(t)
-                cache[t] = h
-            hv[i] = h
-        out.append(np.unique(hv))
-    return out
+def _shingle_sets(texts, k: int):
+    """(row, hash) of every row's DISTINCT k-token shingles, sorted by
+    (row, hash): hash = md5-64 of the space-joined shingle, one md5 per
+    distinct shingle of the batch.  A row with fewer than k tokens has
+    one shingle, its whole token list; an empty row has none."""
+    sh = _windows(tokenize_flat_arrow(texts), k, whole_short=True)
+    return row_distinct(sh.row, sh.md5())
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +47,10 @@ def _shingle_hashes_batch(toks, k: int) -> list[np.ndarray]:
 def exact_dedup(ds, id_col="doc_id", text_col="text", normalize: bool = True):
     """Keep the min-id doc per (normalized) content hash.
 
-    Matches DuckDB: md5(lower(regexp_replace(text,'[^a-z0-9]+',' ','g')))
-    when normalize else md5(text).
+    Matches DuckDB over COALESCE(text, ''):
+    md5(regexp_replace(lower(text), '[^a-z0-9]+', ' ', 'g')) when
+    normalize else md5(text).  A null text reads as '', as in every
+    tokenizing stage.
 
     The group count equals the distinct-content count (~corpus size),
     so the combine is a BUCKET-hash shuffle + one vectorized
@@ -84,7 +66,7 @@ def exact_dedup(ds, id_col="doc_id", text_col="text", normalize: bool = True):
         a zero-copy arrow buffer; lower + regex-normalize run as RE2
         kernels and only the per-doc md5 (inherent) touches Python.
         Output is the slim (text_hash, id) projection."""
-        txt = batch[text_col]
+        txt = pc.fill_null(batch[text_col].cast(pa.string()), "")
         if isinstance(txt, pa.ChunkedArray):
             txt = txt.combine_chunks()
         if normalize:
@@ -215,21 +197,24 @@ def minhash_lsh_pairs(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
     rows_per_band = num_perm // bands
     hasher = MinHasher(num_perm)
 
+    def shingle_lists(batch: pd.DataFrame) -> list[np.ndarray]:
+        """Each row's sorted distinct shingle hashes."""
+        row, h = _shingle_sets(batch[text_col], k_shingle)
+        cut = np.searchsorted(row, np.arange(len(batch) + 1))
+        return [h[a:b] for a, b in zip(cut[:-1], cut[1:])]
+
     def sig_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = tokenize_series(batch[text_col])
-        out = {"band": [], "bucket": [], id_col: [], "sig": []}
-        hvs = _shingle_hashes_batch(toks, k_shingle)
-        for i, hv in enumerate(hvs):
-            sig = hasher.signature(hv)
-            sig_b = sig.tobytes()
-            for b in range(bands):
-                band_sig = sig[b * rows_per_band : (b + 1) * rows_per_band]
-                bucket = hashlib.md5(band_sig.tobytes()).hexdigest()[:16]
-                out["band"].append(b)
-                out["bucket"].append(bucket)
-                out[id_col].append(batch[id_col].iloc[i])
-                out["sig"].append(sig_b)
-        return pd.DataFrame(out)
+        """One (band, bucket, doc, signature) row per doc and band;
+        bucket = md5 of the band's slice of the signature."""
+        sigs = np.array([hasher.signature(h) for h in shingle_lists(batch)],
+                        dtype=np.uint64).reshape(len(batch), num_perm)
+        return pd.DataFrame({
+            "band": np.tile(np.arange(bands), len(batch)),
+            "bucket": [hashlib.md5(b.tobytes()).hexdigest()[:16]
+                       for b in sigs.reshape(-1, rows_per_band)],
+            id_col: np.repeat(batch[id_col].to_numpy(), bands),
+            "sig": np.repeat(np.array([s.tobytes() for s in sigs],
+                                      dtype=object), bands)})
 
     # prefilter slack: the signature estimate of a true >=threshold pair
     # is within ~5 sigma of truth at num_perm=128; half the threshold is
@@ -305,8 +290,7 @@ def minhash_lsh_pairs(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
     # (uint64 LE) — Arrow binary survives the Acero join, a tensor
     # column would not
     def doc_hash_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = tokenize_series(batch[text_col])
-        hs = _shingle_hashes_batch(toks, k_shingle)
+        hs = shingle_lists(batch)
         return pd.DataFrame({
             id_col: batch[id_col].to_numpy(),
             "hashes": [h.tobytes() for h in hs],
@@ -567,7 +551,7 @@ def simhash64_from_flat(codes: np.ndarray, uniques: np.ndarray,
     if codes.size == 0 or uniques.size == 0:
         return out
     rr, cidx, cc = doc_token_counts(codes, uniques, lens)
-    hv = np.array([_hash64(t) for t in uniques], dtype=np.uint64)
+    hv = md5_64(uniques)
     bits_u = ((hv[:, None] >> _KBITS[None, :]) & np.uint64(1)).astype(
         np.int64)  # U x 64 in {0, 1}
     # vote(row, k) = sum cc * (2*bit - 1) = 2 * sum(cc * bit) - lens:
@@ -591,7 +575,6 @@ def simhash_signatures(ds, id_col="doc_id", text_col="text"):
     Returned as int64 (two's complement) for Arrow friendliness.
     Tokens come flat from `text.tokenize_flat_arrow`; the vote math is
     `simhash64_from_flat` (property-tested directly)."""
-    from .text import tokenize_flat_arrow
 
     def sig(batch: pa.Table) -> pa.Table:
         codes, uniques, lens, _ = tokenize_flat_arrow(batch[text_col])
@@ -778,15 +761,17 @@ def jaccard_pairs(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
     SQL-checkable shingle_common form (integer columns hash exactly).
     """
 
-    def shingle_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = tokenize_series(batch[text_col])
-        ids, shs, sizes = [], [], []
-        for i, ws in enumerate(toks):
-            sh = sorted(_shingles(ws, k_shingle))
-            ids.extend([batch[id_col].iloc[i]] * len(sh))
-            shs.extend(sh)
-            sizes.extend([len(sh)] * len(sh))
-        return pd.DataFrame({"shingle": shs, id_col: ids, "set_size": sizes})
+    def shingle_rows(batch: pa.Table) -> pa.Table:
+        """(shingle, doc, distinct-shingle count) per distinct shingle
+        of each doc; a doc shorter than k is one whole-doc shingle."""
+        sh = _windows(tokenize_flat_arrow(batch[text_col]), k_shingle,
+                      whole_short=True)
+        ids, reps = sh.distinct()
+        row, sid = row_distinct(sh.row, ids)
+        size = np.bincount(row, minlength=batch.num_rows)
+        return pa.table({"shingle": sh.strings(reps).take(sid),
+                         id_col: batch[id_col].take(row),
+                         "set_size": size[row]})
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         """Vectorized pair emission for ALL shingle groups in a bucket:
@@ -831,7 +816,7 @@ def jaccard_pairs(ds, id_col="doc_id", text_col="text", k_shingle: int = 3,
 
     from .agg import bucketed_group_apply
 
-    sh_rows = ds.map_batches(shingle_rows, batch_format="pandas")
+    sh_rows = ds.map_batches(shingle_rows, batch_format="pyarrow")
     pairs = bucketed_group_apply(sh_rows, ["shingle"], pairs_bucket)
     return bucketed_group_apply(pairs, ["id_a", "id_b"], finalize_bucket)
 
@@ -944,18 +929,13 @@ def decontaminate(train_ds, test_ds, id_col="doc_id", text_col="text",
     from .agg import bucketed_group_apply, membership_filter
 
     def train_hashes(b: pd.DataFrame) -> pd.DataFrame:
-        hvs = _shingle_hashes_batch(tokenize_series(b[text_col]), k_shingle)
-        u = (np.unique(np.concatenate(hvs)) if hvs
-             else np.array([], dtype=np.uint64))
-        return pd.DataFrame({"sh": u.astype(np.int64)})
+        _, h = _shingle_sets(b[text_col], k_shingle)
+        return pd.DataFrame({"sh": np.unique(h).astype(np.int64)})
 
     def test_pairs(b: pd.DataFrame) -> pd.DataFrame:
-        hvs = _shingle_hashes_batch(tokenize_series(b[text_col]), k_shingle)
-        lens = np.array([len(h) for h in hvs], dtype=np.int64)
-        ids = np.repeat(b[id_col].to_numpy(np.int64), lens)
-        sh = (np.concatenate(hvs).astype(np.int64) if len(ids)
-              else np.array([], dtype=np.int64))
-        return pd.DataFrame({id_col: ids, "sh": sh})
+        row, h = _shingle_sets(b[text_col], k_shingle)
+        return pd.DataFrame({id_col: b[id_col].to_numpy(np.int64)[row],
+                             "sh": h.astype(np.int64)})
 
     tr = train_ds.map_batches(train_hashes, batch_format="pandas")
     probe = test_ds.map_batches(test_pairs, batch_format="pandas")
@@ -995,50 +975,18 @@ def dup_ngram_coverage(ds, id_col="doc_id", text_col="text",
 
     k = k_shingle
 
-    def _pos_hash_batch(b: pd.DataFrame):
-        """Per-doc POSITIONAL k-gram hashes, fully vectorized:
-        factorize the batch's tokens (C speed), md5 each UNIQUE token
-        once, then the k-gram hash is a k-term polynomial combine of
-        the token hashes (uint64 wraparound — process-independent, no
-        Python per position).  Returns (doc_ids int64 array, list of
-        per-doc uint64 position-hash arrays)."""
-        toks = tokenize_series(b[text_col])
-        lens = toks.str.len().to_numpy(np.int64)
-        ids = b[id_col].to_numpy(np.int64)
-        if lens.sum() == 0:
-            return ids, [np.empty(0, np.uint64) for _ in ids]
-        flat = np.concatenate([np.asarray(ws, dtype=object)
-                               for ws in toks])
-        codes, uniq = pd.factorize(flat)
-        uh = np.fromiter((_hash64(u) for u in uniq), dtype=np.uint64,
-                         count=len(uniq))
-        flat_h = uh[codes]
-        bounds = np.cumsum(lens)[:-1]
-        per_doc = np.split(flat_h, bounds)
-        prime = np.uint64(1099511628211)  # FNV prime
-        out = []
-        for th in per_doc:
-            if len(th) < k:
-                out.append(np.empty(0, np.uint64))
-                continue
-            n = len(th) - k + 1
-            acc = np.zeros(n, dtype=np.uint64)
-            p = np.uint64(1)
-            for j in range(k - 1, -1, -1):
-                acc += th[j:j + n] * p
-                p = p * prime
-            out.append(acc)
-        return ids, out
+    def pos_hashes(b: pd.DataFrame):
+        """(row, position, hash) of every k-gram of the batch: the
+        `_windows` polynomial hash over md5-64 token hashes (uint64
+        wraparound; no Python per position)."""
+        w = _windows(tokenize_flat_arrow(b[text_col]), k)
+        return w.row, w.start - w.offset[w.row], w.hashes(md5_64(w.vocab))
 
     def doc_distinct(b: pd.DataFrame) -> pd.DataFrame:
-        _, hvs = _pos_hash_batch(b)
-        uniqs = [np.unique(h) for h in hvs if len(h)]
-        total = sum(len(u) for u in uniqs)
-        return pd.DataFrame({
-            "sh": (np.concatenate(uniqs).astype(np.int64) if total
-                   else np.array([], dtype=np.int64)),
-            "n": np.ones(total, dtype=np.int64),
-        })
+        row, _, h = pos_hashes(b)
+        _, sh = row_distinct(row, h)
+        return pd.DataFrame({"sh": sh.astype(np.int64),
+                             "n": np.ones(len(sh), dtype=np.int64)})
 
     df_counts = two_phase_agg(ds, doc_distinct, ["sh"], ["n"],
                               combine="shuffle")
@@ -1046,18 +994,9 @@ def dup_ngram_coverage(ds, id_col="doc_id", text_col="text",
         lambda b: b.loc[b["n"] >= 2, ["sh"]], batch_format="pandas")
 
     def positions(b: pd.DataFrame) -> pd.DataFrame:
-        ids, hvs = _pos_hash_batch(b)
-        counts = np.array([len(h) for h in hvs], dtype=np.int64)
-        if counts.sum() == 0:
-            return pd.DataFrame({id_col: np.array([], dtype=np.int64),
-                                 "pos": np.array([], dtype=np.int64),
-                                 "sh": np.array([], dtype=np.int64)})
-        return pd.DataFrame({
-            id_col: np.repeat(ids, counts),
-            "pos": np.concatenate([np.arange(c, dtype=np.int64)
-                                   for c in counts]),
-            "sh": np.concatenate(hvs).astype(np.int64),
-        })
+        row, pos, h = pos_hashes(b)
+        return pd.DataFrame({id_col: b[id_col].to_numpy(np.int64)[row],
+                             "pos": pos, "sh": h.astype(np.int64)})
 
     probe = ds.map_batches(positions, batch_format="pandas")
     hits = membership_filter(probe, dup, "sh", "sh", keep=True)
@@ -1077,8 +1016,7 @@ def dup_ngram_coverage(ds, id_col="doc_id", text_col="text",
     def tok_counts(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             id_col: b[id_col].astype(np.int64),
-            "n_tokens": tokenize_series(b[text_col]).str.len()
-            .astype(np.int64),
+            "n_tokens": tokenize_flat_arrow(b[text_col])[2],
         })
 
     base = ds.map_batches(tok_counts, batch_format="pandas")

@@ -17,17 +17,18 @@ deterministic function of these counts plus the count tables and is
 exercised in pytest, not the oracle.
 
 Scale shape:
-  1. one corpus scan explodes every padded token stream to window
-     rows (doc_id, pos, g4, g3, g2) — vectorized shifts, no per-row
-     Python — materialized once (four consumers);
-  2. count tables F4/F3/F2 = two_phase_agg over the window rows,
+  1. one corpus scan cuts every padded token stream into window rows
+     (doc_id, pos, h4, h3, h2) — `text._windows` over the flat token
+     codes, n-grams as 64-bit hashes — materialized once;
+  2. count tables F4/F3/F2 = one two_phase_agg over the window rows,
      filtered to count >= min_count (much smaller than raw counts);
-  3. three hash LEFT JOINs (positions x Fn on the n-gram string —
-     exact string membership, J4's term->postings shape) assign
-     levels; per-doc histogram = one two_phase_agg.
+  3. each position's level is the longest of h4/h3/h2 in its frequent
+     set (broadcast sorted arrays, or three keyed LEFT JOINs on the
+     int64 hashes when they outgrow broadcast); per-doc histogram =
+     one two_phase_agg.
   The OOV->'<unk>' dictionary is the bounded vocab artifact
-  (vocab >= min_freq, A6/S15) broadcast sorted; swap to a keyed join
-  when the dictionary itself outgrows broadcast.
+  (vocab >= min_freq, A6/S15), shipped with the map function; swap to
+  a keyed join when the dictionary itself outgrows that.
 
 Padding: one shared stream ['<s>']*3 + tokens + ['</s>'] per doc;
 count tables for every order are windows over this same stream
@@ -56,65 +57,31 @@ def window_rows(ds, vocab_sorted: np.ndarray, id_col: str = "doc_id",
     """Corpus -> (doc_id, pos, h4, h3, h2) window rows over the padded
     UNK-replaced stream; pos is 1-based in the padded stream, and a row
     at pos p carries the HASH of the n-gram ENDING at p (valid when
-    p >= n).
+    p >= n).  Rows are the stream's bigram windows (every pos >= 2).
 
-    n-gram identity is a 64-bit polynomial over per-token hashes
-    (pd.util.hash_pandas_object — deterministic across processes),
-    h_n = sum token_hash[p-k] * P^k (uint64 wraparound): no n-gram
+    n-gram identity is the `text._windows` polynomial hash over md5-64
+    token hashes (uint64 wraparound, process-independent): no n-gram
     STRING is ever built or shuffled (the string-keyed plan spent 3x
-    the pipeline in join-key bytes; the dup_ngram_coverage factorized-
-    hash precedent).  Collisions at 2^-64 are the documented exactness
-    contract."""
-
-    _p = 0x9E3779B97F4A7C15  # uint64 wraparound is the hash space
-    P = np.uint64(_p)
-    P2 = np.uint64(_p * _p % (1 << 64))
-    P3 = np.uint64(_p * _p * _p % (1 << 64))
+    the pipeline in join-key bytes).  Collisions at 2^-64 are the
+    documented exactness contract."""
 
     def explode(b: pd.DataFrame) -> pd.DataFrame:
-        toks = text.tokenize_series(b[text_col])
-        ids = b[id_col].to_numpy(np.int64)
-        lens = toks.str.len().to_numpy(np.int64)
-        flat = []
-        for ws in toks:
-            flat.extend((PAD, PAD, PAD))
-            flat.extend(ws)
-            flat.append(EOS)
-        if not flat:
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype=np.int64),
-                "pos": pd.Series([], dtype=np.int64),
-                "h4": pd.Series([], dtype=np.int64),
-                "h3": pd.Series([], dtype=np.int64),
-                "h2": pd.Series([], dtype=np.int64)})
-        v = np.asarray(flat, dtype=object)
-        meta = (v == PAD) | (v == EOS)
-        if len(vocab_sorted):
-            ix = np.searchsorted(vocab_sorted, v)
-            ix[ix >= len(vocab_sorted)] = 0
-            known = vocab_sorted[ix] == v
-        else:
-            known = np.zeros(len(v), dtype=bool)
-        tok = np.where(meta | known, v, UNK)
-
-        th = pd.util.hash_pandas_object(
-            pd.Series(tok, dtype=object), index=False).to_numpy(np.uint64)
-        n = len(th)
-        l1, l2, l3 = np.zeros(n, np.uint64), np.zeros(n, np.uint64), \
-            np.zeros(n, np.uint64)
-        l1[1:], l2[2:], l3[3:] = th[:-1], th[:-2], th[:-3]
-        h2 = l1 * P + th
-        h3 = l2 * P2 + h2
-        h4 = l3 * P3 + h3
-
-        stream_len = lens + 4
-        doc = np.repeat(ids, stream_len)
-        pos = np.concatenate([np.arange(1, sl + 1) for sl in stream_len])
-        out = pd.DataFrame({id_col: doc, "pos": pos,
-                            "h4": h4.view(np.int64),
-                            "h3": h3.view(np.int64),
-                            "h2": h2.view(np.int64)})
-        return out[out["pos"] >= 2]  # pos 1 contributes to no window
+        flat = text.tokenize_flat_arrow(b[text_col])
+        at_end = {}
+        for n in (4, 3, 2):
+            w = text._windows(flat, n, (3, 1))
+            if n == 4:  # the vocabulary (and its pads) is the same per n
+                keep = np.isin(w.vocab, vocab_sorted) | np.isin(
+                    w.vocab, [PAD, EOS])
+                th = text.md5_64(np.where(keep, w.vocab, UNK))
+            # the hash of the n-gram ENDING at each stream index
+            at_end[n] = np.zeros(len(w.stream), dtype=np.uint64)
+            at_end[n][w.start + n - 1] = w.hashes(th)
+        end = w.start + 1  # the bigram windows end at every pos >= 2
+        return pd.DataFrame({
+            id_col: b[id_col].to_numpy(np.int64)[w.row],
+            "pos": end - w.offset[w.row] + 1,
+            **{f"h{n}": at_end[n][end].view(np.int64) for n in (4, 3, 2)}})
 
     return ds.map_batches(explode, batch_format="pandas")
 
@@ -161,13 +128,15 @@ def backoff_stats(ds, id_col: str = "doc_id", text_col: str = "text",
 
     vdf = text.vocab_with_min_freq(
         ds, min_vocab_freq, id_col=id_col, text_col=text_col).to_pandas()
-    vocab_sorted = np.sort(vdf["term"].to_numpy(dtype=object))
+    # an empty corpus collects a frame without columns
+    vocab_sorted = np.sort(vdf.get("term", pd.Series([], dtype=object))
+                           .to_numpy(dtype=object))
 
     win = window_rows(ds, vocab_sorted, id_col, text_col).materialize()
     freq = _frequent_grams(win, min_count).materialize()
 
     if freq.count() <= BROADCAST_GRAMS_MAX:
-        fpdf = freq.to_pandas()
+        fpdf = freq.to_pandas().reindex(columns=["lvl", "h"])
         sets = {lvl: np.sort(fpdf.loc[fpdf["lvl"] == lvl, "h"]
                              .to_numpy(np.int64))
                 for lvl, _c, _p in _LEVELS}

@@ -16,19 +16,10 @@ Relative error ~ 1.04 / sqrt(2^p): p=12 (4 KiB) -> ~1.6%.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 
-
-def _hash64_values(values) -> np.ndarray:
-    """Process-independent 64-bit hashes (md5 low 8 bytes, LE)."""
-    return np.array(
-        [int.from_bytes(hashlib.md5(str(v).encode()).digest()[:8], "little")
-         for v in values],
-        dtype=np.uint64,
-    )
+from .text import md5_64
 
 
 def hll_registers(values, p: int = 12) -> np.ndarray:
@@ -37,7 +28,7 @@ def hll_registers(values, p: int = 12) -> np.ndarray:
     regs = np.zeros(m, dtype=np.uint8)
     if len(values) == 0:
         return regs
-    h = _hash64_values(values)
+    h = md5_64(values)
     idx = (h & np.uint64(m - 1)).astype(np.int64)
     rest = h >> np.uint64(p)
     # rank = leading position of the first 1 bit in the (64-p)-bit rest,
@@ -326,13 +317,12 @@ def heavy_hitters(ds, text_col: str = "text", threshold: int = 200,
 
     from .agg import two_phase_agg
     from .knn import cached_state
-    from .text import tokenize_series
+    from .text import _window_counts, tokenize_flat_arrow
 
     def batch_counts(b: pd.DataFrame) -> pd.DataFrame:
-        toks = tokenize_series(b[text_col]).explode().dropna()
-        vc = toks.value_counts()
-        return pd.DataFrame({"term": vc.index,
-                             "n": vc.to_numpy(np.int64)})
+        g, c = _window_counts(tokenize_flat_arrow(b[text_col]), 1)
+        return pd.DataFrame({"term": g.to_numpy(zero_copy_only=False),
+                             "n": c})
 
     def block_sketch(b: pd.DataFrame) -> pd.DataFrame:
         c = batch_counts(b)

@@ -3,7 +3,9 @@
 Distributed/stateful split:
 
 - MODEL BUILD is distributed: `vocab_and_lm` counts every n-gram order
-  in one scan (`text.ngram_counts_multi`, A5, two-phase aggregation);
+  in one scan (`text.ngram_counts_multi`, A5: the windows are cut from
+  the flat token codes by `text._windows` and each batch joins one
+  string per distinct code tuple; two-phase aggregation);
   the vocabulary (A6) is its unigram row, and the OOV map is applied to
   the collected counts; the noisy-channel model comes from the tiny
   spell-errors corpus (A7, driver-side — it is a few KB).
@@ -167,7 +169,7 @@ class NGramLM:
         from . import text as text_stage
 
         return NGramLM.from_counts(
-            text_stage.ngram_counts_multi(docs_ds, 4, text_col=text_col), vocab)
+            text_stage.ngram_counts_multi(docs_ds, text_col=text_col), vocab)
 
     @staticmethod
     def from_counts(raw, vocab: set[str]):
@@ -349,7 +351,7 @@ def vocab_and_lm(docs_ds, min_freq: int = 2, text_col: str = "text"):
 
     from . import text as text_stage
 
-    raw = text_stage.ngram_counts_multi(docs_ds, 4, text_col=text_col)
+    raw = text_stage.ngram_counts_multi(docs_ds, text_col=text_col)
     vocab = raw.filter((pc.field("n_order") == 1) & (pc.field("cnt") >= min_freq)
                        & ~pc.field("ngram").isin([START_TOKEN, END_TOKEN])) \
         .select(["ngram", "cnt"]).rename_columns(["term", "freq"]) \

@@ -26,7 +26,15 @@ Reference mapping (SURVEY.md §2):
 - TF-IDF dot product  -> Q7 (score_multi(scoring="tfidf");
                           scoring.go:183-228; norms computed but
                           never divided by — replicated)
-- n-gram counts        -> A5 (ngram_lm.go:112-210; n start + 1 end pad)
+- token windows        -> `_windows`: every n-gram (A5 counts, the LM),
+                          shingle (MinHash, Jaccard, decontamination,
+                          winnowing) and k-gram (dup coverage) is cut
+                          from the flat token codes by this one kernel;
+                          keys are Arrow-joined strings, md5-64 of
+                          those, or one polynomial over md5-64 token
+                          hashes
+- n-gram counts        -> A5 (ngram_lm.go:112-210; n start + 1 end pad;
+                          strings built once per distinct code tuple)
 - vocab threshold      -> A6 (ngram_lm.go:56-110, COUNT_THRESOLD_NGRAM=2)
 - quality / langid / token counting -> new training-data ops
 
@@ -35,6 +43,9 @@ partial (per-batch) aggregation before any groupby.
 """
 
 from __future__ import annotations
+
+import hashlib
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -76,7 +87,7 @@ def _normalize(texts) -> pa.Array:
         texts = pa.array(texts, type=pa.string(), from_pandas=True)
     elif isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
-    low = pc.utf8_lower(pc.fill_null(texts, "").cast(pa.string()))
+    low = pc.utf8_lower(pc.fill_null(texts.cast(pa.string()), ""))
     _, offsets, data = low.buffers()
     data = _TOKEN_BYTES[np.frombuffer(data or b"", dtype=np.uint8)]
     return pc.ascii_trim(pa.StringArray.from_buffers(
@@ -116,6 +127,124 @@ def tokenize_flat_arrow(texts):
     uniques = np.asarray(dic.dictionary.to_numpy(zero_copy_only=False),
                          dtype=object)
     return codes, uniques, lens, np.cumsum(lens) - lens
+
+
+# ---------------------------------------------------------------------------
+# token windows: every n-gram, shingle and k-gram is cut from the flat
+# token codes by `_windows`
+
+
+def md5_64(values) -> np.ndarray:
+    """uint64 per value: the low 8 bytes (little-endian) of
+    md5(str(value)) — process-independent and SQL-mirrorable.  The one
+    md5-64 behind shingle hashes, SimHash, feature buckets and HLL
+    registers."""
+    return np.frombuffer(b"".join(
+        hashlib.md5(str(v).encode()).digest()[:8] for v in values),
+        dtype="<u8").astype(np.uint64)
+
+
+# the window hash multiplier (the FNV-1 64-bit prime)
+_WINDOW_P = np.uint64(1099511628211)
+
+
+def row_distinct(row: np.ndarray, keys: np.ndarray):
+    """The distinct (row, key) pairs, sorted by (row, key)."""
+    order = np.lexsort((keys, row))
+    row, keys = row[order], keys[order]
+    new = np.ones(len(row), dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (keys[1:] != keys[:-1])
+    return row[new], keys[new]
+
+
+class _Windows(NamedTuple):
+    """The windows of one `_windows` call.  `vocab`: the batch
+    vocabulary followed by the <s> and </s> pads; `stream`: every row's
+    padded token codes into `vocab`, rows back to back from `offset`;
+    `row`, `start`, `width`: each window's row, stream position and
+    token count (n, or fewer for a short row's whole-row window), in
+    row order, then position order."""
+    n: int
+    vocab: np.ndarray
+    stream: np.ndarray
+    offset: np.ndarray
+    row: np.ndarray
+    start: np.ndarray
+    width: np.ndarray
+
+    def tuples(self, which=slice(None)) -> np.ndarray:
+        """(windows, n) token codes of the windows at `which`; -1 past a
+        short window's width."""
+        j = np.arange(self.n)
+        t = self.stream[np.minimum(self.start[which, None] + j,
+                                   len(self.stream) - 1)]
+        t[j >= self.width[which, None]] = -1
+        return t
+
+    def distinct(self):
+        """(ids, reps): a dense id per window (equal ids, equal code
+        tuples) and the index of one window per id.  One hash
+        factorize per column, so the composite key stays below
+        windows x vocab."""
+        t = self.tuples() + 1
+        ids = pd.factorize(t[:, 0])[0]
+        for j in range(1, self.n):
+            ids = pd.factorize(ids * (len(self.vocab) + 1) + t[:, j])[0]
+        reps = np.empty(int(ids.max(initial=-1)) + 1, dtype=np.int64)
+        reps[ids[::-1]] = np.arange(len(ids) - 1, -1, -1)
+        return ids, reps
+
+    def strings(self, which: np.ndarray) -> pa.Array:
+        """The space-joined tokens of the windows at `which`: one Arrow
+        take per column and one element-wise join."""
+        t = self.tuples(which)
+        voc = pa.array(self.vocab, pa.string())
+        cols = [voc.take(pa.array(t[:, j], mask=t[:, j] < 0))
+                for j in range(self.n)]
+        return pc.binary_join_element_wise(*cols, " ",
+                                           null_handling="skip")
+
+    def md5(self) -> np.ndarray:
+        """md5-64 of every window's string, one md5 per distinct
+        window."""
+        ids, reps = self.distinct()
+        return md5_64(self.strings(reps).to_pylist())[ids]
+
+    def hashes(self, token_hash: np.ndarray) -> np.ndarray:
+        """uint64 polynomial hash of every window over `token_hash`
+        (one value per `vocab` entry): sum of token_hash[t_j] *
+        P^(width-1-j), wrapping."""
+        t = self.tuples()
+        acc = np.zeros(len(t), dtype=np.uint64)
+        for j in range(self.n):
+            acc = np.where(t[:, j] >= 0,
+                           acc * _WINDOW_P + token_hash[t[:, j]], acc)
+        return acc
+
+
+def _windows(flat, n: int, pad=(0, 0), whole_short: bool = False):
+    """Cut every n-token window from the flat form `flat` (codes,
+    uniques, lens, starts) of `tokenize_flat_arrow`.  Each row's stream
+    is pad[0] x <s> + its tokens + pad[1] x </s>; a stream of L >= n
+    tokens gives L - n + 1 windows, and a shorter non-empty one gives
+    one whole-row window when `whole_short`, else none."""
+    codes, uniques, lens, _ = flat
+    u = len(uniques)
+    vocab = np.concatenate([np.asarray(uniques, dtype=object),
+                            np.array([START_TOKEN, END_TOKEN], dtype=object)])
+    slen = lens + pad[0] + pad[1]
+    offset = np.cumsum(slen) - slen
+    at = np.arange(int(slen.sum())) - np.repeat(offset, slen)
+    stream = np.where(at < pad[0], u, u + 1)
+    stream[(at >= pad[0]) & (at < np.repeat(slen - pad[1], slen))] = codes
+    count = np.maximum(slen - n + 1, 0)
+    if whole_short:
+        count[(slen > 0) & (slen < n)] = 1
+    row = np.repeat(np.arange(len(slen)), count)
+    start = (np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count,
+                                                     count) + offset[row])
+    return _Windows(n, vocab, stream, offset, row, start,
+                    np.minimum(slen[row], n))
 
 
 # ---------------------------------------------------------------------------
@@ -455,56 +584,48 @@ def top_k_multi(score_ds, k_by_query: dict):
 # ---------------------------------------------------------------------------
 # n-gram counts (A5) — n start tokens + 1 end token (ngram_lm.go:373-384)
 
-
-def ngram_pairs(batch: pd.DataFrame, n: int, id_col="doc_id", text_col="text",
-                pad: bool = True) -> pd.DataFrame:
-    toks = tokenize_series(batch[text_col])
-    rows: dict[str, int] = {}
-    for ws in toks:
-        seq = ([START_TOKEN] * n + list(ws) + [END_TOKEN]) if pad else list(ws)
-        for i in range(len(seq) - n + 1):
-            g = " ".join(seq[i : i + n])
-            rows[g] = rows.get(g, 0) + 1
-    return pd.DataFrame(
-        {"ngram": list(rows), "partial": np.fromiter(rows.values(), dtype=np.int64)}
-    )
+# the LM order: counts run over every order 1..NGRAM_ORDER
+NGRAM_ORDER = 4
 
 
-def ngram_counts(ds, n: int, id_col="doc_id", text_col="text", pad: bool = True):
-    """Distributed n-gram counting: per-batch partial dict -> bucket
-    shuffle sum over partials (n-gram keyspaces are unbounded at corpus
-    scale).  Returns a Dataset."""
+def _window_counts(flat, n: int, pad=(0, 0)):
+    """(strings, counts) of the distinct n-token windows of a flat form:
+    strings are built once per distinct code tuple."""
+    w = _windows(flat, n, pad)
+    ids, reps = w.distinct()
+    return w.strings(reps), np.bincount(ids, minlength=len(reps))
+
+
+def ngram_counts(ds, n: int, text_col="text"):
+    """Distributed n-gram counting over the padded stream
+    n x <s> + tokens + </s>: per-batch partial counts -> bucket shuffle
+    sum over partials (n-gram keyspaces are unbounded at corpus
+    scale).  Returns a Dataset (ngram, n)."""
     from .agg import two_phase_agg
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        p = ngram_pairs(batch, n, id_col, text_col, pad)
-        return p.rename(columns={"partial": "n"})
+    def partial(batch: pd.DataFrame) -> pa.Table:
+        g, c = _window_counts(tokenize_flat_arrow(batch[text_col]), n, (n, 1))
+        return pa.table({"ngram": g, "n": c})
 
     return two_phase_agg(ds, partial, ["ngram"], ["n"])
 
 
-def ngram_counts_multi(ds, n_max: int = 4, text_col="text", pad: bool = True):
-    """All n-gram orders 1..n_max in ONE scan (the reference runs 4
+def ngram_counts_multi(ds, text_col="text"):
+    """All n-gram orders 1..NGRAM_ORDER in ONE scan (the reference runs 4
     parallel goroutines over the same data, ngram_lm.go:345-370; one
     pass emitting (n, ngram) partials is strictly cheaper).  Returns
     the collected counts as one Arrow table (n_order, ngram, cnt)."""
     from .agg import two_phase_agg
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = tokenize_series(batch[text_col])
-        rows: dict[tuple[int, str], int] = {}
-        for ws in toks:
-            base = list(ws)
-            for n in range(1, n_max + 1):
-                seq = ([START_TOKEN] * n + base + [END_TOKEN]) if pad else base
-                for i in range(len(seq) - n + 1):
-                    k = (n, " ".join(seq[i : i + n]))
-                    rows[k] = rows.get(k, 0) + 1
-        ns = np.fromiter((k[0] for k in rows), dtype=np.int64, count=len(rows))
-        return pd.DataFrame(
-            {"n_order": ns, "ngram": [k[1] for k in rows],
-             "cnt": np.fromiter(rows.values(), dtype=np.int64, count=len(rows))}
-        )
+    def partial(batch: pd.DataFrame) -> pa.Table:
+        flat = tokenize_flat_arrow(batch[text_col])
+        parts = [_window_counts(flat, n, (n, 1))
+                 for n in range(1, NGRAM_ORDER + 1)]
+        return pa.table({
+            "n_order": np.repeat(np.arange(1, NGRAM_ORDER + 1),
+                                 [len(c) for _, c in parts]),
+            "ngram": pa.concat_arrays([g for g, _ in parts]),
+            "cnt": np.concatenate([c for _, c in parts])})
 
     out = two_phase_agg(ds, partial, ["n_order", "ngram"], ["cnt"]).to_pandas()
     if len(out) == 0:  # an empty corpus: typed empty counts
@@ -520,10 +641,9 @@ def vocab_with_min_freq(ds, min_freq: int = 2, id_col="doc_id", text_col="text")
     as a Dataset (term, freq)."""
     from .agg import two_phase_agg
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        e = tokenize_series(batch[text_col]).explode().dropna()
-        vc = e.value_counts()
-        return pd.DataFrame({"term": vc.index, "freq": vc.to_numpy(np.int64)})
+    def partial(batch: pd.DataFrame) -> pa.Table:
+        g, c = _window_counts(tokenize_flat_arrow(batch[text_col]), 1)
+        return pa.table({"term": g, "freq": c})
 
     counts = two_phase_agg(ds, partial, ["term"], ["freq"])
     return counts.filter(expr=f"freq >= {min_freq}")
@@ -543,43 +663,30 @@ def winnow_fingerprints(ds, id_col="doc_id", text_col="text",
     keyed-shuffle machinery as postings.
 
     Hash = low 32 bits (little-endian) of md5(shingle) — process-
-    independent and reproduced digit-by-digit by the SQL oracle.  Docs
-    with fewer than `window` shingles fingerprint every shingle."""
-    import hashlib
+    independent and reproduced digit-by-digit by the SQL oracle.  A doc
+    with fewer than k tokens has one shingle, its whole text; docs with
+    at most `window` shingles fingerprint every shingle.  Both windowings
+    (tokens -> shingles, shingle hashes -> winnowing windows) are
+    `_windows` cuts."""
 
-    def fp(batch: pd.DataFrame) -> pd.DataFrame:
-        ids, fps = [], []
-        toks = tokenize_series(batch[text_col])
-        for i, ws in enumerate(toks):
-            ws = list(ws)
-            if not ws:
-                continue
-            if len(ws) < k_shingle:
-                shingles = [" ".join(ws)]
-            else:
-                shingles = [" ".join(ws[j : j + k_shingle])
-                            for j in range(len(ws) - k_shingle + 1)]
-            h = np.array(
-                [int.from_bytes(hashlib.md5(s.encode()).digest()[:4], "little")
-                 for s in shingles],
-                dtype=np.int64,
-            )
-            if len(h) <= window:
-                sel = np.unique(h)
-            else:
-                # rightmost minimum of every window via stride tricks:
-                # argmin over the REVERSED window picks the rightmost
-                # position on value ties
-                sw = np.lib.stride_tricks.sliding_window_view(h, window)
-                arg = sw[:, ::-1].argmin(axis=1)
-                pos = np.arange(sw.shape[0]) + (window - 1 - arg)
-                sel = np.unique(h[pos])
-            ids.extend([batch[id_col].iloc[i]] * len(sel))
-            fps.extend(sel.tolist())
-        return pd.DataFrame({id_col: ids,
-                             "fingerprint": np.array(fps, dtype=np.int64)})
+    def fp(batch: pa.Table) -> pa.Table:
+        sh = _windows(tokenize_flat_arrow(batch[text_col]), k_shingle,
+                      whole_short=True)
+        h = (sh.md5() & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        per_row = np.bincount(sh.row, minlength=batch.num_rows)
+        # the winnowing windows over each row's shingle-hash run; argmin
+        # over the REVERSED window picks the rightmost minimum on ties
+        win = _windows((np.arange(len(h)), (), per_row,
+                        np.cumsum(per_row) - per_row), window)
+        few = (per_row <= window)[sh.row]
+        pos = win.tuples()[~few[win.start]]
+        pos = pos[np.arange(len(pos)), window - 1 - h[pos[:, ::-1]].argmin(1)]
+        pick = np.concatenate([np.flatnonzero(few), pos])
+        row, fps = row_distinct(sh.row[pick], h[pick])
+        return pa.table({id_col: batch[id_col].take(row),
+                         "fingerprint": pa.array(fps, pa.int64())})
 
-    return ds.map_batches(fp, batch_format="pandas")
+    return ds.map_batches(fp, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +730,7 @@ def quality_signals(batch: pa.Table, id_col="doc_id",
     n_chars, alnum_space_chars ([a-zA-Z0-9 ] chars of the raw text),
     token_chars (chars of the tokens the tokenizer emits) and stop_hits
     (English stopword tokens).  Null text reads as ''."""
-    texts = pc.fill_null(batch[text_col], "")
+    texts = pc.fill_null(batch[text_col].cast(pa.string()), "")
     codes, uniques, lens, starts = tokenize_flat_arrow(texts)
     ulen = np.fromiter(map(len, uniques), dtype=np.int64, count=len(uniques))
     stop_u = np.isin(uniques, STOPWORDS["en"]).astype(np.int64)
@@ -683,7 +790,7 @@ def token_counts(batch: pa.Table, id_col="doc_id",
     RE2 count each: '\\S+' runs of the text, and '[a-z0-9]+' runs or
     single non-space symbols of the lowercased text.  Null reads as
     ''."""
-    texts = pc.fill_null(batch[text_col], "")
+    texts = pc.fill_null(batch[text_col].cast(pa.string()), "")
     return pa.table({
         "doc_id": batch[id_col],
         "ws_tokens": pc.count_substring_regex(
@@ -730,29 +837,19 @@ def repetition_signals(batch: pa.Table, id_col="doc_id",
     n_distinct, top_unigram_n, top_bigram_n, n_bigrams).
 
     Vectorized batch-wide over the flat token codes: unigram stats from
-    one (doc, code) groupby, bigrams from the shifted-neighbor mask as
-    (code, next-code) int pairs — no string concatenation."""
-    codes, uniques, lens, starts = tokenize_flat_arrow(batch[text_col])
-    n = len(lens)
-    n_distinct = np.zeros(n, dtype=np.int64)
-    top_uni = np.zeros(n, dtype=np.int64)
-    top_bg = np.zeros(n, dtype=np.int64)
-    if codes.size:
-        doc = np.repeat(np.arange(n, dtype=np.int64), lens)
-        uni = (pd.DataFrame({"d": doc, "w": codes})
-               .groupby(["d", "w"], sort=False).size().reset_index(name="c"))
-        per = uni.groupby("d", sort=False)["c"].agg(["count", "max"])
-        idx = per.index.to_numpy()
-        n_distinct[idx] = per["count"].to_numpy(np.int64)
-        top_uni[idx] = per["max"].to_numpy(np.int64)
-        same = doc[1:] == doc[:-1]
-        if same.any():
-            bg = pd.DataFrame({"d": doc[:-1][same],
-                               "b1": codes[:-1][same],
-                               "b2": codes[1:][same]})
-            bper = (bg.groupby(["d", "b1", "b2"], sort=False).size()
-                      .groupby(level="d", sort=False).max())
-            top_bg[bper.index.to_numpy()] = bper.to_numpy(np.int64)
+    `doc_token_counts`, bigrams are the `_windows` 2-token windows' code
+    tuples — no string concatenation."""
+    flat = tokenize_flat_arrow(batch[text_col])
+    lens = flat[2]
+    row, _, cnt = doc_token_counts(*flat[:3])
+    n_distinct = np.bincount(row, minlength=len(lens))
+    top_uni = np.zeros(len(lens), dtype=np.int64)
+    np.maximum.at(top_uni, row, cnt)
+    bg = _windows(flat, 2)
+    ids, reps = bg.distinct()
+    key, cnt = np.unique(bg.row * len(reps) + ids, return_counts=True)
+    top_bg = np.zeros(len(lens), dtype=np.int64)
+    np.maximum.at(top_bg, key // len(reps), cnt)
     return pa.table({
         id_col: batch[id_col],
         "n_tokens": pa.array(lens, pa.int64()),
@@ -774,11 +871,9 @@ def hash_features(batch: pd.DataFrame, n_buckets: int = 32,
     (the `dedup.simhash64_from_flat` scheme, and the same
     SQL-mirrorable hash).  Emits long form (doc_id, bucket, feat) with
     zero rows dropped."""
-    from .dedup import _hash64
-
     codes, uniques, lens, _ = tokenize_flat_arrow(batch[text_col])
     row, code, tf = doc_token_counts(codes, uniques, lens)
-    hv = np.array([_hash64(t) for t in uniques], dtype=np.uint64)
+    hv = md5_64(uniques)
     bucket = (hv % np.uint64(n_buckets)).astype(np.int64)[code]
     sign = np.where(((hv // np.uint64(n_buckets)) & np.uint64(1)) == 1,
                     1, -1).astype(np.int64)[code]

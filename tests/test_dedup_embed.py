@@ -49,6 +49,28 @@ class TestExactDedup:
         ).fetchone()[0]
         assert dedup.md5_hex(norm) == want
 
+    def test_null_text_reads_as_empty(self):
+        """A null text hashes as '' (no crash), and the kept ids equal
+        SQL_DEDUP_EXACT over COALESCE(text, '')."""
+        import duckdb
+        import ray.data as rd
+
+        from go_osm_search_ray.pipelines.queries import SQL_DEDUP_EXACT
+
+        df = pd.DataFrame({"doc_id": np.arange(6, dtype=np.int64),
+                           "text": pd.Series(["A b", None, "a B", "", None,
+                                              "c"], dtype=object)})
+        got = dedup.exact_dedup(rd.from_pandas(df).repartition(2)) \
+            .to_pandas()
+        con = duckdb.connect()
+        con.register("raw", df)
+        con.execute("CREATE VIEW documents AS SELECT doc_id, "
+                    "COALESCE(text, '') AS text FROM raw")
+        want = con.sql(SQL_DEDUP_EXACT).df()
+        assert sorted(zip(got["text_hash"], got["doc_id"])) == \
+            sorted(zip(want["text_hash"], want["doc_id"]))
+        assert sorted(got["doc_id"]) == [0, 1, 5]
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestDecontaminate:
@@ -142,11 +164,19 @@ class TestNameBboxDedup:
         assert ids == [1, 3, 4]
 
 
+def _shingles(tokens: list[str], k: int) -> set[str]:
+    """Reference shingle set: every k consecutive tokens, or the whole
+    token list when it is shorter than k."""
+    if len(tokens) < k:
+        return {" ".join(tokens)} if tokens else set()
+    return {" ".join(tokens[i:i + k]) for i in range(len(tokens) - k + 1)}
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestJaccardAndMinhash:
     def brute_pairs(self, df, k=3, threshold=0.2):
         toks = text.tokenize_series(df["text"])
-        sh = {d: dedup._shingles(ws, k) for d, ws in zip(df["doc_id"], toks)}
+        sh = {d: _shingles(ws, k) for d, ws in zip(df["doc_id"], toks)}
         out = set()
         ids = sorted(sh)
         for i in range(len(ids)):

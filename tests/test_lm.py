@@ -94,3 +94,11 @@ def test_stupid_backoff_score_orders_familiarity():
     rare = lm.stupid_backoff_doc_score(
         ["zz", "completely", "unseen", "garble"], counts, total)
     assert rep / len(toks[0]) > rare / 4  # per-token log-prob ordering
+
+
+def test_backoff_stats_empty_corpus(ray_session):
+    import ray
+
+    empty = pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
+                          "text": pd.Series([], dtype=object)})
+    assert len(lm.backoff_stats(ray.data.from_pandas(empty)).to_pandas()) == 0

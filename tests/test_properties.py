@@ -632,6 +632,137 @@ class TestTextProperties:
             assert sc.word_candidates(q) == want
 
 
+def _ref_md5_64(s: str) -> int:
+    import hashlib
+
+    return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
+
+
+def _ref_windows(rows, n, pad, whole_short):
+    """Per-row reference windows (the per-token loops the kernel
+    replaced): each row's stream is pad[0] x <s> + tokens + pad[1] x
+    </s>; every n consecutive tokens, or the whole non-empty stream
+    when it is shorter than n and `whole_short`."""
+    from go_osm_search_ray.stages.text import END_TOKEN, START_TOKEN
+
+    out = []
+    for ws in rows:
+        seq = [START_TOKEN] * pad[0] + list(ws) + [END_TOKEN] * pad[1]
+        if len(seq) >= n:
+            out.append([seq[i:i + n] for i in range(len(seq) - n + 1)])
+        else:
+            out.append([seq] if seq and whole_short else [])
+    return out
+
+
+def _ref_winnow(rows, k, window):
+    """Per-row reference winnowing: md5 low-32 shingle hashes, the
+    rightmost minimum of every window, distinct per row."""
+    out = []
+    for i, wins in enumerate(_ref_windows(rows, k, (0, 0), True)):
+        h = [_ref_md5_64(" ".join(w)) & 0xFFFFFFFF for w in wins]
+        if len(h) <= window:
+            sel = set(h)
+        else:
+            sel = set()
+            for j in range(len(h) - window + 1):
+                part = h[j:j + window]
+                sel.add(part[max(t for t in range(window)
+                                 if part[t] == min(part))])
+        out += [(i, f) for f in sorted(sel)]
+    return out
+
+
+_window_texts_s = st.lists(st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(["a", "b", "ab", "é", "x1", "İ", "ß", "?!"]),
+             max_size=8).map(" ".join),
+), max_size=6)
+
+
+class _OneBatch:
+    """A stand-in Dataset of one Arrow batch: map_batches calls the
+    stage's batch function on it."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def map_batches(self, fn, batch_format):
+        assert batch_format == "pyarrow"
+        return fn(self.table)
+
+
+class TestTokenWindows:
+    @settings(max_examples=200, deadline=None)
+    @given(_window_texts_s, st.integers(min_value=1, max_value=5),
+           st.sampled_from(["none", "n1", "31"]), st.booleans())
+    @example(["a b", None, "", "İstanbul ab", "a b a b a"], 3, "31", True)
+    @example(["x", ""], 5, "31", True)  # a short window next to a pad
+    def test_windows_match_per_row_reference(self, texts, n, pad_kind,
+                                             whole_short):
+        """`text._windows` cuts the reference's windows row by row, its
+        strings are the space-joined tokens, `md5()` is md5-64 of
+        those, `hashes()` is the polynomial over md5-64 token hashes,
+        equal code tuples get equal `distinct()` ids, and
+        `_window_counts` counts the strings."""
+        from collections import Counter
+
+        from go_osm_search_ray.stages import text
+
+        pad = {"none": (0, 0), "n1": (n, 1), "31": (3, 1)}[pad_kind]
+        rows = text.tokenize_series(pd.Series(texts, dtype=object))
+        want = [(r, " ".join(win)) for r, wins in
+                enumerate(_ref_windows(rows, n, pad, whole_short))
+                for win in wins]
+        flat = text.tokenize_flat_arrow(pa.array(texts, pa.string()))
+        w = text._windows(flat, n, pad, whole_short)
+        got = w.strings(np.arange(len(w.row))).to_pylist()
+        assert list(zip(w.row.tolist(), got)) == want
+
+        assert w.md5().tolist() == [_ref_md5_64(g) for _, g in want]
+        poly = []
+        for _, g in want:
+            acc = 0
+            for t in g.split(" "):
+                acc = (acc * 1099511628211 + _ref_md5_64(t)) % (1 << 64)
+            poly.append(acc)
+        assert w.hashes(text.md5_64(w.vocab)).tolist() == poly
+
+        ids, reps = w.distinct()
+        assert len(set(zip(ids.tolist(), got))) == len(set(got)) == len(reps)
+        assert [got[i] for i in reps] == list(dict.fromkeys(got))
+
+        if not whole_short:
+            g, c = text._window_counts(flat, n, pad)
+            assert dict(zip(g.to_pylist(), c.tolist())) == \
+                Counter(s for _, s in want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_window_texts_s, st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=4))
+    @example(["a b a b a b a b a", "a", None, ""], 3, 4)
+    def test_shingle_stages_match_per_row_reference(self, texts, k, window):
+        """`dedup._shingle_sets` (MinHash, decontaminate) is each row's
+        distinct md5-64 shingle set and `text.winnow_fingerprints`
+        selects the reference's fingerprints, row for row."""
+        from go_osm_search_ray.stages import dedup, text
+
+        rows = text.tokenize_series(pd.Series(texts, dtype=object))
+        row, h = dedup._shingle_sets(pa.array(texts, pa.string()), k)
+        want = sorted({(r, _ref_md5_64(" ".join(win))) for r, wins in
+                       enumerate(_ref_windows(rows, k, (0, 0), True))
+                       for win in wins})
+        assert list(zip(row.tolist(), h.tolist())) == want
+
+        tbl = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                        "text": pa.array(texts, pa.string())})
+        fp = text.winnow_fingerprints(_OneBatch(tbl), k_shingle=k,
+                                      window=window)
+        assert list(zip(fp["doc_id"].to_pylist(),
+                        fp["fingerprint"].to_pylist())) == \
+            _ref_winnow(rows, k, window)
+
+
 class TestQuantileHistogram:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=-100, max_value=100),

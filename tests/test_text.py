@@ -516,3 +516,60 @@ class TestHashFeatures:
             acc = {b: v for b, v in acc.items() if v != 0}
             sub = out[out["doc_id"] == d]
             assert dict(zip(sub["bucket"], sub["feat"])) == acc
+
+
+def _run_window_stage(name, df):
+    """Rows of one windowing stage over the corpus `df`, sorted."""
+    import ray.data as rd
+
+    from go_osm_search_ray.stages import dedup, lm
+
+    ds = rd.from_pandas(df).repartition(2)
+    out = {
+        "ngram_counts": lambda: text.ngram_counts(ds, 2),
+        "vocab_with_min_freq": lambda: text.vocab_with_min_freq(ds, 1),
+        "winnow_fingerprints": lambda: text.winnow_fingerprints(ds),
+        "jaccard_pairs": lambda: dedup.jaccard_pairs(ds, threshold=0.1),
+        "minhash_lsh_pairs": lambda: dedup.minhash_lsh_pairs(
+            ds, threshold=0.1),
+        "decontaminate": lambda: dedup.decontaminate(ds, ds),
+        "dup_ngram_coverage": lambda: dedup.dup_ngram_coverage(ds),
+        "backoff_stats": lambda: lm.backoff_stats(ds),
+    }[name]().to_pandas()
+    return sorted(map(tuple, out.to_numpy().tolist()))
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestWindowStagesEmptyAndNull:
+    STAGES = ["ngram_counts", "vocab_with_min_freq", "winnow_fingerprints",
+              "jaccard_pairs", "minhash_lsh_pairs", "decontaminate",
+              "dup_ngram_coverage", "backoff_stats"]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_empty_corpus_and_null_text(self, stage):
+        """An empty corpus gives zero rows, and a null text gives the
+        rows of ''."""
+        empty = pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
+                              "text": pd.Series([], dtype=object)})
+        assert _run_window_stage(stage, empty) == []
+
+        texts = ["the quick brown fox jumps over the lazy dog",
+                 "the quick brown fox jumps over a lazy cat",
+                 None, "solo", "two words",
+                 "the quick brown fox jumps over the lazy dog"]
+        df = pd.DataFrame({"doc_id": np.arange(1, 7, dtype=np.int64),
+                           "text": pd.Series(texts, dtype=object)})
+        got = _run_window_stage(stage, df)
+        assert got == _run_window_stage(stage, df.fillna(""))
+        assert got  # the corpus exercises the stage
+
+
+def test_all_null_batch_reads_as_empty():
+    """An all-null text column is Arrow type null; every text stage
+    still reads it as ''."""
+    nulls = pa.table({"doc_id": [1, 2], "text": pa.array([None, None])})
+    blank = pa.table({"doc_id": [1, 2], "text": ["", ""]})
+    assert nulls.schema.field("text").type == pa.null()
+    for stage in (text.quality_signals, text.token_counts, text.lang_id,
+                  text.repetition_signals):
+        assert stage(nulls).equals(stage(blank)), stage.__name__
