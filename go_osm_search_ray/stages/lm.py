@@ -60,28 +60,30 @@ def window_rows(ds, vocab_sorted: np.ndarray, id_col: str = "doc_id",
     p >= n).  Rows are the stream's bigram windows (every pos >= 2).
 
     n-gram identity is the `text._windows` polynomial hash over md5-64
-    token hashes (uint64 wraparound, process-independent): no n-gram
+    token hashes (uint64 wraparound, process-independent), here by
+    Horner over one padded stream for all three orders: no n-gram
     STRING is ever built or shuffled (the string-keyed plan spent 3x
     the pipeline in join-key bytes).  Collisions at 2^-64 are the
     documented exactness contract."""
 
     def explode(b: pd.DataFrame) -> pd.DataFrame:
-        flat = text.tokenize_flat_arrow(b[text_col])
-        at_end = {}
-        for n in (4, 3, 2):
-            w = text._windows(flat, n, (3, 1))
-            if n == 4:  # the vocabulary (and its pads) is the same per n
-                keep = np.isin(w.vocab, vocab_sorted) | np.isin(
-                    w.vocab, [PAD, EOS])
-                th = text.md5_64(np.where(keep, w.vocab, UNK))
-            # the hash of the n-gram ENDING at each stream index
-            at_end[n] = np.zeros(len(w.stream), dtype=np.uint64)
-            at_end[n][w.start + n - 1] = w.hashes(th)
+        w = text._windows(text.tokenize_flat_arrow(b[text_col]), 2, (3, 1))
+        # OOV -> <unk>, one binary search per distinct batch token
+        keep = np.arange(len(w.vocab)) >= len(w.vocab) - 2  # the pads
+        if len(vocab_sorted):
+            ix = np.searchsorted(vocab_sorted, w.vocab) % len(vocab_sorted)
+            keep |= vocab_sorted[ix] == w.vocab
+        th = text.md5_64(np.where(keep, w.vocab, UNK))[w.stream]
+        # h[n][p]: the n-gram ENDING at stream index p, by Horner
+        h = {1: th}
+        for n in (2, 3, 4):
+            h[n] = th + np.append(np.uint64(0), h[n - 1][:-1] * text._WINDOW_P)
         end = w.start + 1  # the bigram windows end at every pos >= 2
+        pos = end - w.offset[w.row] + 1
         return pd.DataFrame({
-            id_col: b[id_col].to_numpy(np.int64)[w.row],
-            "pos": end - w.offset[w.row] + 1,
-            **{f"h{n}": at_end[n][end].view(np.int64) for n in (4, 3, 2)}})
+            id_col: b[id_col].to_numpy(np.int64)[w.row], "pos": pos,
+            **{f"h{n}": (h[n][end] * (pos >= n)).view(np.int64)
+               for n in (4, 3, 2)}})
 
     return ds.map_batches(explode, batch_format="pandas")
 

@@ -665,23 +665,22 @@ def winnow_fingerprints(ds, id_col="doc_id", text_col="text",
     Hash = low 32 bits (little-endian) of md5(shingle) — process-
     independent and reproduced digit-by-digit by the SQL oracle.  A doc
     with fewer than k tokens has one shingle, its whole text; docs with
-    at most `window` shingles fingerprint every shingle.  Both windowings
-    (tokens -> shingles, shingle hashes -> winnowing windows) are
-    `_windows` cuts."""
+    at most `window` shingles fingerprint every shingle.  The shingles
+    are a `_windows` cut."""
 
     def fp(batch: pa.Table) -> pa.Table:
         sh = _windows(tokenize_flat_arrow(batch[text_col]), k_shingle,
                       whole_short=True)
         h = (sh.md5() & np.uint64(0xFFFFFFFF)).astype(np.int64)
-        per_row = np.bincount(sh.row, minlength=batch.num_rows)
-        # the winnowing windows over each row's shingle-hash run; argmin
-        # over the REVERSED window picks the rightmost minimum on ties
-        win = _windows((np.arange(len(h)), (), per_row,
-                        np.cumsum(per_row) - per_row), window)
-        few = (per_row <= window)[sh.row]
-        pos = win.tuples()[~few[win.start]]
-        pos = pos[np.arange(len(pos)), window - 1 - h[pos[:, ::-1]].argmin(1)]
-        pick = np.concatenate([np.flatnonzero(few), pos])
+        few = (np.bincount(sh.row, minlength=len(batch)) <= window)[sh.row]
+        # the winnowing windows: `window` consecutive shingles of one row
+        # (rows are back to back, so its first and last share the row);
+        # argmin over the REVERSED window picks the rightmost minimum
+        st = np.arange(max(len(h) - window + 1, 0))
+        st = st[(sh.row[st] == sh.row[st + window - 1]) & ~few[st]]
+        rev = h[st[:, None] + np.arange(window - 1, -1, -1)]
+        pick = np.concatenate([np.flatnonzero(few),
+                               st + window - 1 - rev.argmin(1)])
         row, fps = row_distinct(sh.row[pick], h[pick])
         return pa.table({id_col: batch[id_col].take(row),
                          "fingerprint": pa.array(fps, pa.int64())})

@@ -1,11 +1,15 @@
 """LM backoff-stats: distributed level histogram vs a brute-force
 dict implementation, plus the float stupid-backoff score sanity."""
 
+import hashlib
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from go_osm_search_ray.stages import lm, text
+from conftest import perf_gate
 
 
 def _docs():
@@ -102,3 +106,59 @@ def test_backoff_stats_empty_corpus(ray_session):
     empty = pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
                           "text": pd.Series([], dtype=object)})
     assert len(lm.backoff_stats(ray.data.from_pandas(empty)).to_pandas()) == 0
+
+
+class _OneBatch:
+    """A stand-in Dataset of one pandas batch: map_batches calls the
+    stage's batch function on it."""
+
+    def __init__(self, df):
+        self.df = df
+
+    def map_batches(self, fn, batch_format):
+        assert batch_format == "pandas"
+        return fn(self.df)
+
+
+def _ref_window_rows(df, vocab):
+    """Per-row reference: the UNK-replaced stream 3 x <s> + tokens +
+    </s>, and at every pos >= 2 the polynomial (Horner, P = the FNV-1
+    64-bit prime, mod 2^64) over md5-64 token hashes of the n-gram
+    ending there, 0 where pos < n."""
+    def th(t):
+        return int.from_bytes(hashlib.md5(t.encode()).digest()[:8], "little")
+
+    rows = []
+    for d, ws in zip(df["doc_id"], text.tokenize_series(df["text"])):
+        s = [lm.PAD] * 3 + [w if w in vocab else lm.UNK for w in ws] + [lm.EOS]
+        for p in range(2, len(s) + 1):
+            hs = []
+            for n in (4, 3, 2):
+                acc = 0
+                for t in s[p - n:p] if p >= n else []:
+                    acc = (acc * 1099511628211 + th(t)) % (1 << 64)
+                hs.append(acc - (1 << 64) if acc >= 1 << 63 else acc)
+            rows.append((d, p, *hs))
+    return pd.DataFrame(rows, columns=["doc_id", "pos", "h4", "h3", "h2"])
+
+
+def test_window_rows_large_vocab_match_reference():
+    """A 200k-term corpus vocabulary: OOV replacement and the three
+    hashes equal the per-row reference, and the lookup costs one binary
+    search per distinct batch token (an elementwise membership test
+    over object arrays compares every vocabulary term with every batch
+    token: seconds here)."""
+    rng = np.random.default_rng(7)
+    pool = np.array([f"w{i}" for i in range(5000)])
+    docs = [" ".join(rng.choice(pool, rng.integers(0, 30)))
+            for _ in range(1500)] + ["", None, "w1", "w1 w2"]
+    df = pd.DataFrame({"doc_id": np.arange(len(docs), dtype=np.int64),
+                       "text": docs})
+    vocab = set(pool[::2]) | {f"v{i:06d}" for i in range(200_000)}
+    vocab_sorted = np.array(sorted(vocab), dtype=object)
+    t0 = time.perf_counter()
+    got = lm.window_rows(_OneBatch(df), vocab_sorted)
+    wall = time.perf_counter() - t0
+    pd.testing.assert_frame_equal(got.reset_index(drop=True),
+                                  _ref_window_rows(df, vocab))
+    perf_gate(wall < 1.0, f"window_rows took {wall:.2f}s on one batch")
