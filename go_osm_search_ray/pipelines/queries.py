@@ -59,7 +59,8 @@ def sql_haversine(lat1: str, lon1: str, lat2: str, lon2: str) -> str:
     return f"(6371.0*2.0*asin(sqrt(LEAST(GREATEST({a},0.0),1.0))))"
 
 
-TOK = "regexp_extract_all(lower(text),'[a-z0-9]+')"
+# the engine's tokenizer reads a null text as ''
+TOK = "regexp_extract_all(lower(COALESCE(text, '')),'[a-z0-9]+')"
 
 # ---------------------------------------------------------------------------
 # derived inputs (Ray side)
@@ -1271,9 +1272,9 @@ _EN = ", ".join(f"'{w}'" for w in text.STOPWORDS["en"])
 SQL_QUALITY = f"""
 SELECT doc_id,
        CAST(len({TOK}) AS BIGINT) AS n_tokens,
-       CAST(length(text) AS BIGINT) AS n_chars,
-       CAST(length(regexp_replace(text, '[^a-zA-Z0-9 ]', '', 'g')) AS BIGINT) AS alnum_space_chars,
-       CAST(length(regexp_replace(lower(text), '[^a-z0-9]', '', 'g')) AS BIGINT) AS token_chars,
+       CAST(length(COALESCE(text, '')) AS BIGINT) AS n_chars,
+       CAST(length(regexp_replace(COALESCE(text, ''), '[^a-zA-Z0-9 ]', '', 'g')) AS BIGINT) AS alnum_space_chars,
+       CAST(length(regexp_replace(lower(COALESCE(text, '')), '[^a-z0-9]', '', 'g')) AS BIGINT) AS token_chars,
        CAST(len(list_filter({TOK}, x -> x IN ({_EN}))) AS BIGINT) AS stop_hits
 FROM documents
 """

@@ -309,25 +309,39 @@ def bucketed_group_apply(ds, keys, bucket_fn, batch_format: str = "pandas"):
     bucket) and run `bucket_fn` ONCE PER BUCKET over all its groups.
 
     bucket_fn: the bucket's rows WITHOUT the `_bucket` column -> rows,
-    as a pandas DataFrame or a pyarrow Table (`batch_format`).  It
+    as a pandas DataFrame or a pyarrow Table (`batch_format`, which
+    the map side that adds the bucket column uses too).  It
     implements the per-group semantics itself (vectorized groupby /
     drop_duplicates / agg calls, or a loop over the bucket's groups)."""
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0:
-            return b.assign(_bucket=pd.Series([], dtype="uint64"))
-        h = pd.util.hash_pandas_object(b[list(keys)], index=False)
-        return b.assign(_bucket=h.to_numpy() % N_BUCKETS)
+    def bucket_of(k: pd.DataFrame) -> np.ndarray:
+        return pd.util.hash_pandas_object(k, index=False).to_numpy() \
+            % N_BUCKETS
 
     if batch_format == "pandas":
+        def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
+            if len(b) == 0:
+                return b.assign(_bucket=pd.Series([], dtype="uint64"))
+            return b.assign(_bucket=bucket_of(b[list(keys)]))
+
         def run(g):
             return bucket_fn(g.drop(columns=["_bucket"]))
     else:
+        # an Arrow map side: only the keys visit pandas, so list
+        # columns keep their Arrow type through the shuffle
+        def add_bucket(b):
+            import pyarrow as pa
+
+            if b.num_rows == 0:
+                return b.append_column("_bucket", pa.array([], pa.uint64()))
+            return b.append_column("_bucket", pa.array(
+                bucket_of(b.select(list(keys)).to_pandas())))
+
         def run(g):
             return bucket_fn(g.drop_columns(["_bucket"]))
 
     return (
-        ds.map_batches(add_bucket, batch_format="pandas")
+        ds.map_batches(add_bucket, batch_format=batch_format)
         .groupby("_bucket")
         .map_groups(run, batch_format=batch_format)
     )

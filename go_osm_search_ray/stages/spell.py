@@ -6,9 +6,11 @@ Distributed/stateful split:
   in one scan (`text.ngram_counts_multi`, A5: the windows are cut from
   the flat token codes by `text._windows` and each batch joins one
   string per distinct code tuple; two-phase aggregation);
-  the vocabulary (A6) is its unigram row, and the OOV map is applied to
-  the collected counts; the noisy-channel model comes from the tiny
-  spell-errors corpus (A7, driver-side — it is a few KB).
+  the vocabulary (A6) is its unigram row (`vocab_from_counts`), and the
+  OOV map is applied to the collected counts (`oov_counts`;
+  `build_index` applies both to its own pass's counts); the
+  noisy-channel model comes from the tiny spell-errors corpus (A7,
+  driver-side — it is a few KB).
 - QUERY EVAL is stateless tasks over per-process state:
   `SpellBatchCorrector` fetches the models once per worker process (the
   FST/LM/noisy-model trio the reference loads at server boot,
@@ -173,28 +175,11 @@ class NGramLM:
 
     @staticmethod
     def from_counts(raw, vocab: set[str]):
-        """LM from collected raw (n_order, ngram, cnt) counts.  OOV
-        contract: every n-gram word not in `vocab` (pads excepted)
-        becomes the word `unk` and the counts are re-summed — equal to
-        writing `<unk>` into the text and recounting, as `<unk>`
-        re-tokenizes to `unk` (merged with a real in-vocab `unk`,
-        consistently).  Vectorized over the collected counts."""
-        import pyarrow as pa
+        """LM from collected raw (n_order, ngram, cnt) counts, OOV-mapped
+        by `oov_counts`."""
         import pyarrow.compute as pc
 
-        words = pc.split_pattern(raw["ngram"].combine_chunks(), " ")
-        flat = words.flatten()
-        known = pc.is_in(flat, value_set=pa.array(
-            [START_TOKEN, END_TOKEN, *vocab], pa.string()))
-        if pc.any(pc.invert(known)).as_py():
-            flat = pc.if_else(known, flat, "unk")
-            raw = pa.table({
-                "n_order": raw["n_order"], "cnt": raw["cnt"],
-                "ngram": pc.binary_join(
-                    pa.ListArray.from_arrays(words.offsets, flat), " "),
-            }).group_by(["n_order", "ngram"]).aggregate([("cnt", "sum")])
-            raw = raw.rename_columns(
-                [c.removesuffix("_sum") for c in raw.column_names])
+        raw = oov_counts(raw, vocab)
         counts = {}
         for n in range(1, 5):
             t = raw.filter(pc.equal(raw["n_order"], n))
@@ -342,20 +327,53 @@ class SpellCorrector:
         return [[w for _, w in cands[i]] for _, i in scored[:K_AUTOCOMPLETE]]
 
 
-def vocab_and_lm(docs_ds, min_freq: int = 2, text_col: str = "text"):
-    """Vocab (A6) and the OOV-mapped 4-gram LM (A5) from ONE scan and
-    one shuffle: the vocab is the raw unigram row of the n-gram counts
-    (pads excepted) with count >= min_freq.  Returns (vocab DataFrame
-    (term, freq) sorted by term, NGramLM)."""
+def oov_counts(raw, vocab: set[str]):
+    """Raw (n_order, ngram, cnt) counts -> the LM's counts.  OOV
+    contract: every n-gram word not in `vocab` (pads excepted) becomes
+    the word `unk` and the counts are re-summed — equal to writing
+    `<unk>` into the text and recounting, as `<unk>` re-tokenizes to
+    `unk` (merged with a real in-vocab `unk`, consistently).
+    Vectorized over the collected counts; an Arrow table out."""
+    import pyarrow as pa
     import pyarrow.compute as pc
 
+    words = pc.split_pattern(raw["ngram"].combine_chunks(), " ")
+    flat = words.flatten()
+    known = pc.is_in(flat, value_set=pa.array(
+        [START_TOKEN, END_TOKEN, *vocab], pa.string()))
+    if not pc.any(pc.invert(known)).as_py():
+        return raw
+    flat = pc.if_else(known, flat, "unk")
+    raw = pa.table({
+        "n_order": raw["n_order"], "cnt": raw["cnt"],
+        "ngram": pc.binary_join(
+            pa.ListArray.from_arrays(words.offsets, flat), " "),
+    }).group_by(["n_order", "ngram"]).aggregate([("cnt", "sum")])
+    return raw.rename_columns(
+        [c.removesuffix("_sum") for c in raw.column_names])
+
+
+def vocab_from_counts(raw, min_freq: int = 2) -> pd.DataFrame:
+    """Vocab (A6) from raw (n_order, ngram, cnt) counts: the unigram
+    rows (pads excepted) with count >= min_freq, as (term, freq)
+    sorted by term."""
+    import pyarrow.compute as pc
+
+    return raw.filter((pc.field("n_order") == 1) & (pc.field("cnt") >= min_freq)
+                      & ~pc.field("ngram").isin([START_TOKEN, END_TOKEN])) \
+        .select(["ngram", "cnt"]).rename_columns(["term", "freq"]) \
+        .sort_by("term").to_pandas()
+
+
+def vocab_and_lm(docs_ds, min_freq: int = 2, text_col: str = "text"):
+    """Vocab (A6) and the OOV-mapped 4-gram LM (A5) from ONE scan and
+    one shuffle (`text.ngram_counts_multi`): `vocab_from_counts` and
+    `NGramLM.from_counts` over the same counts.  Returns (vocab
+    DataFrame (term, freq) sorted by term, NGramLM)."""
     from . import text as text_stage
 
     raw = text_stage.ngram_counts_multi(docs_ds, text_col=text_col)
-    vocab = raw.filter((pc.field("n_order") == 1) & (pc.field("cnt") >= min_freq)
-                       & ~pc.field("ngram").isin([START_TOKEN, END_TOKEN])) \
-        .select(["ngram", "cnt"]).rename_columns(["term", "freq"]) \
-        .sort_by("term").to_pandas()
+    vocab = vocab_from_counts(raw, min_freq)
     return vocab, NGramLM.from_counts(raw, set(vocab["term"]))
 
 

@@ -10,11 +10,16 @@ Reference mapping (SURVEY.md §2):
                           lists) and `tokenize_flat_arrow` (factorized
                           flat form) both derive from it; every text
                           stage tokenizes through one of the two
-- postings pairs       -> M9/A1 SPIMI invert (indexer.go:672-768); ONE
-                          bucketed shuffle on term replaces spill files
+- postings pairs       -> M9/A1 SPIMI invert (indexer.go:672-768):
+                          `flat_postings_pairs` is the one pair emitter
+                          (postings_pairs, postings_lists, build_index);
+                          ONE bucketed shuffle on term replaces spill files
                           + heap merge (heap_merge.go:38-98); no salt: a
-                          salted pass's merge re-sorts whole lists anyway
-- doc/field lengths    -> A3/A4 (indexer.go:620-632, 788-790)
+                          salted pass's merge re-sorts whole lists anyway.
+                          `postings_agg` is the one list-aggregate
+                          (postings_lists, build_index, merge_postings)
+- doc/field lengths    -> A3/A4 (indexer.go:620-632, 788-790): the flat
+                          form's `lens` (doc_lengths, build_index)
 - DF / TF              -> A8 (scoring.go:29-50)
 - BM25F               -> Q5 (scoring.go:9-76; constants constant.go:28-39.
                           NOTE: the reference applies NAME_B to the
@@ -251,23 +256,26 @@ def _windows(flat, n: int, pad=(0, 0), whole_short: bool = False):
 # postings / stats batch emitters (all return slim pair tables)
 
 
+def flat_postings_pairs(flat, ids) -> pa.Table:
+    """(term, doc_id) DISTINCT pairs per doc — the SPIMI pair emission —
+    from one batch's `tokenize_flat_arrow` form; `ids`: the batch's doc
+    ids.  Rows by (doc, term code)."""
+    codes, uniques, lens, _ = flat
+    row, code = row_distinct(np.repeat(np.arange(len(lens)), lens), codes)
+    return pa.table({"term": pa.array(uniques, pa.string()).take(code),
+                     "doc_id": np.asarray(ids)[row]})
+
+
 def postings_pairs(batch: pd.DataFrame, id_col="doc_id", text_col="text") -> pd.DataFrame:
-    """(term, doc_id) DISTINCT pairs per doc — the SPIMI pair emission."""
-    toks = tokenize_series(batch[text_col])
-    out = (
-        pd.DataFrame({"doc_id": batch[id_col], "term": toks})
-        .explode("term")
-        .dropna(subset=["term"])
-        .drop_duplicates()
-    )
-    return out[["term", "doc_id"]].reset_index(drop=True)
+    """`flat_postings_pairs` of a batch, as pandas."""
+    return flat_postings_pairs(tokenize_flat_arrow(batch[text_col]),
+                               batch[id_col]).to_pandas()
 
 
 def doc_lengths(batch: pd.DataFrame, id_col="doc_id", text_col="text") -> pd.DataFrame:
-    toks = tokenize_series(batch[text_col])
-    return pd.DataFrame(
-        {"doc_id": batch[id_col], "n_tokens": toks.str.len().astype(np.int64)}
-    )
+    """(doc_id, n_tokens): the `lens` of the batch's flat form."""
+    return pd.DataFrame({"doc_id": batch[id_col],
+                         "n_tokens": tokenize_flat_arrow(batch[text_col])[2]})
 
 
 def term_df(ds, id_col="doc_id", text_col="text"):
@@ -285,12 +293,42 @@ def term_df(ds, id_col="doc_id", text_col="text"):
     return two_phase_agg(ds, partial, ["term"], ["df"])
 
 
+POSTINGS_SCHEMA = pa.schema([("term", pa.string()),
+                             ("postings", pa.list_(pa.int64())),
+                             ("df", pa.int64())])
+
+
+def postings_agg(term, doc_id) -> pa.Table:
+    """The one postings list-aggregate: (term, doc_id) pairs (Arrow
+    arrays, duplicates allowed) -> `POSTINGS_SCHEMA` rows sorted by
+    term, each list the term's distinct doc ids ascending and `df` its
+    length.  One Arrow sort on (term, doc_id); runs are cut by numpy
+    over the sorted columns and the lists are one ListArray over the
+    sorted ids."""
+    t = pa.table({"term": term, "doc_id": doc_id}).sort_by(
+        [("term", "ascending"), ("doc_id", "ascending")])
+    term = t["term"].combine_chunks().cast(pa.string())
+    ids = t["doc_id"].to_numpy().astype(np.int64)
+    new = np.ones(len(t), dtype=bool)
+    if len(t) > 1:
+        new[1:] = pc.not_equal(term[1:], term[:-1]).to_numpy(
+            zero_copy_only=False)
+    keep = new.copy()
+    keep[1:] |= ids[1:] != ids[:-1]
+    starts = np.flatnonzero(new[keep])
+    offsets = np.append(starts, keep.sum()).astype(np.int32)
+    return pa.table({
+        "term": term.take(np.flatnonzero(new)),
+        "postings": pa.ListArray.from_arrays(offsets, ids[keep]),
+        "df": np.diff(offsets).astype(np.int64)}, schema=POSTINGS_SCHEMA)
+
+
 def postings_lists(ds, id_col="doc_id", text_col="text",
                    stringify: bool = False):
     """term -> (sorted doc id list, df): the merged inverted index, A1+A2.
 
-    ONE bucketed shuffle on term: each bucket sorts its (term, doc_id)
-    pairs and list-aggregates them.  There is no hot-term salt: a
+    ONE bucketed shuffle on term; each bucket runs `postings_agg` over
+    its (term, doc_id) pairs.  There is no hot-term salt: a
     (term, doc_id % k) first stage bounds nothing, because the final
     row carries the term's full list anyway and a per-term merge must
     re-sort every doc id of the term in the same hash(term) bucket
@@ -301,23 +339,19 @@ def postings_lists(ds, id_col="doc_id", text_col="text",
 
     from .agg import bucketed_group_apply
 
-    def lists_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # one vectorized sort + list-agg over every term in the bucket
-        out = (
-            g.sort_values(["term", "doc_id"], kind="mergesort")
-            .groupby("term", sort=False)["doc_id"].agg(list).reset_index()
-            .rename(columns={"doc_id": "postings"})
-        )
-        out["df"] = out["postings"].map(len).astype(np.int64)
+    def lists_bucket(g: pa.Table) -> pa.Table:
+        out = postings_agg(g["term"], g["doc_id"])
         if stringify:
-            out["postings"] = out["postings"].map(
-                lambda lst: ",".join(str(i) for i in lst)
-            )
+            out = out.set_column(1, "postings", pc.binary_join(
+                out["postings"].cast(pa.list_(pa.string())), ","))
         return out
 
-    pairs = ds.map_batches(postings_pairs, batch_format="pandas",
-                           fn_kwargs={"id_col": id_col, "text_col": text_col})
-    return bucketed_group_apply(pairs, ["term"], lists_bucket)
+    def emit(b: pa.Table) -> pa.Table:
+        return flat_postings_pairs(tokenize_flat_arrow(b[text_col]), b[id_col])
+
+    pairs = ds.map_batches(emit, batch_format="pyarrow")
+    return bucketed_group_apply(pairs, ["term"], lists_bucket,
+                                batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +644,23 @@ def ngram_counts(ds, n: int, text_col="text"):
     return two_phase_agg(ds, partial, ["ngram"], ["n"])
 
 
+def ngram_partials(flat) -> pa.Table:
+    """(n_order, ngram, cnt) counts of every order 1..NGRAM_ORDER over
+    the padded streams of one flat form (`_window_counts`)."""
+    parts = [_window_counts(flat, n, (n, 1))
+             for n in range(1, NGRAM_ORDER + 1)]
+    return pa.table({
+        "n_order": np.repeat(np.arange(1, NGRAM_ORDER + 1),
+                             [len(c) for _, c in parts]),
+        "ngram": pa.concat_arrays([g for g, _ in parts]),
+        "cnt": np.concatenate([c for _, c in parts])})
+
+
+NGRAM_COUNTS_SCHEMA = pa.schema([("n_order", pa.int64()),
+                                 ("ngram", pa.string()),
+                                 ("cnt", pa.int64())])
+
+
 def ngram_counts_multi(ds, text_col="text"):
     """All n-gram orders 1..NGRAM_ORDER in ONE scan (the reference runs 4
     parallel goroutines over the same data, ngram_lm.go:345-370; one
@@ -618,20 +669,11 @@ def ngram_counts_multi(ds, text_col="text"):
     from .agg import two_phase_agg
 
     def partial(batch: pd.DataFrame) -> pa.Table:
-        flat = tokenize_flat_arrow(batch[text_col])
-        parts = [_window_counts(flat, n, (n, 1))
-                 for n in range(1, NGRAM_ORDER + 1)]
-        return pa.table({
-            "n_order": np.repeat(np.arange(1, NGRAM_ORDER + 1),
-                                 [len(c) for _, c in parts]),
-            "ngram": pa.concat_arrays([g for g, _ in parts]),
-            "cnt": np.concatenate([c for _, c in parts])})
+        return ngram_partials(tokenize_flat_arrow(batch[text_col]))
 
     out = two_phase_agg(ds, partial, ["n_order", "ngram"], ["cnt"]).to_pandas()
     if len(out) == 0:  # an empty corpus: typed empty counts
-        return pa.table({"n_order": pa.array([], pa.int64()),
-                         "ngram": pa.array([], pa.string()),
-                         "cnt": pa.array([], pa.int64())})
+        return NGRAM_COUNTS_SCHEMA.empty_table()
     return pa.Table.from_pandas(out[["n_order", "ngram", "cnt"]],
                                 preserve_index=False)
 

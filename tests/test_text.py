@@ -573,3 +573,34 @@ def test_all_null_batch_reads_as_empty():
     for stage in (text.quality_signals, text.token_counts, text.lang_id,
                   text.repetition_signals):
         assert stage(nulls).equals(stage(blank)), stage.__name__
+
+
+def test_sql_oracles_read_null_text_as_empty():
+    """The SQL oracles tokenize a null text as '', as the engine does:
+    zero tokens and zero-length signals, not NULL."""
+    from go_osm_search_ray.pipelines import queries
+
+    con = duckdb.connect()
+    con.sql("CREATE TABLE documents AS SELECT * FROM (VALUES "
+            "(1::BIGINT, 'a b'), (2::BIGINT, NULL)) t(doc_id, text)")
+    tb = pa.table({"doc_id": [1, 2], "text": ["a b", None]})
+    got = con.sql(queries.SQL_DOC_LENGTHS + " ORDER BY doc_id").df()
+    want = text.doc_lengths(tb.to_pandas())
+    assert got["n_tokens"].tolist() == want["n_tokens"].tolist() == [2, 0]
+    got = con.sql(queries.SQL_QUALITY + " ORDER BY doc_id").df()
+    want = text.quality_signals(tb).to_pandas()
+    pd.testing.assert_frame_equal(got, want[got.columns], check_dtype=False)
+
+
+def test_postings_agg_sorts_and_dedups():
+    """The one postings list-aggregate: lists ascending and distinct,
+    terms sorted, df the list length; no pairs gives a typed empty
+    table."""
+    got = text.postings_agg(pa.array(["b", "a", "b", "a", "b"]),
+                            pa.array([7, 3, 2, 3, 5], pa.int64()))
+    assert got.schema == text.POSTINGS_SCHEMA
+    assert got.to_pydict() == {"term": ["a", "b"],
+                               "postings": [[3], [2, 5, 7]], "df": [1, 3]}
+    empty = text.postings_agg(pa.array([], pa.string()),
+                              pa.array([], pa.int64()))
+    assert empty.num_rows == 0 and empty.schema == text.POSTINGS_SCHEMA
